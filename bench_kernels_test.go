@@ -78,24 +78,6 @@ func BenchmarkKernelPointerDelta(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelPointerParallel measures the SCC-partitioned parallel
-// delta solver at increasing worker counts. jobs=1 is the exact legacy
-// delta path; any count produces a bit-identical Result, so the gap is
-// pure wall clock. The jobs list tracks GOMAXPROCS so the benchdiff
-// -cpu lane can select a matching sub-benchmark per core count.
-func BenchmarkKernelPointerParallel(b *testing.B) {
-	app := synthLargeApp()
-	hs := harness.Generate(app)
-	for _, jobs := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
-		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				actions.AnalyzeSolver(nil, app, hs, pointer.ActionSensitivePolicy{K: 2}, pointer.SolverDelta, jobs, nil)
-			}
-		})
-	}
-}
-
 // BenchmarkKernelSHBGBuild measures full SHBG construction: rules 1–5
 // plus the rule-6/7 closure iteration.
 func BenchmarkKernelSHBGBuild(b *testing.B) {
@@ -123,25 +105,6 @@ func BenchmarkKernelSHBGClosure(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		shbg.Build(reg, res, shbg.Options{Disable: disable})
-	}
-}
-
-// BenchmarkKernelSHBGClosureParallel measures the block-parallel
-// rule-6/7 closure at increasing worker counts on the closure-dominated
-// configuration. jobs=1 is the exact sequential closure; the graph is
-// bit-identical at any count (see shbg.Options.Jobs).
-func BenchmarkKernelSHBGClosureParallel(b *testing.B) {
-	reg, res := synthAnalyzed(b)
-	disable := map[shbg.Rule]bool{
-		shbg.RuleIntraProc: true, shbg.RuleInterProc: true,
-	}
-	for _, jobs := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
-		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				shbg.Build(reg, res, shbg.Options{Disable: disable, Jobs: jobs})
-			}
-		})
 	}
 }
 

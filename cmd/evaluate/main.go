@@ -57,8 +57,6 @@ func main() {
 		ptaSolver  = flag.String("pta-solver", "delta", "points-to fixpoint solver: delta | exhaustive (identical tables; delta is faster)")
 		refPaths   = flag.Int("refute-max-paths", 5000, "refutation path budget per query (the paper's 5,000)")
 		refDepth   = flag.Int("refute-max-depth", 6, "refutation call-inlining depth bound (the paper's 6)")
-		ptaJobs    = flag.Int("pta-jobs", 1, "SCC-partitioned points-to solver workers per app (1 = sequential fixpoint; identical tables at any count)")
-		shbgJobs   = flag.Int("shbg-jobs", 1, "block-parallel SHBG closure workers per app (1 = sequential closure; identical tables at any count)")
 		benchJSON  = flag.String("bench-json", "", "write per-stage timings + effort counters for the 20-app dataset as JSON to this file and exit (e.g. BENCH_sierra.json)")
 		incrBench  = flag.String("incr-bench", "", "write the incremental lane (cold vs warm one-method skeleton-visible edit) as JSON to this file and exit (e.g. BENCH_incremental.json)")
 		streamCfg  = flag.String("stream", "", "run the fused streaming pipeline over this scenario config and print its verdict table (see corpusgen -list-scenarios)")
@@ -195,8 +193,6 @@ func main() {
 			solver:   solver,
 			refPaths: *refPaths,
 			refDepth: *refDepth,
-			ptaJobs:  *ptaJobs,
-			shbgJobs: *shbgJobs,
 			jobs:     *jobs,
 			genJobs:  *genJobs,
 			quiet:    *quiet,
@@ -224,8 +220,6 @@ func main() {
 		Solver:            solver,
 		RefuteMaxPaths:    *refPaths,
 		RefuteMaxDepth:    *refDepth,
-		PTAJobs:           *ptaJobs,
-		SHBGJobs:          *shbgJobs,
 	}
 
 	progress := func(total int) func(int, batch.Result) {
@@ -267,8 +261,7 @@ func main() {
 			}
 		}
 		rows, sizes, _ := metrics.EvaluateFDroidBatch(ctx, *nFDroid,
-			metrics.Options{Solver: solver, RefuteMaxPaths: *refPaths, RefuteMaxDepth: *refDepth,
-				PTAJobs: *ptaJobs, SHBGJobs: *shbgJobs}, b)
+			metrics.Options{Solver: solver, RefuteMaxPaths: *refPaths, RefuteMaxDepth: *refDepth}, b)
 		fmt.Println(metrics.FormatTable5(rows, sizes))
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"sierra/internal/core"
 	"sierra/internal/obs"
 	"sierra/internal/pointer"
-	"sierra/internal/shbg"
 	"sierra/internal/stream"
 	"sierra/internal/symexec"
 )
@@ -32,8 +31,6 @@ type streamOpts struct {
 	solver   pointer.Solver
 	refPaths int
 	refDepth int
-	ptaJobs  int
-	shbgJobs int
 	jobs     int
 	genJobs  int
 	quiet    bool
@@ -42,9 +39,7 @@ type streamOpts struct {
 func (o streamOpts) coreOptions() core.Options {
 	return core.Options{
 		Refuter:   symexec.Config{MaxPaths: o.refPaths, MaxDepth: o.refDepth},
-		SHBG:      shbg.Options{Jobs: o.shbgJobs},
 		PTASolver: o.solver,
-		PTAJobs:   o.ptaJobs,
 	}
 }
 

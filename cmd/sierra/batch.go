@@ -17,7 +17,6 @@ import (
 	"sierra/internal/obs/eventlog"
 	"sierra/internal/obs/export"
 	"sierra/internal/pointer"
-	"sierra/internal/shbg"
 	"sierra/internal/stream"
 	"sierra/internal/symexec"
 )
@@ -40,8 +39,6 @@ type batchConfig struct {
 	maxPaths   int
 	maxDepth   int
 	refuteJobs int
-	ptaJobs    int
-	shbgJobs   int
 	stats      string
 	events     string
 	debugAddr  string
@@ -99,17 +96,13 @@ func runBatch(cfg batchConfig) int {
 		fmt.Sprintf("maxpaths=%d", cfg.maxPaths),
 		fmt.Sprintf("maxdepth=%d", cfg.maxDepth),
 		fmt.Sprintf("refutejobs=%d", cfg.refuteJobs),
-		fmt.Sprintf("ptajobs=%d", cfg.ptaJobs),
-		fmt.Sprintf("shbgjobs=%d", cfg.shbgJobs),
 	}
 	analyze := stream.Analyzer(core.Options{
 		Policy:          cfg.policy,
 		CompareContexts: cfg.compare,
 		SkipRefutation:  cfg.noRefute,
 		Refuter:         symexec.Config{MaxPaths: cfg.maxPaths, MaxDepth: cfg.maxDepth, Jobs: cfg.refuteJobs},
-		SHBG:            shbg.Options{Jobs: cfg.shbgJobs},
 		PTASolver:       cfg.solver,
-		PTAJobs:         cfg.ptaJobs,
 	}, absorb)
 
 	// Build the job source: a sorted glob of file-backed jobs, or the
@@ -126,8 +119,6 @@ func runBatch(cfg batchConfig) int {
 		"max_paths":   cfg.maxPaths,
 		"max_depth":   cfg.maxDepth,
 		"refute_jobs": cfg.refuteJobs,
-		"pta_jobs":    cfg.ptaJobs,
-		"shbg_jobs":   cfg.shbgJobs,
 		"cache":       cfg.cacheDir != "",
 	}
 	var streamSrc *stream.Source

@@ -57,7 +57,6 @@ import (
 	"sierra/internal/pointer"
 	"sierra/internal/report"
 	"sierra/internal/serve"
-	"sierra/internal/shbg"
 	"sierra/internal/symexec"
 	"sierra/internal/verify"
 )
@@ -86,9 +85,7 @@ func main() {
 		noRefute       = flag.Bool("no-refute", false, "skip symbolic refutation")
 		refuteMaxPaths = flag.Int("refute-max-paths", 5000, "refutation path budget per query (the paper's 5,000)")
 		refuteMaxDepth = flag.Int("refute-max-depth", 6, "refutation call-inlining depth bound (the paper's 6)")
-		refuteJobs     = flag.Int("refute-jobs", 0, "per-pair refutation workers within one app (0 = GOMAXPROCS, 1 = sequential shared-memo refuter; verdicts are identical at any count)")
-		ptaJobs        = flag.Int("pta-jobs", 0, "SCC-partitioned points-to solver workers (0 = GOMAXPROCS, 1 = sequential fixpoint; results are identical at any count)")
-		shbgJobs       = flag.Int("shbg-jobs", 0, "block-parallel SHBG closure workers (0 = GOMAXPROCS, 1 = sequential closure; the graph is identical at any count)")
+		refuteJobs     = flag.Int("refute-jobs", 0, "per-pair refutation workers within one app (0 = GOMAXPROCS; raised to at least 2, as in sierra serve, so reports are byte-identical at any count)")
 		list           = flag.Bool("list", false, "list named dataset apps and exit")
 		verbose        = flag.Bool("v", false, "print every report plus the observability breakdown")
 		verifyN        = flag.Int("verify", 0, "dynamically confirm the top N reports via schedule search (§6.4)")
@@ -143,12 +140,9 @@ func main() {
 		os.Exit(1)
 	}
 
-	// Worker counts default to the machine (0 = GOMAXPROCS). Every
-	// parallel kernel is bit-for-bit deterministic, so the counts affect
-	// only wall clock, never results.
-	*refuteJobs = resolveJobs(*refuteJobs)
-	*ptaJobs = resolveJobs(*ptaJobs)
-	*shbgJobs = resolveJobs(*shbgJobs)
+	// The refutation pool resolves exactly as the daemon's does, so
+	// -report-json stays byte-identical to `sierra serve` on any host.
+	*refuteJobs = serve.RefuteJobs(*refuteJobs)
 
 	if *batchGlob != "" || *streamCfg != "" {
 		code := runBatch(batchConfig{
@@ -166,8 +160,6 @@ func main() {
 			maxPaths:   *refuteMaxPaths,
 			maxDepth:   *refuteMaxDepth,
 			refuteJobs: *refuteJobs,
-			ptaJobs:    *ptaJobs,
-			shbgJobs:   *shbgJobs,
 			stats:      *stats,
 			events:     *events,
 			debugAddr:  *debugAddr,
@@ -264,8 +256,6 @@ func main() {
 		"max_paths":   *refuteMaxPaths,
 		"max_depth":   *refuteMaxDepth,
 		"refute_jobs": *refuteJobs,
-		"pta_jobs":    *ptaJobs,
-		"shbg_jobs":   *shbgJobs,
 	}})
 
 	res := core.AnalyzeContext(ctx, app, core.Options{
@@ -273,9 +263,7 @@ func main() {
 		CompareContexts: *compare,
 		SkipRefutation:  *noRefute,
 		Refuter:         symexec.Config{MaxPaths: *refuteMaxPaths, MaxDepth: *refuteMaxDepth, Jobs: *refuteJobs},
-		SHBG:            shbg.Options{Jobs: *shbgJobs},
 		PTASolver:       solver,
-		PTAJobs:         *ptaJobs,
 		Obs:             tr,
 	})
 
@@ -422,8 +410,7 @@ func main() {
 }
 
 // resolveJobs maps the flags' 0-means-auto convention to the machine's
-// GOMAXPROCS. Worker counts never change results (every parallel kernel
-// is bit-for-bit deterministic), only wall clock.
+// GOMAXPROCS.
 func resolveJobs(n int) int {
 	if n <= 0 {
 		return runtime.GOMAXPROCS(0)

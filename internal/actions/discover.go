@@ -38,11 +38,10 @@ func AnalyzeContext(ctx context.Context, app *apk.App, hs []*harness.Harness, po
 }
 
 // AnalyzeSolver is AnalyzeContext with an explicit points-to solver
-// selection (the -pta-solver flag's plumbing) and worker count (the
-// -pta-jobs flag; ≤1 = the exact sequential fixpoint, >1 the
-// SCC-partitioned parallel delta solver — identical results either
-// way). Both solvers produce identical results; SolverExhaustive is the
-// slow reference implementation kept for parity testing.
+// selection (the -pta-solver flag's plumbing). Both solvers produce
+// identical results; SolverExhaustive is the slow reference
+// implementation kept for parity testing. The ptaJobs parameter stays
+// for existing callers. Deprecated: ignored; the solver is sequential.
 func AnalyzeSolver(ctx context.Context, app *apk.App, hs []*harness.Harness, pol pointer.Policy, solver pointer.Solver, ptaJobs int, tr *obs.Trace) (*Registry, *pointer.Result) {
 	reg, res, _ := AnalyzeSolverWarm(ctx, app, hs, pol, solver, ptaJobs, tr)
 	return reg, res
@@ -53,7 +52,8 @@ func AnalyzeSolver(ctx context.Context, app *apk.App, hs []*harness.Harness, pol
 // solver or when the fixpoint was interrupted). Incremental serve
 // baselines keep the handle to re-solve skeleton-visible edits without
 // a cold fixpoint; everyone else should call AnalyzeSolver and let the
-// solver state be collected.
+// solver state be collected. The ptaJobs parameter stays for existing
+// callers. Deprecated: ignored; the solver is sequential.
 func AnalyzeSolverWarm(ctx context.Context, app *apk.App, hs []*harness.Harness, pol pointer.Policy, solver pointer.Solver, ptaJobs int, tr *obs.Trace) (*Registry, *pointer.Result, *pointer.Warm) {
 	reg := NewRegistry(app, hs, pol)
 
@@ -89,7 +89,6 @@ func AnalyzeSolverWarm(ctx context.Context, app *apk.App, hs []*harness.Harness,
 		OnEvent:  reg.OnEvent,
 		ActionAt: reg.ActionAt,
 		Solver:   solver,
-		Jobs:     ptaJobs,
 		Obs:      tr,
 		Ctx:      ctx,
 	})

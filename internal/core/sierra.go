@@ -39,9 +39,9 @@ type Options struct {
 	// (pointer.SolverDelta, the default, or pointer.SolverExhaustive —
 	// the -pta-solver flag). Both produce identical results.
 	PTASolver pointer.Solver
-	// PTAJobs bounds the delta solver's SCC-partitioned worker count
-	// (the -pta-jobs flag); ≤1 runs the exact sequential fixpoint. Any
-	// count produces bit-identical results.
+	// PTAJobs is kept for existing callers.
+	//
+	// Deprecated: ignored; the solver is sequential.
 	PTAJobs int
 	// KeepPTAWarm retains the delta solver's live state on
 	// Result.PTAWarm so a later skeleton-visible edit can be re-solved
@@ -167,9 +167,9 @@ func AnalyzeContext(ctx context.Context, app *apk.App, opts Options) *Result {
 	var reg *actions.Registry
 	var pta *pointer.Result
 	if opts.KeepPTAWarm {
-		reg, pta, res.PTAWarm = actions.AnalyzeSolverWarm(ctx, app, res.Harnesses, opts.Policy, opts.PTASolver, opts.PTAJobs, tr)
+		reg, pta, res.PTAWarm = actions.AnalyzeSolverWarm(ctx, app, res.Harnesses, opts.Policy, opts.PTASolver, 0, tr)
 	} else {
-		reg, pta = actions.AnalyzeSolver(ctx, app, res.Harnesses, opts.Policy, opts.PTASolver, opts.PTAJobs, tr)
+		reg, pta = actions.AnalyzeSolver(ctx, app, res.Harnesses, opts.Policy, opts.PTASolver, 0, tr)
 	}
 	sCGPA.End()
 	res.Registry, res.PTA = reg, pta
@@ -204,7 +204,7 @@ func AnalyzeContext(ctx context.Context, app *apk.App, opts Options) *Result {
 		plainSHBG := opts.SHBG
 		plainSHBG.Obs = nil
 		plainSHBG.Ctx = ctx
-		regH, ptaH := actions.AnalyzeSolver(ctx, app, res.Harnesses, pointer.Hybrid{K: 2}, opts.PTASolver, opts.PTAJobs, nil)
+		regH, ptaH := actions.AnalyzeSolver(ctx, app, res.Harnesses, pointer.Hybrid{K: 2}, opts.PTASolver, 0, nil)
 		gH := shbg.Build(regH, ptaH, plainSHBG)
 		pairsH := race.RacyPairs(regH, gH, race.CollectAccesses(regH, ptaH))
 		res.RacyPairsNoAS = len(pairsH)

@@ -62,8 +62,6 @@ func fingerprint(opts Options) []string {
 		"solver=" + string(opts.Solver),
 		fmt.Sprintf("refutepaths=%d", maxPaths),
 		fmt.Sprintf("refutedepth=%d", maxDepth),
-		fmt.Sprintf("ptajobs=%d", opts.PTAJobs),
-		fmt.Sprintf("shbgjobs=%d", opts.SHBGJobs),
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 	"sierra/internal/eventracer"
 	"sierra/internal/obs"
 	"sierra/internal/pointer"
-	"sierra/internal/shbg"
 	"sierra/internal/symexec"
 )
 
@@ -62,12 +61,6 @@ type Options struct {
 	// exploration (0 = the paper's defaults, 5000 paths and depth 6).
 	RefuteMaxPaths int
 	RefuteMaxDepth int
-	// PTAJobs / SHBGJobs size the SCC-partitioned points-to solver and
-	// block-parallel SHBG closure pools (≤1 = the sequential kernels).
-	// Both kernels are bit-for-bit deterministic, so these change wall
-	// clock only — the Rows are identical at any count.
-	PTAJobs  int
-	SHBGJobs int
 	// Obs, when non-nil, absorbs each measured app's effort counters
 	// (the per-app trace snapshot) — the batch runners point this at a
 	// shared trace so `-stats`-style aggregates survive fan-out. Safe
@@ -92,8 +85,6 @@ func EvaluateAppContext(ctx context.Context, name string, factory func() (*apk.A
 	res := core.AnalyzeContext(ctx, app, core.Options{
 		CompareContexts: true,
 		PTASolver:       opts.Solver,
-		PTAJobs:         opts.PTAJobs,
-		SHBG:            shbg.Options{Jobs: opts.SHBGJobs},
 		Refuter:         symexec.Config{MaxPaths: opts.RefuteMaxPaths, MaxDepth: opts.RefuteMaxDepth},
 		Obs:             tr,
 	})

@@ -106,11 +106,6 @@ type Config struct {
 	ActionAt func(ir.Pos) (int, bool)
 	// MaxPasses bounds the global fixpoint (safety valve; 0 = default).
 	MaxPasses int
-	// Jobs bounds the delta solver's worker count for the
-	// SCC-partitioned parallel sweep; ≤1 (the zero value) runs the
-	// exact legacy serial path, and the exhaustive solver ignores it.
-	// Results are bit-for-bit identical at every count.
-	Jobs int
 	// Ctx, when non-nil, is polled at pass boundaries and every
 	// ctxStride instances within a pass; once done the fixpoint stops
 	// early and the result is marked Interrupted (sound for the facts

@@ -411,10 +411,6 @@ func (d *deltaState) touchStatic(key string) {
 func (a *analyzer) runDelta() {
 	cfg := a.cfg
 	d := a.d
-	var ps *parState
-	if cfg.Jobs > 1 {
-		ps = newParState(a)
-	}
 	for pass := 0; pass < cfg.MaxPasses; pass++ {
 		if ctxDone(cfg.Ctx) {
 			a.res.Interrupted = true
@@ -422,11 +418,22 @@ func (a *analyzer) runDelta() {
 		}
 		a.res.passes = pass + 1
 		d.changed = false
-		// The partitioned sweep runs only when the planner proves the
-		// pass pure (parallel.go); otherwise — and always under Jobs≤1 —
-		// the serial sweep runs, bit-for-bit the legacy path.
-		if ps == nil || !ps.tryPass() {
-			a.sweepDelta()
+		for i := 0; i < len(a.order); i++ {
+			if i%ctxStride == ctxStride-1 && ctxDone(cfg.Ctx) {
+				a.res.Interrupted = true
+				break
+			}
+			// iterations stays solver-invariant (the sweep visits every
+			// slot); the delta-specific effort shows up in
+			// dirty_instances / transfer_skips / delta_props instead.
+			a.stats.iterations++
+			if !d.dirtyInst.Has(i) {
+				a.stats.transferSkips++
+				continue
+			}
+			d.dirtyInst.Clear(i)
+			a.stats.dirtyInstances++
+			a.processInstanceDelta(i)
 		}
 		if a.res.Interrupted {
 			break
@@ -437,32 +444,6 @@ func (a *analyzer) runDelta() {
 		if !d.changed {
 			break
 		}
-	}
-	if ps != nil {
-		ps.reportObs()
-	}
-}
-
-// sweepDelta is the serial instance sweep of one delta pass.
-func (a *analyzer) sweepDelta() {
-	cfg := a.cfg
-	d := a.d
-	for i := 0; i < len(a.order); i++ {
-		if i%ctxStride == ctxStride-1 && ctxDone(cfg.Ctx) {
-			a.res.Interrupted = true
-			break
-		}
-		// iterations stays solver-invariant (the sweep visits every
-		// slot); the delta-specific effort shows up in
-		// dirty_instances / transfer_skips / delta_props instead.
-		a.stats.iterations++
-		if !d.dirtyInst.Has(i) {
-			a.stats.transferSkips++
-			continue
-		}
-		d.dirtyInst.Clear(i)
-		a.stats.dirtyInstances++
-		a.processInstanceDelta(i)
 	}
 }
 

@@ -17,7 +17,9 @@ type parityConfig struct {
 	seeds   []Seed
 	views   map[int]string
 	policy  Policy
-	events  bool
+	// eventField, when set, installs an OnEvent hook that reifies
+	// Runnable posts and chases one hop through this field.
+	eventField string
 }
 
 // randomRichProgram generates a synthetic app exercising every transfer
@@ -140,7 +142,7 @@ func randomRichProgram(r *rand.Rand) parityConfig {
 			7: frontend.ButtonClass,
 			8: frontend.TextViewClass,
 		},
-		events: true,
+		eventField: "f",
 	}
 	for _, name := range entryNames {
 		cfg.entries = append(cfg.entries, Entry{Method: main.Methods[name], Ctx: EmptyContext})
@@ -162,12 +164,128 @@ func randomRichProgram(r *rand.Rand) parityConfig {
 	return cfg
 }
 
+// randomPartitionedProgram generates a synthetic app whose constraint
+// graph splits into several independent families: each gets its own
+// entry method, Task class, field names, and static class. Families are
+// randomly straight-line, event-posting (instances discovered mid-run
+// through a posted Runnable), or dispatching (a virtual call into the
+// family's Task), and occasional seeds join families across entries.
+func randomPartitionedProgram(r *rand.Rand) parityConfig {
+	p := ir.NewProgram()
+	frontend.InstallFramework(p)
+
+	vars := []string{"a", "b", "c", "d"}
+	nFam := 3 + r.Intn(6)
+	var entries []Entry
+	type fam struct {
+		main  *ir.Class
+		entry string
+	}
+	var fams []fam
+	for fi := 0; fi < nFam; fi++ {
+		field := fmt.Sprintf("f%d", fi)
+		taskCls := fmt.Sprintf("Task%d", fi)
+		statCls := fmt.Sprintf("G%d", fi)
+		mainCls := fmt.Sprintf("Main%d", fi)
+		kind := r.Intn(8) // 0-3 straight-line, 4-6 posting, 7 dispatching
+
+		soup := func(b *ir.MethodBuilder, n int) {
+			for i := 0; i < n; i++ {
+				dst := vars[r.Intn(len(vars))]
+				src := vars[r.Intn(len(vars))]
+				switch r.Intn(7) {
+				case 0, 1:
+					b.NewObj(dst, taskCls)
+				case 2:
+					b.Move(dst, src)
+				case 3:
+					b.Load(dst, src, field)
+				case 4:
+					b.Store(src, field, dst)
+				case 5:
+					b.SLoad(dst, statCls, "s")
+				default:
+					b.SStore(statCls, "s", src)
+				}
+			}
+		}
+
+		task := ir.NewClass(taskCls, frontend.Object, frontend.RunnableIface)
+		task.Fields = []string{field}
+		tb := ir.NewMethodBuilder(frontend.Run)
+		soup(tb, 2+r.Intn(5))
+		tb.Ret(vars[r.Intn(len(vars))])
+		task.AddMethod(tb.Build())
+		if kind == 7 {
+			wb := ir.NewMethodBuilder("work", "x")
+			soup(wb, 1+r.Intn(3))
+			wb.Ret(vars[r.Intn(len(vars))])
+			task.AddMethod(wb.Build())
+		}
+		p.AddClass(task)
+
+		glob := ir.NewClass(statCls, frontend.Object)
+		glob.Fields = []string{"s"}
+		p.AddClass(glob)
+
+		main := ir.NewClass(mainCls, frontend.ActivityClass)
+		entry := fmt.Sprintf("main%d", fi)
+		mb := ir.NewMethodBuilder(entry)
+		soup(mb, 3+r.Intn(6))
+		switch {
+		case kind >= 4 && kind <= 6:
+			mb.NewObj("t", taskCls)
+			if r.Intn(2) == 0 {
+				mb.Store("t", field, vars[r.Intn(len(vars))])
+			}
+			mb.Int("vid", 7)
+			mb.Call("w", "this", mainCls, frontend.FindViewByID, "vid")
+			mb.Call("", "w", frontend.ViewClass, frontend.Post, "t")
+		case kind == 7:
+			mb.NewObj("t", taskCls)
+			mb.Call(vars[r.Intn(len(vars))], "t", taskCls, "work", vars[r.Intn(len(vars))])
+		}
+		soup(mb, r.Intn(4))
+		mb.Ret("")
+		main.AddMethod(mb.Build())
+		p.AddClass(main)
+		fams = append(fams, fam{main: main, entry: entry})
+	}
+	p.Finalize()
+
+	for _, f := range fams {
+		entries = append(entries, Entry{Method: f.main.Methods[f.entry], Ctx: EmptyContext})
+	}
+	cfg := parityConfig{
+		prog:       p,
+		entries:    entries,
+		views:      map[int]string{7: frontend.ButtonClass},
+		eventField: "f0",
+	}
+	for s := 0; s < r.Intn(3); s++ {
+		src := fams[r.Intn(len(fams))]
+		dst := fams[r.Intn(len(fams))]
+		cfg.seeds = append(cfg.seeds, Seed{
+			SrcMethod: src.main.Methods[src.entry],
+			SrcVar:    vars[r.Intn(len(vars))],
+			DstMethod: dst.main.Methods[dst.entry],
+			DstVar:    vars[r.Intn(len(vars))],
+		})
+	}
+	pols := []Policy{
+		Insensitive{}, KCFA{K: 1}, KObj{K: 2}, Hybrid{K: 2},
+		ActionSensitivePolicy{K: 2},
+	}
+	cfg.policy = pols[r.Intn(len(pols))]
+	return cfg
+}
+
 // runSolver analyzes cfg under the given solver. The OnEvent hook
 // mirrors the actions registry's shape: deterministic, idempotent, and
 // reading both argument sets and object fields (via FieldObjs).
 func runSolver(cfg parityConfig, solver Solver) *Result {
 	var onEvent func(Event) []Entry
-	if cfg.events {
+	if cfg.eventField != "" {
 		p := cfg.prog
 		onEvent = func(ev Event) []Entry {
 			if ev.API.Kind != frontend.APIPostRunnable || len(ev.Args) == 0 {
@@ -189,7 +307,7 @@ func runSolver(cfg parityConfig, solver Solver) *Result {
 				spawn(o)
 				// Chase one field hop so event refiring depends on field
 				// points-to growth, not just the argument sets.
-				for _, q := range ev.FieldObjs(o, "f") {
+				for _, q := range ev.FieldObjs(o, cfg.eventField) {
 					spawn(q)
 				}
 			}
@@ -303,19 +421,29 @@ func requireIdenticalResults(t *testing.T, want, got *Result) {
 	}
 }
 
-// TestSolverParityProperty runs randomized rich programs under both
-// solvers and requires bit-for-bit identical results.
+// TestSolverParityProperty runs randomized programs from each generator
+// under both solvers and requires bit-for-bit identical results.
 func TestSolverParityProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		cfg := randomRichProgram(r)
-		want := runSolver(cfg, SolverExhaustive)
-		got := runSolver(cfg, SolverDelta)
-		requireIdenticalResults(t, want, got)
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
-		t.Fatal(err)
+	for _, gen := range []struct {
+		name  string
+		fn    func(*rand.Rand) parityConfig
+		count int
+	}{
+		{"rich", randomRichProgram, 120},
+		{"partitioned", randomPartitionedProgram, 60},
+	} {
+		t.Run(gen.name, func(t *testing.T) {
+			f := func(seed int64) bool {
+				cfg := gen.fn(rand.New(rand.NewSource(seed)))
+				want := runSolver(cfg, SolverExhaustive)
+				got := runSolver(cfg, SolverDelta)
+				requireIdenticalResults(t, want, got)
+				return true
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: gen.count}); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

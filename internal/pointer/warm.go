@@ -148,12 +148,9 @@ func (w *Warm) ReSolve(changed []*ir.Method, tr *obs.Trace) error {
 		d.slotInstance(a, i, a.order[i])
 	}
 
-	// The re-drain is always serial and uncancellable: the parallel
-	// sweep's purity planner and partition state assume the dense arrays
-	// grew append-only from installation order, which a re-slot breaks,
-	// and a mid-drain cancellation would leave the baseline half-
-	// propagated with no way to mark it Interrupted safely.
-	a.cfg.Jobs = 1
+	// The re-drain is uncancellable: a mid-drain cancellation would
+	// leave the baseline half-propagated with no way to mark it
+	// Interrupted safely.
 	a.cfg.Ctx = nil
 	a.runDelta()
 

@@ -158,8 +158,7 @@ func (s *Server) analyze(ctx context.Context, js *jobState) ([]byte, error) {
 		// baseline and the donor program untouched, so chaining is safe;
 		// a poisoned baseline falls straight through to the cold path.
 		if !base.Poisoned {
-			shbgOpts := shbg.Options{Jobs: s.cfg.SHBGJobs}
-			if _, ok := base.ApplyStages(app, fp, js.digest, s.refuterConfig(), shbgOpts, tr); ok {
+			if _, ok := base.ApplyStages(app, fp, js.digest, s.refuterConfig(), shbg.Options{}, tr); ok {
 				doc := RenderReport(js.digest, base.Res)
 				base.Mu.Unlock()
 				return doc, nil
@@ -183,8 +182,6 @@ func (s *Server) analyze(ctx context.Context, js *jobState) ([]byte, error) {
 
 	res := core.AnalyzeContext(ctx, app, core.Options{
 		Refuter:     s.refuterConfig(),
-		SHBG:        shbg.Options{Jobs: s.cfg.SHBGJobs},
-		PTAJobs:     s.cfg.PTAJobs,
 		KeepPTAWarm: true,
 		Obs:         tr,
 	})

@@ -35,19 +35,12 @@ type Config struct {
 	// JobTimeout is the per-analysis deadline (0 = none). A timed-out
 	// analysis fails its job; partial results are never stored.
 	JobTimeout time.Duration
-	// RefuteJobs sizes the per-analysis refutation pool (0 =
-	// GOMAXPROCS). The service forces at least 2: per-pair-pure
-	// refutation is what makes verdicts order-independent, which
-	// incremental verdict splicing and report byte-parity both require
-	// (see symexec.Checker).
+	// RefuteJobs sizes the per-analysis refutation pool, resolved by
+	// the package-level RefuteJobs (0 = GOMAXPROCS, at least 2).
+	// Per-pair-pure refutation is what makes verdicts order-independent,
+	// which incremental verdict splicing and report byte-parity both
+	// require (see symexec.Checker).
 	RefuteJobs int
-	// PTAJobs sizes the SCC-partitioned points-to solver pool and
-	// SHBGJobs the block-parallel closure pool (0 = GOMAXPROCS, 1 =
-	// the sequential kernels). Neither affects results — every parallel
-	// kernel is bit-for-bit deterministic — so neither is part of the
-	// report cache fingerprint.
-	PTAJobs  int
-	SHBGJobs int
 	// MaxPaths/MaxDepth tune the refuter budget (0 = defaults). Part of
 	// the report cache fingerprint.
 	MaxPaths, MaxDepth int
@@ -129,20 +122,23 @@ func (j *jobState) get() (string, string) {
 	return j.status, j.errMsg
 }
 
+// RefuteJobs resolves a -refute-jobs value the way both the daemon and
+// the one-shot `sierra` CLI must, so their reports stay byte-identical:
+// 0 means GOMAXPROCS, and anything below 2 is raised to 2. At two or
+// more workers symexec.CheckAll runs every pair on a private memo fork,
+// making each verdict and its path count a pure function of the pair;
+// the one-worker shared-memo refuter lets earlier pairs' memos change
+// later pairs' path counts, which the canonical report records.
+func RefuteJobs(n int) int {
+	if n <= 0 {
+		n = runtime.GOMAXPROCS(0)
+	}
+	return max(n, 2)
+}
+
 // New assembles a server (no listener yet; Start binds it).
 func New(cfg Config) (*Server, error) {
-	if cfg.RefuteJobs <= 0 {
-		cfg.RefuteJobs = runtime.GOMAXPROCS(0)
-	}
-	if cfg.RefuteJobs < 2 {
-		cfg.RefuteJobs = 2
-	}
-	if cfg.PTAJobs <= 0 {
-		cfg.PTAJobs = runtime.GOMAXPROCS(0)
-	}
-	if cfg.SHBGJobs <= 0 {
-		cfg.SHBGJobs = runtime.GOMAXPROCS(0)
-	}
+	cfg.RefuteJobs = RefuteJobs(cfg.RefuteJobs)
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 1024
 	}

@@ -47,11 +47,30 @@ func naiveClosure(n int, edges [][2]int) [][]bool {
 	return hb
 }
 
+// requireRevConsistent checks hb/rev lockstep: later rule rounds (and
+// RacyPairs' predecessor scans) depend on the index being exact.
+func requireRevConsistent(t *testing.T, g *Graph) {
+	t.Helper()
+	for i := 0; i < g.n; i++ {
+		g.hb[i].ForEach(func(j int) {
+			if !g.rev[j].Has(i) {
+				t.Fatalf("rev[%d] missing predecessor %d", j, i)
+			}
+		})
+		g.rev[i].ForEach(func(j int) {
+			if !g.hb[j].Has(i) {
+				t.Fatalf("rev[%d] has stale predecessor %d", i, j)
+			}
+		})
+	}
+}
+
 // TestClosureMatchesNaiveReference drives the worklist closure and the
 // dense bool-matrix Floyd–Warshall over the same random edge sets —
 // including multi-batch insertion with close() between batches, the
 // shape Build's rule-6/7 loop produces — and requires the identical
-// relation, edge count, and transitive-edge tally.
+// relation, edge count, transitive-edge tally, and a consistent
+// predecessor index.
 func TestClosureMatchesNaiveReference(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -93,6 +112,7 @@ func TestClosureMatchesNaiveReference(t *testing.T) {
 		if g.NumEdges() != closed {
 			return false
 		}
+		requireRevConsistent(t, g)
 		// Every closed edge is either direct or tallied as transitive.
 		return g.RuleCount(RuleTransitive) == closed-direct
 	}

@@ -74,10 +74,9 @@ type Options struct {
 	// rule-6/7 iteration stops early and the graph is marked Interrupted
 	// (every recorded edge is real, but the closure may be incomplete).
 	Ctx context.Context
-	// Jobs bounds the transitive-closure worker count; ≤1 (the zero
-	// value) runs the exact legacy serial drain. The HB relation, edge
-	// counts, and per-rule tallies are identical at every count (see
-	// closure_par.go for the argument).
+	// Jobs is kept for existing callers.
+	//
+	// Deprecated: ignored; the closure is sequential.
 	Jobs int
 }
 
@@ -110,12 +109,6 @@ type Graph struct {
 	// externalSpawners churn) only burned allocations.
 	iaCands []iaCand
 	msCands []msCand
-	// jobs > 1 routes close() through the block-parallel rounds in
-	// closure_par.go; closureBlocks tallies worker-blocks launched and
-	// snapRows holds the reusable round-start row snapshots.
-	jobs          int
-	closureBlocks int64
-	snapRows      []bitset.Set
 	// base records the pre-closure addEdge sequence (rules 1–5, in
 	// order) while recording is set — Build's direct-edge witness, which
 	// Rebuild (rebuild.go) re-derives for dirty pairs and compares.
@@ -175,7 +168,7 @@ type msCand struct {
 // Build constructs the SHBG from the action registry and the (action-
 // sensitive) analysis result.
 func Build(reg *actions.Registry, res *pointer.Result, opts Options) *Graph {
-	g := &Graph{Reg: reg, n: reg.NumActions(), jobs: opts.Jobs}
+	g := &Graph{Reg: reg, n: reg.NumActions()}
 	g.hb = make([]bitset.Set, g.n)
 	g.rev = make([]bitset.Set, g.n)
 	g.inWork = make([]bool, g.n)
@@ -237,9 +230,6 @@ func Build(reg *actions.Registry, res *pointer.Result, opts Options) *Graph {
 		tr.Count("shbg.closure_rounds", int64(rounds))
 		tr.Observe("shbg.closure_iterations", float64(rounds))
 		tr.Count("shbg.reach_queries", int64(g.reachQueries))
-		if g.closureBlocks > 0 {
-			tr.Count("shbg.closure_blocks", g.closureBlocks)
-		}
 		if g.Interrupted {
 			tr.Count("shbg.interrupted", 1)
 		}
@@ -610,9 +600,6 @@ func (g *Graph) ruleInterAction() bool {
 // per-rule edge counts, round counts, and final relation are
 // unchanged; only the work drops from n³ to (edges added)·n/64.
 func (g *Graph) close() bool {
-	if g.jobs > 1 && g.n > 1 {
-		return g.closeParallel()
-	}
 	changed := false
 	for len(g.work) > 0 {
 		k := g.work[len(g.work)-1]

@@ -330,6 +330,7 @@ func TestGraphStatsSanity(t *testing.T) {
 	if frac <= 0 || frac > 1.0 {
 		t.Errorf("ordered fraction = %f out of range", frac)
 	}
+	requireRevConsistent(t, g)
 	// No self-edges and antisymmetry (the harness model is acyclic).
 	for a := 0; a < g.NumActions(); a++ {
 		if g.HB(a, a) {

@@ -42,8 +42,8 @@ type Config struct {
 	// Above 1, each pair is refuted independently on a bounded worker
 	// pool with private memo tables over shared read-only graphs, so
 	// every verdict is a pure function of its pair: deterministic for
-	// any worker count, but budget accounting can differ from the
-	// memo-amplified sequential path.
+	// any worker count, but path counts — and, at tight budgets,
+	// verdicts — can differ from the memo-amplified sequential path.
 	Jobs int
 	// Obs, when non-nil, receives the refutation effort counters and the
 	// per-pair refute.pair_paths series (see README.md "Observability").

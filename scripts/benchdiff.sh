@@ -5,12 +5,11 @@
 #   ./scripts/benchdiff.sh -smoke        one iteration of every kernel bench
 #                                        (the tier-1 clause: catches perf-path
 #                                        code that only compiles under -bench),
-#                                        plus one iteration of each parallel
-#                                        kernel bench at 2 workers under
+#                                        plus one iteration of the parallel
+#                                        refutation bench at 2 workers under
 #                                        GOMAXPROCS=2
-#   ./scripts/benchdiff.sh -cpu [list]   scaling lane: run the three parallel
-#                                        kernels (pointer, SHBG closure,
-#                                        refutation) with jobs=N under
+#   ./scripts/benchdiff.sh -cpu [list]   scaling lane: run the parallel
+#                                        refutation kernel with jobs=N under
 #                                        GOMAXPROCS=N for each N in the
 #                                        comma-separated list (default
 #                                        1,2,4,8) and write per-core ns/op
@@ -48,10 +47,10 @@ set -eu
 
 PATTERN="${BENCH_PATTERN:-BenchmarkKernel}"
 COUNT="${BENCH_COUNT:-3}"
-# The three deterministic parallel kernels; each exposes jobs=N
+# The one parallel per-app kernel, the refutation pool; it exposes jobs=N
 # sub-benchmarks whose list tracks GOMAXPROCS (see bench_kernels_test.go),
 # so `-cpu N` always finds a matching jobs=N lane.
-PAR_PATTERN='BenchmarkKernel(Pointer|SHBGClosure|Refutation)Parallel'
+PAR_PATTERN='BenchmarkKernelRefutationParallel'
 
 usage() {
     echo "usage: $0 -smoke | $0 -cpu [1,2,4,8] | $0 -incr [groups] | $0 -stream [config] | $0 <git-ref>" >&2
@@ -66,9 +65,9 @@ cd "$repo_root"
 
 if [ "$1" = "-smoke" ]; then
     go test -run '^$' -bench "$PATTERN" -benchtime=1x .
-    # One iteration of each parallel kernel bench at 2 workers with two
-    # procs, so multi-worker scheduling of every parallel kernel is
-    # exercised even when the sequential pass ran at GOMAXPROCS=1.
+    # One iteration of the parallel refutation bench at 2 workers with
+    # two procs, so multi-worker scheduling is exercised even when the
+    # sequential pass ran at GOMAXPROCS=1.
     go test -run '^$' -bench "$PAR_PATTERN/jobs=2\$" -benchtime=1x -cpu 2 .
     # One untimed iteration of the incremental lane: the cold/warm report
     # byte-parity assertion runs even when nobody benches the -incr lane.
@@ -206,7 +205,7 @@ if [ "$1" = "-cpu" ]; then
         printf "  \"host_cpus\": %d,\n  \"count\": %d,\n", host_cpus, count
         printf "  \"cpus\": [%s],\n", cpus
         printf "  \"skipped_oversubscribed\": [%s],\n", skipped
-        printf "  \"note\": \"Each lane runs jobs=N under GOMAXPROCS=N; every parallel kernel is bit-for-bit deterministic, so the curves measure wall clock only. Lanes with N > host_cpus oversubscribe the host and measure scheduling overhead, not parallel speedup; they are skipped (and listed in skipped_oversubscribed) unless BENCH_OVERSUB=1 forces them.\",\n"
+        printf "  \"note\": \"Each lane runs jobs=N under GOMAXPROCS=N. jobs=1 is the shared-memo sequential refuter; jobs>=2 is the per-pair pool, whose reports are byte-identical at any count, so speedup_vs_1 compares the pool against the sequential refuter, not one kernel at two widths. Lanes with N > host_cpus oversubscribe the host and measure scheduling overhead, not parallel speedup; they are skipped (and listed in skipped_oversubscribed) unless BENCH_OVERSUB=1 forces them.\",\n"
         printf "  \"kernels\": {\n"
         for (i = 1; i <= nk; i++) {
             kernel = kernels[i]

@@ -3,8 +3,10 @@
 # against the one-shot CLI: boot the daemon on a loopback port, submit
 # a generated corpus app over HTTP, poll the job to completion, fetch
 # the stored report, and require it to be byte-identical to the
-# document `sierra -report-json` renders for the same bytes and
-# refutation config. Then resubmit the identical bytes (must be
+# document `sierra -report-json` renders for the same bytes, both at
+# default settings. The one-shot runs under GOMAXPROCS=1, so a CLI that
+# resolves its refutation pool differently from the daemon on a one-CPU
+# host fails here. Then resubmit the identical bytes (must be
 # answered from the store without a new job), drive one warm
 # skeleton-visible edit through the partial-stage-reuse path (report
 # byte-identical to the one-shot CLI, /metrics showing nonzero stage
@@ -24,8 +26,7 @@ go build -o "$tmp/sierra" ./cmd/sierra
 go run ./cmd/corpusgen -app SuperGenPass -out "$tmp/app.app"
 
 # Pick a free port: bind :0 and read the address the daemon prints.
-"$tmp/sierra" serve -addr 127.0.0.1:0 -store-dir "$tmp/store" \
-    -refute-jobs 2 2>"$tmp/serve.log" &
+"$tmp/sierra" serve -addr 127.0.0.1:0 -store-dir "$tmp/store" 2>"$tmp/serve.log" &
 pid=$!
 
 base=""
@@ -53,9 +54,9 @@ done
 
 curl -sf "$base/v1/reports/$digest" >"$tmp/daemon-report.json"
 
-# Parity: the one-shot CLI must render the same bytes for the same
-# input and refutation config.
-"$tmp/sierra" -file "$tmp/app.app" -refute-jobs 2 -report-json "$tmp/oneshot-report.json" >/dev/null
+# Parity: the one-shot CLI at its defaults must render the same bytes
+# for the same input, even on one CPU.
+GOMAXPROCS=1 "$tmp/sierra" -file "$tmp/app.app" -report-json "$tmp/oneshot-report.json" >/dev/null
 if ! cmp -s "$tmp/daemon-report.json" "$tmp/oneshot-report.json"; then
     echo "servesmoke: daemon report differs from one-shot -report-json:" >&2
     diff "$tmp/oneshot-report.json" "$tmp/daemon-report.json" >&2 || true
@@ -99,7 +100,7 @@ submit_wait "$tmp/stage-base.app" >/dev/null
 edit_digest=$(submit_wait "$tmp/stage-edit.app")
 curl -sf "$base/v1/reports/$edit_digest" >"$tmp/stage-daemon.json"
 
-"$tmp/sierra" -file "$tmp/stage-edit.app" -refute-jobs 2 -report-json "$tmp/stage-oneshot.json" >/dev/null
+GOMAXPROCS=1 "$tmp/sierra" -file "$tmp/stage-edit.app" -report-json "$tmp/stage-oneshot.json" >/dev/null
 if ! cmp -s "$tmp/stage-daemon.json" "$tmp/stage-oneshot.json"; then
     echo "servesmoke: stage-reused report differs from one-shot -report-json:" >&2
     diff "$tmp/stage-oneshot.json" "$tmp/stage-daemon.json" >&2 || true
