@@ -1,8 +1,12 @@
-// Kernel benchmarks for the dense-ID/bitset substrate: the pointer
-// worklist, SHBG build+closure, racy-pair intersection, and per-pair
-// refutation, each on a synthetic large app (hundreds of actions,
+// Kernel benchmarks for the per-app pipeline: harness callback
+// discovery on the slowest paper app, and the dense-ID/bitset kernels
+// (pointer worklist, SHBG build+closure, racy-pair intersection,
+// per-pair refutation) on a synthetic large app (hundreds of actions,
 // >1k accesses) where the per-app inner loops dominate — the costs the
-// paper reports driving SIERRA's 40-minute median runtime (§6).
+// paper reports driving SIERRA's 40-minute median runtime (§6). Each
+// bench's doc comment names the benchmark ledger layer it models
+// (harness, cgpa, shbg, pairs, refute), so a kernel delta can be
+// weighed by that layer's share of wall clock.
 //
 //	go test -bench 'BenchmarkKernel' -benchmem .
 //
@@ -11,12 +15,14 @@
 package sierra
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"testing"
 
 	"sierra/internal/actions"
 	"sierra/internal/apk"
+	"sierra/internal/appfile"
 	"sierra/internal/corpus"
 	"sierra/internal/harness"
 	"sierra/internal/pointer"
@@ -47,9 +53,40 @@ func synthAnalyzed(b *testing.B) (*actions.Registry, *pointer.Result) {
 	return actions.Analyze(app, hs, pointer.ActionSensitivePolicy{K: 2})
 }
 
+// BenchmarkKernelHarness measures harness generation — the per-activity
+// callback-discovery fixpoint over the class-hierarchy call graph — on
+// NPRNews, the paper app it costs most. Each iteration parses a fresh
+// app from its serialized bytes with the timer stopped, since Generate
+// registers its synthetic classes in the program, and collects the
+// parse garbage before timing. Layer: harness.
+func BenchmarkKernelHarness(b *testing.B) {
+	row, _ := corpus.RowByName("NPRNews")
+	app, _ := corpus.NamedApp(row)
+	raw, err := appfile.Bytes(app)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var hs []*harness.Harness
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		app, err := appfile.Read(bytes.NewReader(raw))
+		if err != nil {
+			b.Fatal(err)
+		}
+		runtime.GC()
+		b.StartTimer()
+		hs = harness.Generate(app)
+	}
+	_, slots, _ := harness.Stats(hs)
+	b.ReportMetric(float64(len(hs)), "harnesses")
+	b.ReportMetric(float64(slots), "guiSlots")
+}
+
 // BenchmarkKernelPointerWorklist measures the points-to fixpoint
-// (harness generation + worklist) on the synthetic large app — the
-// pts/fpts/spts propagation loops.
+// (worklist plus action discovery) on the synthetic large app — the
+// pts/fpts/spts propagation loops. Layer: cgpa.
 func BenchmarkKernelPointerWorklist(b *testing.B) {
 	app := synthLargeApp()
 	hs := harness.Generate(app)
@@ -64,7 +101,7 @@ func BenchmarkKernelPointerWorklist(b *testing.B) {
 // implementations head to head on the same workload: the exhaustive
 // reference solver against the difference-propagation worklist (the
 // default; see -pta-solver). Both produce bit-for-bit identical
-// results, so any gap is pure re-computation avoided.
+// results, so any gap is pure re-computation avoided. Layer: cgpa.
 func BenchmarkKernelPointerDelta(b *testing.B) {
 	app := synthLargeApp()
 	hs := harness.Generate(app)
@@ -79,7 +116,7 @@ func BenchmarkKernelPointerDelta(b *testing.B) {
 }
 
 // BenchmarkKernelSHBGBuild measures full SHBG construction: rules 1–5
-// plus the rule-6/7 closure iteration.
+// plus the rule-6/7 closure iteration. Layer: shbg.
 func BenchmarkKernelSHBGBuild(b *testing.B) {
 	reg, res := synthAnalyzed(b)
 	b.ReportAllocs()
@@ -95,7 +132,7 @@ func BenchmarkKernelSHBGBuild(b *testing.B) {
 // BenchmarkKernelSHBGClosure isolates the closure-dominated
 // configuration: every pairwise-dominance rule disabled except
 // invocation and inter-action, so the rule-6/7 fixpoint (the n³ part)
-// is the measured work.
+// is the measured work. Layer: shbg.
 func BenchmarkKernelSHBGClosure(b *testing.B) {
 	reg, res := synthAnalyzed(b)
 	disable := map[shbg.Rule]bool{
@@ -110,6 +147,7 @@ func BenchmarkKernelSHBGClosure(b *testing.B) {
 
 // BenchmarkKernelRacyPairs measures the same-field intersection loop
 // (alias word-AND + HB bit tests + dedup) over the collected accesses.
+// Layer: pairs.
 func BenchmarkKernelRacyPairs(b *testing.B) {
 	reg, res := synthAnalyzed(b)
 	g := shbg.Build(reg, res, shbg.Options{})
@@ -126,7 +164,7 @@ func BenchmarkKernelRacyPairs(b *testing.B) {
 
 // BenchmarkKernelRefutation measures per-pair symbolic refutation of
 // every candidate, sequentially (the fresh-refuter cost structure the
-// parallel pool distributes).
+// parallel pool distributes). Layer: refute.
 func BenchmarkKernelRefutation(b *testing.B) {
 	reg, res := synthAnalyzed(b)
 	g := shbg.Build(reg, res, shbg.Options{})
@@ -145,7 +183,7 @@ func BenchmarkKernelRefutation(b *testing.B) {
 // BenchmarkKernelRefutationParallel measures CheckAll at increasing
 // worker counts: jobs=1 is the legacy shared-memo loop, jobs>1 the
 // per-pair fresh-memo pool (whose verdicts stay deterministic at any
-// width).
+// width). Layer: refute.
 func BenchmarkKernelRefutationParallel(b *testing.B) {
 	reg, res := synthAnalyzed(b)
 	g := shbg.Build(reg, res, shbg.Options{})

@@ -285,15 +285,6 @@ func BenchmarkInterpreter(b *testing.B) {
 	}
 }
 
-// BenchmarkHarnessGeneration measures per-activity harness synthesis.
-func BenchmarkHarnessGeneration(b *testing.B) {
-	row, _ := corpus.RowByName("Mileage") // 50 activities
-	for i := 0; i < b.N; i++ {
-		app, _ := corpus.NamedApp(row)
-		harness.Generate(app)
-	}
-}
-
 // BenchmarkPointerAnalysis measures the points-to fixpoint alone on a
 // mid-sized app under the action-sensitive policy.
 func BenchmarkPointerAnalysis(b *testing.B) {

@@ -221,3 +221,44 @@ func TestReadNeverPanicsOnFieldMutations(t *testing.T) {
 		}()
 	}
 }
+
+// TestReadRejectsCyclicHierarchy: a superclass chain or interface graph
+// that leads back to itself would hang ResolveMethod and IsSubtype or
+// overflow IsSubtype's stack, so Read must reject it with an error
+// naming the cycle. An interface diamond is not a cycle.
+func TestReadRejectsCyclicHierarchy(t *testing.T) {
+	const body = `
+app cyc
+activity Main
+method Main onCreate
+block Main onCreate 0
+new o X
+call v _ o X run
+ret _
+`
+	const main = "class Main extends android.app.Activity\n"
+	cases := []struct {
+		name, classes, cycle string
+	}{
+		{"self-extends", main + "class X extends X", "X extends X"},
+		{"extends cycle", main + "class X extends Y\nclass Y extends X", "X extends Y extends X"},
+		{"activity in cycle", "class Main extends X\nclass X extends Main", "Main extends X extends Main"},
+		{"interface cycle", main + "class X implements I\nclass I implements J\nclass J implements I", "I implements J implements I"},
+		{"mixed cycle", main + "class X extends Y\nclass Y implements X", "X extends Y implements X"},
+		{"diamond", main + "class X implements I,J\nclass I implements K\nclass J implements K\nclass K", ""},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := Read(strings.NewReader(c.classes + "\n" + body))
+			switch {
+			case c.cycle == "" && err != nil:
+				t.Fatalf("acyclic hierarchy rejected: %v", err)
+			case c.cycle == "":
+			case err == nil:
+				t.Fatal("cyclic hierarchy accepted")
+			case !strings.Contains(err.Error(), "cyclic type hierarchy: "+c.cycle):
+				t.Fatalf("error %q does not name the cycle %q", err, c.cycle)
+			}
+		})
+	}
+}

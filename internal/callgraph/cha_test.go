@@ -53,7 +53,7 @@ func hierarchyProgram() *ir.Program {
 func TestCHAResolution(t *testing.T) {
 	p := hierarchyProgram()
 	top := p.Class("Caller").Methods["top"]
-	g := BuildCHA(p, []*ir.Method{top})
+	g := NewResolver(p).Build([]*ir.Method{top})
 
 	var virtualTargets, staticTargets, specialTargets []*ir.Method
 	for bi, blk := range top.Blocks {
@@ -88,7 +88,7 @@ func TestCHAResolution(t *testing.T) {
 func TestCHAReachability(t *testing.T) {
 	p := hierarchyProgram()
 	top := p.Class("Caller").Methods["top"]
-	g := BuildCHA(p, []*ir.Method{top})
+	g := NewResolver(p).Build([]*ir.Method{top})
 
 	if !g.Reachable(top) {
 		t.Error("entry not reachable")
@@ -112,7 +112,7 @@ func TestCHAReachableFromSubset(t *testing.T) {
 	p := hierarchyProgram()
 	top := p.Class("Caller").Methods["top"]
 	other := p.Class("Caller").Methods["unreached"]
-	g := BuildCHA(p, []*ir.Method{top, other})
+	g := NewResolver(p).Build([]*ir.Method{top, other})
 
 	fromOther := g.ReachableFrom(other)
 	if !fromOther[p.Class("Util").Methods["helper"]] {
@@ -129,8 +129,8 @@ func TestCHAReachableFromSubset(t *testing.T) {
 func TestCHADeterministicOrder(t *testing.T) {
 	p := hierarchyProgram()
 	top := p.Class("Caller").Methods["top"]
-	g1 := BuildCHA(p, []*ir.Method{top})
-	g2 := BuildCHA(p, []*ir.Method{top})
+	g1 := NewResolver(p).Build([]*ir.Method{top})
+	g2 := NewResolver(p).Build([]*ir.Method{top})
 	m1, m2 := g1.ReachableMethods(), g2.ReachableMethods()
 	if len(m1) != len(m2) {
 		t.Fatal("nondeterministic reachable count")

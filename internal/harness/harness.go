@@ -96,10 +96,24 @@ func Generate(app *apk.App) []*Harness {
 // GenerateTraced is Generate with observability: it publishes the
 // harness.* counters (emitted harnesses, lifecycle sites, GUI slots,
 // synthetic statements) into the trace (nil Trace = no-op).
+//
+// Every activity's callbacks are discovered before any synthetic class
+// is registered, so discovery sees only app and framework classes — an
+// activity's harness never depends on the activities listed before it —
+// and one class-hierarchy resolver serves every discovery fixpoint.
 func GenerateTraced(app *apk.App, tr *obs.Trace) []*Harness {
-	var out []*Harness
-	for _, comp := range app.Manifest.Activities {
-		out = append(out, generateOne(app, comp))
+	res := callgraph.NewResolver(app.Program)
+	out := make([]*Harness, len(app.Manifest.Activities))
+	for i, comp := range app.Manifest.Activities {
+		out[i] = &Harness{
+			Activity:    comp.Class,
+			ActivityVar: "act",
+			GUI:         discoverSlots(app, res, comp),
+			prog:        app.Program,
+		}
+	}
+	for _, h := range out {
+		h.emit()
 	}
 	app.Program.Finalize()
 	// Positions exist only after Finalize; fill the site/slot Pos fields.
@@ -129,17 +143,14 @@ func Stats(hs []*Harness) (lifecycleSites, guiSlots, syntheticStmts int) {
 	return lifecycleSites, guiSlots, syntheticStmts
 }
 
-// generateOne builds the harness for a single activity.
-func generateOne(app *apk.App, comp apk.Component) *Harness {
-	p := app.Program
-	h := &Harness{Activity: comp.Class, ActivityVar: "act", prog: p}
-	h.GUI = discoverSlots(app, comp)
-
+// emit builds the harness method over the discovered GUI slots and
+// registers its synthetic class in the program.
+func (h *Harness) emit() {
 	b := ir.NewMethodBuilder("main")
 	// a = new Activity; onCreate; onStart "1"; onResume "1"
-	b.NewObj(h.ActivityVar, comp.Class)
+	b.NewObj(h.ActivityVar, h.Activity)
 	call := func(cb string) {
-		b.Call("", h.ActivityVar, comp.Class, cb)
+		b.Call("", h.ActivityVar, h.Activity, cb)
 	}
 	call(frontend.OnCreate)
 	call(frontend.OnStart)
@@ -171,11 +182,10 @@ func generateOne(app *apk.App, comp apk.Component) *Harness {
 	call(frontend.OnDestroy)
 	b.Ret("")
 
-	cls := ir.NewClass(ClassPrefix+comp.Class, frontend.Object)
+	cls := ir.NewClass(ClassPrefix+h.Activity, frontend.Object)
 	cls.AddMethod(b.Build())
-	p.AddClass(cls)
+	h.prog.AddClass(cls)
 	h.Method = cls.Methods["main"]
-	return h
 }
 
 // topLevel returns the indices of slots with no parent.
@@ -297,7 +307,7 @@ func (h *Harness) Site(cb string, n int) (LifecycleSite, bool) {
 
 // discoverSlots runs the registration-discovery fixpoint for one
 // activity and returns the GUI slots.
-func discoverSlots(app *apk.App, comp apk.Component) []*GUISlot {
+func discoverSlots(app *apk.App, res *callgraph.Resolver, comp apk.Component) []*GUISlot {
 	p := app.Program
 	var slots []*GUISlot
 	seen := map[string]bool{} // dedup key
@@ -333,8 +343,8 @@ func discoverSlots(app *apk.App, comp apk.Component) []*GUISlot {
 
 	// Fixpoint over dynamically-registered listeners.
 	for {
-		entries, entryOf := entryMethods(p, comp.Class, slots)
-		cha := callgraph.BuildCHA(p, entries)
+		entries, roots := entryMethods(p, comp.Class, slots)
+		cha := res.Build(entries)
 		added := false
 		for _, m := range cha.ReachableMethods() {
 			if m.Class != nil && m.Class.Framework {
@@ -356,13 +366,13 @@ func discoverSlots(app *apk.App, comp apk.Component) []*GUISlot {
 					}
 					seen[key] = true
 					arg := inv.Args[api.Arg]
-					classes, bindAct := listenerClasses(p, m, arg, api.Callback)
+					classes, bindAct := listenerClasses(res, m, arg, api.Callback)
 					slot := &GUISlot{
 						Callback:     api.Callback,
 						Declarer:     declarerOf(api.Callback),
 						Classes:      classes,
 						BindActivity: bindAct,
-						Parent:       parentSlot(cha, entryOf, slots, m),
+						Parent:       parentSlot(cha, roots, m),
 						Bindings:     []Binding{{SrcMethod: m, SrcVar: arg}},
 					}
 					slots = append(slots, slot)
@@ -387,58 +397,60 @@ func indexOf(blk *ir.Block, s ir.Stmt) int {
 	return -1
 }
 
+// root is a discovery entry method and the slot it came from (-1 for a
+// lifecycle callback).
+type root struct {
+	slot int
+	m    *ir.Method
+}
+
 // entryMethods returns the methods the discovery CHA starts from: the
 // activity's lifecycle callbacks plus every already-discovered slot
-// callback, and a map recording which slot (if any) each entry came from.
-func entryMethods(p *ir.Program, activity string, slots []*GUISlot) ([]*ir.Method, map[*ir.Method]int) {
+// callback. It also returns each distinct entry with the first slot (if
+// any) it came from, lifecycle entries first and then by slot and
+// method name — the order parentSlot tries them in.
+func entryMethods(p *ir.Program, activity string, slots []*GUISlot) ([]*ir.Method, []root) {
 	var entries []*ir.Method
-	entryOf := map[*ir.Method]int{}
+	var roots []root
+	seen := map[*ir.Method]bool{}
+	add := func(m *ir.Method, slot int) {
+		entries = append(entries, m)
+		if !seen[m] {
+			seen[m] = true
+			roots = append(roots, root{slot, m})
+		}
+	}
 	for _, lc := range []string{
 		frontend.OnCreate, frontend.OnStart, frontend.OnResume,
 		frontend.OnPause, frontend.OnStop, frontend.OnRestart, frontend.OnDestroy,
 	} {
 		if m := p.ResolveMethod(activity, lc); m != nil {
-			entries = append(entries, m)
-			if _, dup := entryOf[m]; !dup {
-				entryOf[m] = -1
-			}
+			add(m, -1)
 		}
 	}
 	for i, slot := range slots {
 		for _, cls := range slot.Classes {
 			if m := p.ResolveMethod(cls, slot.Callback); m != nil {
-				entries = append(entries, m)
-				if _, dup := entryOf[m]; !dup {
-					entryOf[m] = i
-				}
+				add(m, i)
 			}
 		}
 	}
-	return entries, entryOf
+	sort.Slice(roots, func(i, j int) bool {
+		if roots[i].slot != roots[j].slot {
+			return roots[i].slot < roots[j].slot
+		}
+		return roots[i].m.QualifiedName() < roots[j].m.QualifiedName()
+	})
+	return entries, roots
 }
 
 // parentSlot decides which slot (if any) a registration found in method
 // reg nests under: if reg is reachable from a lifecycle entry it is
 // top-level; otherwise it belongs to the first GUI slot that reaches it.
-func parentSlot(cha *callgraph.CHA, entryOf map[*ir.Method]int, slots []*GUISlot, reg *ir.Method) int {
-	// Deterministic order: lifecycle entries (slot -1) first.
-	type cand struct {
-		slot int
-		m    *ir.Method
-	}
-	var cands []cand
-	for m, slot := range entryOf {
-		cands = append(cands, cand{slot, m})
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].slot != cands[j].slot {
-			return cands[i].slot < cands[j].slot
-		}
-		return cands[i].m.QualifiedName() < cands[j].m.QualifiedName()
-	})
-	for _, c := range cands {
-		if cha.ReachableFrom(c.m)[reg] {
-			return c.slot
+func parentSlot(cha *callgraph.CHA, roots []root, reg *ir.Method) int {
+	for _, r := range roots {
+		if cha.ReachableFrom(r.m)[reg] {
+			return r.slot
 		}
 	}
 	return -1
@@ -449,7 +461,7 @@ func parentSlot(cha *callgraph.CHA, entryOf map[*ir.Method]int, slots []*GUISlot
 // that class; anything else (field loads, params) over-approximates to
 // every app class implementing the callback — the type-based reflection
 // fallback the paper describes.
-func listenerClasses(p *ir.Program, m *ir.Method, arg, callback string) (classes []string, bindActivity bool) {
+func listenerClasses(res *callgraph.Resolver, m *ir.Method, arg, callback string) (classes []string, bindActivity bool) {
 	if arg == "this" {
 		return []string{m.Class.Name}, true
 	}
@@ -484,7 +496,7 @@ func listenerClasses(p *ir.Program, m *ir.Method, arg, callback string) (classes
 		break
 	}
 	// Over-approximate: any non-framework class defining the callback.
-	for _, c := range p.Classes() {
+	for _, c := range res.Classes() {
 		if c.Framework {
 			continue
 		}

@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"sierra/internal/apk"
@@ -241,5 +243,79 @@ func appFor(p *ir.Program, activity string) *apk.App {
 			Activities: []apk.Component{{Class: activity}},
 		},
 		Layouts: map[string]*apk.Layout{},
+	}
+}
+
+// orderApp has two activities: A registers itself as its click
+// listener in onCreate, and B's onCreate makes a virtual call to
+// java.lang.Object#main, which no app class defines — but every
+// synthetic harness class does.
+func orderApp(order ...string) *apk.App {
+	p := ir.NewProgram()
+	frontend.InstallFramework(p)
+	a := ir.NewClass("A", frontend.ActivityClass, frontend.OnClickListener)
+	ab := ir.NewMethodBuilder(frontend.OnCreate)
+	ab.Int("id", 1)
+	ab.Call("btn", "this", "A", frontend.FindViewByID, "id")
+	ab.Call("", "btn", frontend.ViewClass, frontend.SetOnClickListener, "this")
+	ab.Ret("")
+	a.AddMethod(ab.Build())
+	click := ir.NewMethodBuilder(frontend.OnClick, "v")
+	click.Ret("")
+	a.AddMethod(click.Build())
+	p.AddClass(a)
+
+	b := ir.NewClass("B", frontend.ActivityClass)
+	bb := ir.NewMethodBuilder(frontend.OnCreate)
+	bb.NewObj("o", frontend.Object)
+	bb.Call("", "o", frontend.Object, "main")
+	bb.Ret("")
+	b.AddMethod(bb.Build())
+	p.AddClass(b)
+	p.Finalize()
+
+	app := appFor(p, order[0])
+	for _, cls := range order[1:] {
+		app.Manifest.Activities = append(app.Manifest.Activities, apk.Component{Class: cls})
+	}
+	return app
+}
+
+// slotSummary renders an activity's discovered GUI slots.
+func slotSummary(h *Harness) string {
+	var b strings.Builder
+	for _, s := range h.GUI {
+		fmt.Fprintf(&b, "%s %s %v parent=%d bind=%t xml=%t", s.Callback, s.Declarer, s.Classes, s.Parent, s.BindActivity, s.FromXML)
+		for _, bd := range s.Bindings {
+			fmt.Fprintf(&b, " %s:%s", bd.SrcMethod.QualifiedName(), bd.SrcVar)
+		}
+		b.WriteString("\n")
+	}
+	return b.String()
+}
+
+// TestDiscoveryIndependentOfManifestOrder: discovery must not see the
+// synthetic harness classes of activities listed earlier, so each
+// activity's slots are the same in any manifest order.
+func TestDiscoveryIndependentOfManifestOrder(t *testing.T) {
+	byOrder := map[string]map[string]string{}
+	for _, order := range [][]string{{"A", "B"}, {"B", "A"}} {
+		got := map[string]string{}
+		for _, h := range Generate(orderApp(order...)) {
+			got[h.Activity] = slotSummary(h)
+			if h.Activity == "B" && len(h.GUI) != 0 {
+				t.Errorf("order %v: B has %d GUI slots, want 0:\n%s", order, len(h.GUI), got["B"])
+			}
+		}
+		byOrder[strings.Join(order, ",")] = got
+	}
+	ab, ba := byOrder["A,B"], byOrder["B,A"]
+	for _, act := range []string{"A", "B"} {
+		if ab[act] != ba[act] {
+			t.Errorf("activity %s slots depend on manifest order:\nA,B:\n%sB,A:\n%s", act, ab[act], ba[act])
+		}
+	}
+	if ab["A"] == "" {
+		t.Error("A's click listener was not discovered")
 	}
 }

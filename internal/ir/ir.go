@@ -124,19 +124,6 @@ func (p *Program) ResolveMethod(cls, name string) *Method {
 	return nil
 }
 
-// SubclassesOf returns every class that is a subtype of root (excluding
-// root itself unless it is concrete), sorted by name. Used for
-// over-approximate dispatch on framework supertypes.
-func (p *Program) SubclassesOf(root string) []*Class {
-	var out []*Class
-	for _, c := range p.Classes() {
-		if c.Name != root && p.IsSubtype(c.Name, root) {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // Class is a unit of the program: fields, methods, and its place in the
 // hierarchy. Framework model classes have Framework set so the race
 // prioritizer can distinguish app code from framework code.

@@ -145,18 +145,6 @@ func TestResolveMethodWalksSuperChain(t *testing.T) {
 	}
 }
 
-func TestSubclassesOf(t *testing.T) {
-	p := NewProgram()
-	p.AddClass(NewClass("Task", ""))
-	p.AddClass(NewClass("A", "Task"))
-	p.AddClass(NewClass("B", "A"))
-	p.AddClass(NewClass("C", ""))
-	subs := p.SubclassesOf("Task")
-	if len(subs) != 2 || subs[0].Name != "A" || subs[1].Name != "B" {
-		t.Fatalf("SubclassesOf(Task) = %v", subs)
-	}
-}
-
 func TestDuplicateClassPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

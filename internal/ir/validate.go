@@ -1,8 +1,13 @@
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
-// Validate checks the structural invariants analyses rely on, for every
+// Validate checks the structural invariants analyses rely on. No class's
+// superclass chain or interface graph leads back to itself (IsSubtype
+// and ResolveMethod walk those edges without a visited set). For every
 // non-framework class:
 //
 //   - successor indices are in range;
@@ -16,7 +21,11 @@ import "fmt"
 // The builder maintains these by construction; Validate guards
 // hand-assembled methods and parsed input.
 func (p *Program) Validate() error {
-	for _, c := range p.Classes() {
+	classes := p.Classes()
+	if err := p.validateHierarchy(classes); err != nil {
+		return err
+	}
+	for _, c := range classes {
 		if c.Framework {
 			continue
 		}
@@ -66,4 +75,80 @@ func validateMethod(m *Method) error {
 		}
 	}
 	return nil
+}
+
+// validateHierarchy walks the supertype graph — an edge from each class
+// to its superclass and to each interface it implements — depth first
+// from every class in name order, and reports the first cycle it meets
+// as "C: cyclic type hierarchy: C extends D implements C". A name that
+// is not registered ends a walk, so it cannot close a cycle. The walk
+// keeps its own stack, so a deep hierarchy cannot overflow the
+// goroutine's.
+func (p *Program) validateHierarchy(classes []*Class) error {
+	const (
+		onPath = 1
+		done   = 2
+	)
+	// frame is a class on the current path and the index of the next
+	// supertype edge to follow from it.
+	type frame struct {
+		c    *Class
+		next int
+	}
+	state := make(map[*Class]uint8, len(classes))
+	var stack []frame
+	for _, start := range classes {
+		if state[start] != 0 {
+			continue
+		}
+		state[start] = onPath
+		stack = append(stack[:0], frame{c: start})
+		for len(stack) > 0 {
+			top := &stack[len(stack)-1]
+			name, _, ok := top.c.supertype(top.next)
+			if !ok {
+				state[top.c] = done
+				stack = stack[:len(stack)-1]
+				continue
+			}
+			top.next++
+			sup := p.classes[name]
+			switch {
+			case sup == nil || state[sup] == done:
+			case state[sup] == onPath:
+				// The classes on the path are the stack's; the cycle is
+				// its suffix from sup.
+				i := len(stack) - 1
+				for stack[i].c != sup {
+					i--
+				}
+				var b strings.Builder
+				for _, f := range stack[i:] {
+					_, rel, _ := f.c.supertype(f.next - 1)
+					b.WriteString(f.c.Name + " " + rel + " ")
+				}
+				b.WriteString(sup.Name)
+				return fmt.Errorf("%s: cyclic type hierarchy: %s", sup.Name, b.String())
+			default:
+				state[sup] = onPath
+				stack = append(stack, frame{c: sup})
+			}
+		}
+	}
+	return nil
+}
+
+// supertype returns c's i-th supertype edge: the superclass first (when
+// there is one), then the interfaces in declaration order.
+func (c *Class) supertype(i int) (name, rel string, ok bool) {
+	if c.Super != "" {
+		if i == 0 {
+			return c.Super, "extends", true
+		}
+		i--
+	}
+	if i < len(c.Interfaces) {
+		return c.Interfaces[i], "implements", true
+	}
+	return "", "", false
 }

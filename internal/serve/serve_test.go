@@ -142,8 +142,27 @@ func TestMalformedAndUnknown(t *testing.T) {
 	if code, m := submit(t, base, nil); code != http.StatusBadRequest {
 		t.Errorf("empty submit: status %d body %v, want 400", code, m)
 	}
-	if got := tr.Counter("serve.malformed"); got != 2 {
-		t.Errorf("serve.malformed = %d, want 2", got)
+	// An interface cycle outside the manifest passes every per-line
+	// check; analyzing it would overflow the worker's stack.
+	cyclic := []byte(`app cyc
+package com.cyc
+activity Main
+class Main extends android.app.Activity
+class I implements J
+class J implements I
+class Impl implements I
+method Main onCreate
+block Main onCreate 0
+new o Impl
+call v _ o Impl run
+ret _
+`)
+	code, m = submit(t, base, cyclic)
+	if e, _ := m["error"].(string); code != http.StatusBadRequest || !strings.Contains(e, "cyclic type hierarchy") {
+		t.Errorf("cyclic submit: status %d body %v, want 400 naming the cycle", code, m)
+	}
+	if got := tr.Counter("serve.malformed"); got != 3 {
+		t.Errorf("serve.malformed = %d, want 3", got)
 	}
 	if got := tr.Counter("serve.submissions"); got != 0 {
 		t.Errorf("serve.submissions = %d, want 0 (malformed never counts)", got)
