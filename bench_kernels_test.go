@@ -1,12 +1,13 @@
-// Kernel benchmarks for the per-app pipeline: harness callback
-// discovery on the slowest paper app, and the dense-ID/bitset kernels
-// (pointer worklist, SHBG build+closure, racy-pair intersection,
-// per-pair refutation) on a synthetic large app (hundreds of actions,
-// >1k accesses) where the per-app inner loops dominate — the costs the
-// paper reports driving SIERRA's 40-minute median runtime (§6). Each
-// bench's doc comment names the benchmark ledger layer it models
-// (harness, cgpa, shbg, pairs, refute), so a kernel delta can be
-// weighed by that layer's share of wall clock.
+// Kernel benchmarks for the per-app pipeline: parsing, harness callback
+// discovery and the points-to fixpoint on paper apps (whose program
+// text is mostly padding no entry reaches), and the dense-ID/bitset
+// kernels (pointer worklist, SHBG build+closure, racy-pair
+// intersection, per-pair refutation) on a synthetic large app (hundreds
+// of actions, >1k accesses, no padding) where the per-app inner loops
+// dominate — the costs the paper reports driving SIERRA's 40-minute
+// median runtime (§6). Each bench's doc comment names the benchmark
+// ledger layer it models (parse, harness, cgpa, shbg, pairs, refute),
+// so a kernel delta can be weighed by that layer's share of wall clock.
 //
 //	go test -bench 'BenchmarkKernel' -benchmem .
 //
@@ -53,6 +54,63 @@ func synthAnalyzed(b *testing.B) (*actions.Registry, *pointer.Result) {
 	return actions.Analyze(app, hs, pointer.ActionSensitivePolicy{K: 2})
 }
 
+// paperAppBytes serializes one named paper app.
+func paperAppBytes(b *testing.B, name string) []byte {
+	b.Helper()
+	row, ok := corpus.RowByName(name)
+	if !ok {
+		b.Fatalf("%s missing from the corpus", name)
+	}
+	app, _ := corpus.NamedApp(row)
+	raw, err := appfile.Bytes(app)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return raw
+}
+
+// BenchmarkKernelParse measures appfile.Read — the one-pass reader plus
+// framework install, Finalize and Validate — on Astrid, the largest
+// paper app, from its serialized bytes. Nearly all of its lines are
+// padding no entry reaches, so this is the cost of program text, not of
+// reachable code. Layer: parse.
+func BenchmarkKernelParse(b *testing.B) {
+	raw := paperAppBytes(b, "Astrid")
+	b.SetBytes(int64(len(raw)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := appfile.Read(bytes.NewReader(raw)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkKernelPointerPaper measures the points-to fixpoint with
+// action discovery on K-9Mail, a paper app whose program text is mostly
+// unreachable padding — the shape the padding-free synthetic app of
+// BenchmarkKernelPointerWorklist cannot show. Each iteration parses a
+// fresh app and generates its harnesses with the timer stopped, then
+// collects that garbage before timing. Layer: cgpa.
+func BenchmarkKernelPointerPaper(b *testing.B) {
+	raw := paperAppBytes(b, "K-9Mail")
+	b.ReportAllocs()
+	b.ResetTimer()
+	var reg *actions.Registry
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		app, err := appfile.Read(bytes.NewReader(raw))
+		if err != nil {
+			b.Fatal(err)
+		}
+		hs := harness.Generate(app)
+		runtime.GC()
+		b.StartTimer()
+		reg, _ = actions.Analyze(app, hs, pointer.ActionSensitivePolicy{K: 2})
+	}
+	b.ReportMetric(float64(len(reg.Actions())), "actions")
+}
+
 // BenchmarkKernelHarness measures harness generation — the per-activity
 // callback-discovery fixpoint over the class-hierarchy call graph — on
 // NPRNews, the paper app it costs most. Each iteration parses a fresh
@@ -60,12 +118,7 @@ func synthAnalyzed(b *testing.B) (*actions.Registry, *pointer.Result) {
 // registers its synthetic classes in the program, and collects the
 // parse garbage before timing. Layer: harness.
 func BenchmarkKernelHarness(b *testing.B) {
-	row, _ := corpus.RowByName("NPRNews")
-	app, _ := corpus.NamedApp(row)
-	raw, err := appfile.Bytes(app)
-	if err != nil {
-		b.Fatal(err)
-	}
+	raw := paperAppBytes(b, "NPRNews")
 	b.ReportAllocs()
 	b.ResetTimer()
 	var hs []*harness.Harness

@@ -9,7 +9,9 @@ package apk
 import (
 	"fmt"
 	"sort"
+	"strings"
 
+	"sierra/internal/frontend"
 	"sierra/internal/ir"
 )
 
@@ -142,12 +144,7 @@ func (l *Layout) AllViews() []*View {
 // when they have the same ids").
 func (a *App) ViewIDs() map[int]*View {
 	ids := make(map[int]*View)
-	names := make([]string, 0, len(a.Layouts))
-	for n := range a.Layouts {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
+	for _, n := range sortedKeys(a.Layouts) {
 		for _, v := range a.Layouts[n].AllViews() {
 			if _, dup := ids[v.ID]; !dup {
 				ids[v.ID] = v
@@ -155,6 +152,16 @@ func (a *App) ViewIDs() map[int]*View {
 		}
 	}
 	return ids
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // BytecodeSize estimates the app's .dex size in bytes. Real Dalvik
@@ -178,9 +185,10 @@ func (a *App) BytecodeSize() int {
 }
 
 // Validate checks internal consistency: manifest classes exist and are of
-// the right framework kind, layouts referenced by activities exist, and
-// XML callbacks name real methods. The corpus generator and hand-built
-// examples both run through it.
+// the right framework kind, layouts referenced by activities exist, XML
+// callbacks name real methods, and no class claims the harness prefix.
+// The corpus generator and hand-built examples both run through it. It
+// checks an app as built or read: analysis later adds harness classes.
 func (a *App) Validate() error {
 	p := a.Program
 	if p == nil {
@@ -188,6 +196,14 @@ func (a *App) Validate() error {
 	}
 	if err := p.Validate(); err != nil {
 		return fmt.Errorf("apk %s: %w", a.Name, err)
+	}
+	// Harness generation adds frontend.HarnessClassPrefix+activity for
+	// every activity, and the race filter treats any class so named as
+	// synthetic.
+	for _, c := range p.Classes() {
+		if strings.HasPrefix(c.Name, frontend.HarnessClassPrefix) {
+			return fmt.Errorf("apk %s: class %s uses the reserved prefix %q", a.Name, c.Name, frontend.HarnessClassPrefix)
+		}
 	}
 	check := func(comp Component, super, what string) error {
 		c := p.Class(comp.Class)
@@ -199,6 +215,9 @@ func (a *App) Validate() error {
 		}
 		return nil
 	}
+	// Layouts and XML callbacks are checked in name order, so which
+	// unresolved callback an error names does not depend on map order.
+	layouts := sortedKeys(a.Layouts)
 	for _, act := range a.Manifest.Activities {
 		if err := check(act, "android.app.Activity", "activity"); err != nil {
 			return err
@@ -208,9 +227,10 @@ func (a *App) Validate() error {
 				return fmt.Errorf("apk %s: activity %s references unknown layout %q", a.Name, act.Class, act.Layout)
 			}
 		}
-		for _, l := range a.Layouts {
-			for _, v := range l.AllViews() {
-				for _, target := range v.XMLCallbacks {
+		for _, ln := range layouts {
+			for _, v := range a.Layouts[ln].AllViews() {
+				for _, kind := range sortedKeys(v.XMLCallbacks) {
+					target := v.XMLCallbacks[kind]
 					found := false
 					for _, comp := range a.Manifest.Activities {
 						if p.ResolveMethod(comp.Class, target) != nil {

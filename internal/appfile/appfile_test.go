@@ -1,9 +1,13 @@
 package appfile
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"sierra/internal/apk"
 	"sierra/internal/core"
@@ -108,11 +112,73 @@ func TestReadRejectsGarbage(t *testing.T) {
 		"class A\nmethod A m\nblock A m 5", // out-of-order block
 		"class A\nmethod A m\nblock A m 0\nfrobnicate x",
 		"app x\nactivity Missing", // validation: unknown activity class
+		// Each of these used to panic instead of failing.
+		"class A\nclass A",                                 // duplicate class
+		"class java.lang.Object",                           // redeclared framework class
+		"class A\nmethod A m\nmethod A m",                  // duplicate method
+		"class A\nmethod A m\nblock A m 0\nconst a\tstr x", // unquoted literal after a tab
+		// A class in the harness namespace once collided with the
+		// activity's harness class and panicked the analysis.
+		"app h\nactivity A\nclass A extends android.app.Activity\nclass sierra.harness.A",
 	}
 	for _, c := range cases {
 		if _, err := Read(strings.NewReader(c)); err == nil {
 			t.Errorf("no error for %q", c)
 		}
+	}
+}
+
+// TestReadStringLiteralAfterAnySeparator: a string constant's literal is
+// the rest of the line after the kind field, whatever separates the
+// fields — the reader once split at the first " str " and so panicked
+// on a tab before the kind.
+func TestReadStringLiteralAfterAnySeparator(t *testing.T) {
+	for _, line := range []string{
+		"const a\tstr \"x\"",
+		"const a str\t\"x\"",
+		"const a\u00a0str  \"x\"",
+		"const a str \"x\"",
+	} {
+		app, err := Read(strings.NewReader("class A\nmethod A m\nblock A m 0\n" + line))
+		if err != nil {
+			t.Fatalf("%q: %v", line, err)
+		}
+		got := app.Program.Class("A").Methods["m"].Blocks[0].Stmts[0]
+		if c, ok := got.(*ir.Const); !ok || c.Dst != "a" || c.Kind != ir.ConstString || c.Str != "x" {
+			t.Errorf("%q parsed as %v", line, got)
+		}
+	}
+}
+
+// TestReadLineBound: a line of up to 1 MiB - 1 bytes before its newline
+// is read; a longer one fails with bufio.ErrTooLong, terminated or not
+// — the bound of the bufio.Scanner the reader replaced, which refRead
+// still uses.
+func TestReadLineBound(t *testing.T) {
+	comment := func(n int) string { return "#" + strings.Repeat("x", n-1) }
+	for _, c := range []struct {
+		name, text string
+		tooLong    bool
+	}{
+		{"longest line", comment(maxLine) + "\napp a\n", false},
+		{"longest last line", "app a\n" + comment(maxLine), false},
+		{"longest CRLF line", comment(maxLine-1) + "\r\napp a\n", false},
+		{"line over the bound", comment(maxLine+1) + "\napp a\n", true},
+		{"last line over the bound", "app a\n" + comment(maxLine+1), true},
+		{"CRLF line over the bound", comment(maxLine) + "\r\napp a\n", true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := Read(strings.NewReader(c.text))
+			if _, refErr := refRead(strings.NewReader(c.text)); err != refErr {
+				t.Errorf("Read: %v, refRead: %v", err, refErr)
+			}
+			switch {
+			case c.tooLong && !errors.Is(err, bufio.ErrTooLong):
+				t.Errorf("err = %v, want bufio.ErrTooLong", err)
+			case !c.tooLong && err != nil:
+				t.Errorf("err = %v", err)
+			}
+		})
 	}
 }
 
@@ -165,10 +231,13 @@ func TestStmtLineCoversAllKinds(t *testing.T) {
 		&ir.BinOp{Dst: "a", Op: ir.OpXor, A: "b", B: "c"},
 		&ir.Invoke{Kind: ir.InvokeStatic, Class: "C", Method: "m"},
 		&ir.If{A: "x", Op: ir.CmpLE, B: ir.VarOperand("y")},
+		// A destination named like the kind: the literal is not at the
+		// line's first " str ".
+		&ir.Const{Dst: "str", Kind: ir.ConstString, Str: "x str y"},
 	}
 	for _, s := range stmts {
 		line := StmtLine(s)
-		got, err := parseStmt(strings.Fields(line), line)
+		got, err := newReader().parseStmt(splitFields(nil, line), line)
 		if err != nil {
 			t.Fatalf("parse %q: %v", line, err)
 		}
@@ -260,5 +329,64 @@ ret _
 				t.Fatalf("error %q does not name the cycle %q", err, c.cycle)
 			}
 		})
+	}
+}
+
+// TestParseRetainsNoInput: no string the parsed app stores shares
+// memory with the parsed text, so a long-lived app never pins the
+// document it came from.
+func TestParseRetainsNoInput(t *testing.T) {
+	raw, err := Bytes(corpus.NewsApp())
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := string(raw) + "installs 1,000+\nclass Zz\nmethod Zz m params p,q\nblock Zz m 0\nconst s str \"plain\"\nret _\n"
+	rd := newReader()
+	if err := rd.parse(text); err != nil {
+		t.Fatal(err)
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(text)))
+	hi := lo + uintptr(len(text))
+	var pinned []string
+	var walk func(v reflect.Value)
+	seen := map[uintptr]bool{}
+	walk = func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Pointer:
+			if v.IsNil() || seen[v.Pointer()] {
+				return
+			}
+			seen[v.Pointer()] = true
+			walk(v.Elem())
+		case reflect.Interface:
+			if !v.IsNil() {
+				walk(v.Elem())
+			}
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(v.Field(i))
+			}
+		case reflect.Slice, reflect.Array:
+			for i := 0; i < v.Len(); i++ {
+				walk(v.Index(i))
+			}
+		case reflect.Map:
+			for it := v.MapRange(); it.Next(); {
+				walk(it.Key())
+				walk(it.Value())
+			}
+		case reflect.String:
+			s := v.String()
+			if p := uintptr(unsafe.Pointer(unsafe.StringData(s))); len(s) > 0 && p >= lo && p < hi {
+				pinned = append(pinned, s)
+			}
+		}
+	}
+	walk(reflect.ValueOf(rd.app))
+	if rd.app.Installs != "1,000+" {
+		t.Fatalf("installs = %q", rd.app.Installs)
+	}
+	if len(pinned) > 0 {
+		t.Errorf("%d stored strings point into the input, e.g. %q", len(pinned), pinned[0])
 	}
 }

@@ -46,6 +46,11 @@ const (
 	SQLiteDatabaseClass = "android.database.sqlite.SQLiteDatabase"
 )
 
+// HarnessClassPrefix starts the name of every synthetic harness class
+// the analysis adds to a program (one per activity). App classes may not
+// use it: apk.App.Validate rejects them.
+const HarnessClassPrefix = "sierra.harness."
+
 // Lifecycle callback names, in activity lifecycle order. The harness
 // generator and SHBG lifecycle rule both key on these.
 const (

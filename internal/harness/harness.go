@@ -14,6 +14,7 @@ package harness
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"sierra/internal/apk"
 	"sierra/internal/callgraph"
@@ -22,15 +23,12 @@ import (
 	"sierra/internal/obs"
 )
 
-// ClassPrefix marks synthetic harness classes in the program.
-const ClassPrefix = "sierra.harness."
-
 // Harness is the generated entrypoint for one activity.
 type Harness struct {
 	// Activity is the activity class this harness drives.
 	Activity string
-	// Method is the synthetic main method (attached to a ClassPrefix
-	// class registered in the app's program).
+	// Method is the synthetic main method (attached to a
+	// frontend.HarnessClassPrefix class registered in the app's program).
 	Method *ir.Method
 	// ActivityVar is the harness local holding the activity instance.
 	ActivityVar string
@@ -182,7 +180,7 @@ func (h *Harness) emit() {
 	call(frontend.OnDestroy)
 	b.Ret("")
 
-	cls := ir.NewClass(ClassPrefix+h.Activity, frontend.Object)
+	cls := ir.NewClass(frontend.HarnessClassPrefix+h.Activity, frontend.Object)
 	cls.AddMethod(b.Build())
 	h.prog.AddClass(cls)
 	h.Method = cls.Methods["main"]
@@ -235,7 +233,7 @@ func emitSlots(b *ir.MethodBuilder, h *Harness, idxs []int, loopHead *ir.Block) 
 
 // IsSynthetic reports whether cls is a generated harness class.
 func IsSynthetic(cls string) bool {
-	return len(cls) >= len(ClassPrefix) && cls[:len(ClassPrefix)] == ClassPrefix
+	return strings.HasPrefix(cls, frontend.HarnessClassPrefix)
 }
 
 // emitInvoke emits the synthetic callback invocation for slot i. The

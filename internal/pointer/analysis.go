@@ -134,21 +134,9 @@ func newAnalyzer(cfg Config) *analyzer {
 	if cfg.MaxPasses == 0 {
 		cfg.MaxPasses = 200
 	}
-	// Size hints scale with program text: context sensitivity multiplies
-	// methods into instances and locals into variable keys, so seeding
-	// the hot maps near their final size avoids the incremental-rehash
-	// churn that otherwise dominates construction.
-	nMethods, nStmts := 0, 0
-	if cfg.Prog != nil {
-		for _, cl := range cfg.Prog.Classes() {
-			for _, m := range cl.Methods {
-				nMethods++
-				for _, b := range m.Blocks {
-					nStmts += len(b.Stmts)
-				}
-			}
-		}
-	}
+	// The tables start empty and grow with what the fixpoint reaches:
+	// sizing them from program text would zero and GC-scan room for
+	// code no entry reaches (most of a padded app).
 	in := NewInterner()
 	a := &analyzer{
 		cfg: cfg,
@@ -156,17 +144,15 @@ func newAnalyzer(cfg Config) *analyzer {
 		res: &Result{
 			Policy:    cfg.Policy,
 			in:        in,
-			pts:       make(map[VarKey]ObjSet, nStmts),
-			fpts:      make(map[FieldKey]ObjSet, nMethods/2),
-			spts:      make(map[string]ObjSet, 16),
-			instances: make(map[MKey]bool, 3*nMethods/2),
-			callees:   make(map[siteKey][]MKey, nMethods),
+			pts:       make(map[VarKey]ObjSet),
+			fpts:      make(map[FieldKey]ObjSet),
+			spts:      make(map[string]ObjSet),
+			instances: make(map[MKey]bool),
+			byMethod:  make(map[*ir.Method][]MKey),
+			callees:   make(map[siteKey][]MKey),
 		},
-		edgeOf:      make(map[VarKey]*copyEdge, nMethods),
-		byMethod:    make(map[*ir.Method][]MKey, nMethods),
-		calleeSeen:  make(map[calleeEdge]bool, nMethods),
-		hintStmts:   nStmts,
-		hintMethods: nMethods,
+		edgeOf:     make(map[VarKey]*copyEdge),
+		calleeSeen: make(map[calleeEdge]bool),
 	}
 	a.viewFallback = sortedViewObjs(cfg.Views)
 	if cfg.Solver != SolverExhaustive {
@@ -314,10 +300,6 @@ type analyzer struct {
 	// iterates deterministically without re-sorting (and re-rendering
 	// keys) every sweep.
 	sortedCopies []*copyEdge
-	// byMethod indexes discovered instances by method, maintained at
-	// install time so applySeeds (and the delta solver) never rescan the
-	// full instance order.
-	byMethod map[*ir.Method][]MKey
 	// calleeSeen is the membership mirror of res.callees, so recordEdge
 	// is O(1) per re-visit instead of a linear scan of the edge list.
 	calleeSeen map[calleeEdge]bool
@@ -327,9 +309,6 @@ type analyzer struct {
 	// d holds the difference-propagation state; nil under the exhaustive
 	// solver.
 	d *deltaState
-	// hintStmts / hintMethods are the program-text sizes the map size
-	// hints derive from (shared with the delta state's own maps).
-	hintStmts, hintMethods int
 	// stats feeds the pointer.* observability counters.
 	stats struct {
 		iterations     int64 // instance sweep slots visited, summed over passes
@@ -410,7 +389,7 @@ func (a *analyzer) newInstance(mk MKey, isRoot bool) bool {
 	}
 	a.res.instances[mk] = true
 	a.order = append(a.order, mk)
-	a.byMethod[mk.M] = append(a.byMethod[mk.M], mk)
+	a.res.byMethod[mk.M] = append(a.res.byMethod[mk.M], mk)
 	if isRoot {
 		a.res.entryKeys = append(a.res.entryKeys, mk)
 	}
@@ -783,7 +762,7 @@ func (a *analyzer) applySeeds() bool {
 // variable of every instance of the destination method.
 func (a *analyzer) applySeed(seed *Seed) bool {
 	var union ObjSet
-	for _, mk := range a.byMethod[seed.SrcMethod] {
+	for _, mk := range a.res.byMethod[seed.SrcMethod] {
 		src := a.res.pts[VarKey{M: mk.M, Ctx: mk.Ctx, Var: seed.SrcVar}]
 		if src.Len() == 0 {
 			continue
@@ -797,7 +776,7 @@ func (a *analyzer) applySeed(seed *Seed) bool {
 		return false
 	}
 	changed := false
-	for _, mk := range a.byMethod[seed.DstMethod] {
+	for _, mk := range a.res.byMethod[seed.DstMethod] {
 		k := VarKey{M: mk.M, Ctx: mk.Ctx, Var: seed.DstVar}
 		if a.pts(k).AddAll(union) {
 			changed = true

@@ -49,6 +49,9 @@ type consumers struct {
 
 // stmtState is the per-(instance, statement) delta bookkeeping.
 type stmtState struct {
+	// inst is the index (into analyzer.order) of the instance owning
+	// the slot.
+	inst int
 	// init marks that one-time work ran: dependency registration, and
 	// for one-shot statements (New, static invoke, findViewById, looper
 	// accessors, recognized framework stubs) the whole transfer.
@@ -110,8 +113,12 @@ type deltaState struct {
 	// slot extent.
 	instBase []int
 	instLen  []int
-	stmtInst []int // statement id -> instance index
-	stmts    []stmtState
+	// stmts holds the slots in chunks of stmtChunk (see stmt), so that
+	// growing with discovered instances never copies the slots already
+	// allocated or leaves them behind as garbage; nStmts counts the
+	// slots in use.
+	stmts  [][]stmtState
+	nStmts int
 
 	// Flattened event-site instances, appended at install time so the
 	// event phase's forward cursor reaches sites of instances installed
@@ -146,24 +153,16 @@ type deltaState struct {
 
 func newDeltaState(a *analyzer) *deltaState {
 	d := &deltaState{
-		stmtsOf:     make(map[*ir.Method][]ir.Stmt, a.hintMethods),
-		eventsOf:    make(map[*ir.Method][]evSite, a.hintMethods),
-		varDeps:     make(map[VarKey]*consumers, a.hintStmts/2),
-		fieldDeps:   make(map[FieldKey]*consumers, a.hintMethods/2),
-		staticDeps:  make(map[string]*consumers, 16),
-		copyIndex:   make(map[VarKey][]*copyEdge, a.hintMethods),
+		stmtsOf:     make(map[*ir.Method][]ir.Stmt),
+		eventsOf:    make(map[*ir.Method][]evSite),
+		varDeps:     make(map[VarKey]*consumers),
+		fieldDeps:   make(map[FieldKey]*consumers),
+		staticDeps:  make(map[string]*consumers),
+		copyIndex:   make(map[VarKey][]*copyEdge),
 		evFieldSeen: make(map[evFieldDep]bool),
 		seedSrc:     make(map[seedVar][]int, len(a.cfg.Seeds)),
 		seedByM:     make(map[*ir.Method][]int, len(a.cfg.Seeds)),
 		seedDirty:   make([]bool, len(a.cfg.Seeds)),
-		// Dense statement slots grow with discovered instances (observed
-		// ~1.2× the static statement count); starting near the expected
-		// final size avoids repeated large re-copies of the stmtState
-		// array during the discovery-heavy first pass.
-		stmts:    make([]stmtState, 0, a.hintStmts+a.hintStmts/4),
-		stmtInst: make([]int, 0, a.hintStmts+a.hintStmts/4),
-		instBase: make([]int, 0, 2*a.hintMethods),
-		instLen:  make([]int, 0, 2*a.hintMethods),
 	}
 	for i := range a.cfg.Seeds {
 		s := &a.cfg.Seeds[i]
@@ -180,6 +179,16 @@ func newDeltaState(a *analyzer) *deltaState {
 		d.nDeps += 2
 	}
 	return d
+}
+
+// stmtChunk is the number of statement slots per chunk of
+// deltaState.stmts.
+const stmtChunk = 256
+
+// stmt returns statement slot sid. Chunks never move, so the pointer
+// stays valid while instances are installed.
+func (d *deltaState) stmt(sid int) *stmtState {
+	return &d.stmts[uint(sid)/stmtChunk][uint(sid)%stmtChunk]
 }
 
 // depEdges reports how many dependency edges the solver registered.
@@ -244,14 +253,17 @@ func (d *deltaState) registerInstance(a *analyzer, idx int, mk MKey) {
 func (d *deltaState) slotInstance(a *analyzer, idx int, mk MKey) {
 	d.changed = true
 	stmts := d.methodStmts(mk.M)
-	base := len(d.stmts)
+	base := d.nStmts
 	d.instBase[idx] = base
 	d.instLen[idx] = len(stmts)
-	d.stmts = append(d.stmts, make([]stmtState, len(stmts))...)
 	for sid := base; sid < base+len(stmts); sid++ {
-		d.stmtInst = append(d.stmtInst, idx)
+		if sid%stmtChunk == 0 {
+			d.stmts = append(d.stmts, make([]stmtState, stmtChunk))
+		}
+		d.stmt(sid).inst = idx
 		d.dirtyStmt.Add(sid)
 	}
+	d.nStmts += len(stmts)
 	if len(stmts) > 0 {
 		d.dirtyInst.Add(idx)
 	}
@@ -357,7 +369,7 @@ func (d *deltaState) dependFieldEvent(fk FieldKey, eid int) {
 func (d *deltaState) markConsumers(c *consumers) {
 	for _, sid := range c.stmts {
 		d.dirtyStmt.Add(sid)
-		d.dirtyInst.Add(d.stmtInst[sid])
+		d.dirtyInst.Add(d.stmt(sid).inst)
 	}
 	for _, eid := range c.events {
 		d.dirtyEv.Add(eid)
@@ -464,15 +476,13 @@ func (a *analyzer) processInstanceDelta(idx int) {
 	}
 }
 
-// transferDelta is the delta-aware transfer function. Mutations of
-// a.d.stmts[sid] must complete before any bindCall/install (those can
-// append to d.stmts and invalidate the pointer).
+// transferDelta is the delta-aware transfer function.
 func (a *analyzer) transferDelta(mk MKey, s ir.Stmt, sid int) {
 	d := a.d
 	key := func(v string) VarKey { return VarKey{M: mk.M, Ctx: mk.Ctx, Var: v} }
 	switch stm := s.(type) {
 	case *ir.New:
-		st := &d.stmts[sid]
+		st := d.stmt(sid)
 		if st.init {
 			return
 		}
@@ -483,7 +493,7 @@ func (a *analyzer) transferDelta(mk MKey, s ir.Stmt, sid int) {
 			a.touchVar(k)
 		}
 	case *ir.Move:
-		st := &d.stmts[sid]
+		st := d.stmt(sid)
 		sk := key(stm.Src)
 		if !st.init {
 			st.init = true
@@ -498,7 +508,7 @@ func (a *analyzer) transferDelta(mk MKey, s ir.Stmt, sid int) {
 	case *ir.Store:
 		a.storeDelta(mk, stm, sid)
 	case *ir.StaticLoad:
-		st := &d.stmts[sid]
+		st := d.stmt(sid)
 		if !st.init {
 			st.init = true
 			d.dependStatic(stm.Class+"."+stm.Field, sid)
@@ -508,7 +518,7 @@ func (a *analyzer) transferDelta(mk MKey, s ir.Stmt, sid int) {
 			a.touchVar(dk)
 		}
 	case *ir.StaticStore:
-		st := &d.stmts[sid]
+		st := d.stmt(sid)
 		sk := key(stm.Src)
 		if !st.init {
 			st.init = true
@@ -521,7 +531,7 @@ func (a *analyzer) transferDelta(mk MKey, s ir.Stmt, sid int) {
 		if stm.Src == "" {
 			return
 		}
-		st := &d.stmts[sid]
+		st := d.stmt(sid)
 		sk := key(stm.Src)
 		if !st.init {
 			st.init = true
@@ -541,7 +551,7 @@ func (a *analyzer) transferDelta(mk MKey, s ir.Stmt, sid int) {
 // re-unioned only when their version moved.
 func (a *analyzer) loadDelta(mk MKey, stm *ir.Load, sid int) {
 	d := a.d
-	st := &d.stmts[sid]
+	st := d.stmt(sid)
 	bk := VarKey{M: mk.M, Ctx: mk.Ctx, Var: stm.Obj}
 	dk := VarKey{M: mk.M, Ctx: mk.Ctx, Var: stm.Dst}
 	if !st.init {
@@ -591,7 +601,7 @@ func (a *analyzer) loadDelta(mk MKey, stm *ir.Load, sid int) {
 // the union.
 func (a *analyzer) storeDelta(mk MKey, stm *ir.Store, sid int) {
 	d := a.d
-	st := &d.stmts[sid]
+	st := d.stmt(sid)
 	bk := VarKey{M: mk.M, Ctx: mk.Ctx, Var: stm.Obj}
 	sk := VarKey{M: mk.M, Ctx: mk.Ctx, Var: stm.Src}
 	first := !st.init
@@ -634,7 +644,7 @@ func (a *analyzer) invokeDelta(mk MKey, inv *ir.Invoke, sid int) {
 		// (view map and constant args are static); other recognized APIs
 		// have no transfer effect (events are handled by the event
 		// phase).
-		st := &d.stmts[sid]
+		st := d.stmt(sid)
 		if st.init {
 			return
 		}
@@ -651,7 +661,7 @@ func (a *analyzer) invokeDelta(mk MKey, inv *ir.Invoke, sid int) {
 	}
 	if inv.Class == frontend.LooperClass &&
 		(inv.Method == frontend.GetMainLooper || inv.Method == frontend.MyLooper) {
-		st := &d.stmts[sid]
+		st := d.stmt(sid)
 		if st.init {
 			return
 		}
@@ -669,7 +679,7 @@ func (a *analyzer) invokeDelta(mk MKey, inv *ir.Invoke, sid int) {
 	if inv.Kind == ir.InvokeStatic {
 		// One-shot: the target and callee context are static, and
 		// bindCall is idempotent.
-		st := &d.stmts[sid]
+		st := d.stmt(sid)
 		if st.init {
 			return
 		}
@@ -684,7 +694,7 @@ func (a *analyzer) invokeDelta(mk MKey, inv *ir.Invoke, sid int) {
 	// Virtual / special dispatch over newly-seen receivers only, sorted
 	// into the canonical object order so callee edges append in the same
 	// sequence the exhaustive sorted full-set walk produces.
-	st := &d.stmts[sid]
+	st := d.stmt(sid)
 	rk := key(inv.Recv)
 	if !st.init {
 		st.init = true
@@ -700,8 +710,6 @@ func (a *analyzer) invokeDelta(mk MKey, inv *ir.Invoke, sid int) {
 		recvs = append(recvs, objs[id])
 	}
 	sortObjs(recvs)
-	// st must not be touched past this point: bindCall can install new
-	// instances, growing d.stmts under us.
 	for i := range recvs {
 		o := recvs[i]
 		var target *ir.Method

@@ -21,6 +21,10 @@ type Result struct {
 	fpts      map[FieldKey]ObjSet
 	spts      map[string]ObjSet
 	instances map[MKey]bool
+	// byMethod indexes instances by method in discovery order, kept
+	// current by every install (warm re-solves included), so per-method
+	// queries and the solver's seed propagation never scan all instances.
+	byMethod  map[*ir.Method][]MKey
 	callees   map[siteKey][]MKey
 	entryKeys []MKey
 	passes    int
@@ -50,10 +54,8 @@ func (r *Result) PointsTo(m *ir.Method, ctx Context, v string) ObjSet {
 // PointsToAll unions v's points-to sets across every context of m.
 func (r *Result) PointsToAll(m *ir.Method, v string) ObjSet {
 	out := r.in.NewSet()
-	for mk := range r.instances {
-		if mk.M == m {
-			out.AddAll(r.pts[VarKey{M: m, Ctx: mk.Ctx, Var: v}])
-		}
+	for _, mk := range r.byMethod[m] {
+		out.AddAll(r.pts[VarKey{M: m, Ctx: mk.Ctx, Var: v}])
 	}
 	return out
 }
@@ -78,14 +80,9 @@ func (r *Result) Instances() []MKey {
 	return out
 }
 
-// InstancesOf returns the discovered instances of one method.
+// InstancesOf returns the discovered instances of one method, sorted.
 func (r *Result) InstancesOf(m *ir.Method) []MKey {
-	var out []MKey
-	for mk := range r.instances {
-		if mk.M == m {
-			out = append(out, mk)
-		}
-	}
+	out := append([]MKey(nil), r.byMethod[m]...)
 	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
 	return out
 }

@@ -161,8 +161,22 @@ ret _
 	if e, _ := m["error"].(string); code != http.StatusBadRequest || !strings.Contains(e, "cyclic type hierarchy") {
 		t.Errorf("cyclic submit: status %d body %v, want 400 naming the cycle", code, m)
 	}
-	if got := tr.Counter("serve.malformed"); got != 3 {
-		t.Errorf("serve.malformed = %d, want 3", got)
+	// A duplicate class once panicked the parser inside the handler, so
+	// net/http dropped the connection instead of answering 400.
+	dup := []byte("app dup\nclass A\nclass A\n")
+	code, m = submit(t, base, dup)
+	if e, _ := m["error"].(string); code != http.StatusBadRequest || !strings.Contains(e, "duplicate class") {
+		t.Errorf("duplicate-class submit: status %d body %v, want 400 naming the duplicate", code, m)
+	}
+	// A class named like the activity's harness class used to be
+	// accepted; its job then panicked when the harness was added.
+	harnessName := []byte("app hn\nactivity A\nclass A extends android.app.Activity\nclass sierra.harness.A\n")
+	code, m = submit(t, base, harnessName)
+	if e, _ := m["error"].(string); code != http.StatusBadRequest || !strings.Contains(e, "reserved prefix") {
+		t.Errorf("harness-class submit: status %d body %v, want 400 naming the reserved prefix", code, m)
+	}
+	if got := tr.Counter("serve.malformed"); got != 5 {
+		t.Errorf("serve.malformed = %d, want 5", got)
 	}
 	if got := tr.Counter("serve.submissions"); got != 0 {
 		t.Errorf("serve.submissions = %d, want 0 (malformed never counts)", got)

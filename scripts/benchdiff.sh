@@ -28,15 +28,17 @@
 #                                        written to BENCH_streaming.json; cfg
 #                                        defaults to a built-in all-family mix
 #                                        of BENCH_STREAM_APPS (default 400) apps
-#   ./scripts/benchdiff.sh <ref>         bench HEAD and <ref> (via a throwaway
-#                                        git worktree) and print a per-kernel
+#   ./scripts/benchdiff.sh <ref>         bench HEAD and <ref> (extracted with
+#                                        `git archive` into a throwaway
+#                                        directory) and print a per-kernel
 #                                        ns/op + allocs/op delta as JSON in the
 #                                        BENCH_kernels.json before/after shape
 #
 # Every comparison run also appends one entry — UTC date, HEAD SHA,
-# baseline ref/SHA, and the per-kernel HEAD medians — to a cumulative
-# trajectory file, so the kernels' perf history accretes alongside the
-# BENCH_*.json artifacts.
+# baseline ref/SHA, host CPU count, and the HEAD median of every kernel,
+# including kernels the baseline lacks — to a cumulative trajectory
+# file, so the kernels' perf history accretes alongside the BENCH_*.json
+# artifacts.
 #
 # Environment:
 #   BENCH_COUNT       -count for the comparison runs (default 3)
@@ -248,21 +250,24 @@ run_bench() {
 }
 
 tmp=$(mktemp -d)
-wt="$tmp/baseline"
-cleanup() {
-    git worktree remove --force "$wt" >/dev/null 2>&1 || true
-    rm -rf "$tmp"
-}
-trap cleanup EXIT INT TERM
+trap 'rm -rf "$tmp"' EXIT INT TERM
 
 echo "benchdiff: benching HEAD ($(git rev-parse --short HEAD))..." >&2
 run_bench "$repo_root" "$tmp/head.txt"
 
+# A plain copy of the baseline tree needs only the object store, not
+# the repository's worktree bookkeeping.
 echo "benchdiff: benching $ref ($(git rev-parse --short "$ref"))..." >&2
-git worktree add --detach "$wt" "$ref" >/dev/null
-run_bench "$wt" "$tmp/base.txt"
+mkdir "$tmp/baseline"
+git archive "$ref" | tar -x -C "$tmp/baseline"
+run_bench "$tmp/baseline" "$tmp/base.txt"
 
 TRAJ="${BENCH_TRAJECTORY-$repo_root/BENCH_trajectory.json}"
+
+# The HEAD side benches the working tree; uncommitted changes mark its
+# SHA "-dirty".
+head_sha=$(git rev-parse HEAD)
+[ -z "$(git status --porcelain --untracked-files=no)" ] || head_sha="$head_sha-dirty"
 
 # Reduce each raw output to "name ns_op bytes_op allocs_op" medians and
 # join the two runs into before/after JSON; the HEAD medians also go to
@@ -270,9 +275,10 @@ TRAJ="${BENCH_TRAJECTORY-$repo_root/BENCH_trajectory.json}"
 awk -v baseline="$tmp/base.txt" -v head="$tmp/head.txt" \
     -v entry="$tmp/entry.json" \
     -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
-    -v head_sha="$(git rev-parse HEAD)" \
+    -v head_sha="$head_sha" \
     -v base_ref="$ref" \
-    -v base_sha="$(git rev-parse "$ref^{commit}")" '
+    -v base_sha="$(git rev-parse "$ref^{commit}")" \
+    -v host_cpus="$(nproc 2>/dev/null || echo 1)" '
 function median(arr, n,    i, j, tmpv, half) {
     for (i = 2; i <= n; i++) {
         tmpv = arr[i]
@@ -316,10 +322,16 @@ BEGIN {
     ekernels = ""
     for (i = 1; i <= nn; i++) {
         name = names[i]
+        h_ns = med3(hns, name, hcnt[name])
+        h_al = med3(hal, name, hcnt[name])
+        h_by = med3(hby, name, hcnt[name])
+        if (ekernels != "") ekernels = ekernels ","
+        ekernels = ekernels sprintf("\"%s\":{\"ns_op\":%d,\"bytes_op\":%d,\"allocs_op\":%d}", \
+                                    name, h_ns, h_by, h_al)
         if (!(name in bcnt)) continue
-        b_ns = med3(bns, name, bcnt[name]); h_ns = med3(hns, name, hcnt[name])
-        b_al = med3(bal, name, bcnt[name]); h_al = med3(hal, name, hcnt[name])
-        b_by = med3(bby, name, bcnt[name]); h_by = med3(hby, name, hcnt[name])
+        b_ns = med3(bns, name, bcnt[name])
+        b_al = med3(bal, name, bcnt[name])
+        b_by = med3(bby, name, bcnt[name])
         if (!first) printf ",\n"
         first = 0
         printf "    \"%s\": {\n", name
@@ -327,13 +339,10 @@ BEGIN {
         printf "      \"after\":  {\"ns_op\": %d, \"bytes_op\": %d, \"allocs_op\": %d},\n", h_ns, h_by, h_al
         printf "      \"speedup\": %.2f,\n", (h_ns > 0 ? b_ns / h_ns : 0)
         printf "      \"allocs_ratio\": %.2f\n    }", (h_al > 0 ? b_al / h_al : 0)
-        if (ekernels != "") ekernels = ekernels ","
-        ekernels = ekernels sprintf("\"%s\":{\"ns_op\":%d,\"bytes_op\":%d,\"allocs_op\":%d}", \
-                                    name, h_ns, h_by, h_al)
     }
     printf "\n  }\n}\n"
-    printf "{\"date\":\"%s\",\"head_sha\":\"%s\",\"base_ref\":\"%s\",\"base_sha\":\"%s\",\"kernels\":{%s}}\n", \
-           date, head_sha, base_ref, base_sha, ekernels > entry
+    printf "{\"date\":\"%s\",\"head_sha\":\"%s\",\"base_ref\":\"%s\",\"base_sha\":\"%s\",\"host_cpus\":%d,\"kernels\":{%s}}\n", \
+           date, head_sha, base_ref, base_sha, host_cpus, ekernels > entry
 }' </dev/null
 
 # Append the entry to the cumulative trajectory array (one entry per
