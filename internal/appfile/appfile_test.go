@@ -120,6 +120,9 @@ func TestReadRejectsGarbage(t *testing.T) {
 		// A class in the harness namespace once collided with the
 		// activity's harness class and panicked the analysis.
 		"app h\nactivity A\nclass A extends android.app.Activity\nclass sierra.harness.A",
+		// A repeat of a parsed statement takes the shared-line path,
+		// which must still reject it outside a block.
+		"class A\nmethod A m\nblock A m 0\nload y this f\nret _\nmethod A n\nload y this f",
 	}
 	for _, c := range cases {
 		if _, err := Read(strings.NewReader(c)); err == nil {

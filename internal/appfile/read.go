@@ -29,7 +29,10 @@ const maxLine = 1<<20 - 1
 // the app keeps is interned in a per-app table, so the parsed app
 // shares no memory with the input: an app that outlives its parse (a
 // serve job's name, an incremental baseline) never pins the document
-// it came from. Validation is eager — a malformed line fails the read
+// it came from. Statements are values (see ir.Stmt), so every repeat of
+// a statement line other than new shares the object parsed at its
+// first sight: padding code costs a map lookup per line, not a heap
+// object. Validation is eager — a malformed line fails the read
 // wherever it is, reachable from an entry point or not.
 func Read(r io.Reader) (*apk.App, error) {
 	var text strings.Builder
@@ -58,6 +61,11 @@ type reader struct {
 	block   *ir.Block                    // the block statements attach to
 	stmts   []ir.Stmt                    // block's statements so far (see setBlock)
 
+	// shared maps each trimmed statement line parsed so far, other than
+	// new lines, to its statement. Its keys are substrings of the
+	// input, so it lives only as long as the parse.
+	shared map[string]ir.Stmt
+
 	lineNo int
 	line   string   // the current line, trimmed (quoted in errors)
 	f      []string // its fields: substrings of the input, reused per line
@@ -70,6 +78,7 @@ func newReader() *reader {
 		prog:    p,
 		app:     &apk.App{Program: p, Layouts: map[string]*apk.Layout{}},
 		ids:     map[string]string{},
+		shared:  map[string]ir.Stmt{},
 		classes: map[string]*ir.Class{},
 		views:   map[string]map[int]*apk.View{},
 	}
@@ -119,6 +128,15 @@ func (rd *reader) parse(text string) error {
 		}
 		rd.line = strings.TrimSpace(raw)
 		if rd.line == "" || rd.line[0] == '#' {
+			continue
+		}
+		if st, ok := rd.shared[rd.line]; ok {
+			// A repeat passed minArity at its first sight; what is
+			// left to check is where it stands.
+			if rd.block == nil {
+				return rd.fail("statement outside a block")
+			}
+			rd.stmts = append(rd.stmts, st)
 			continue
 		}
 		rd.f = splitFields(rd.f[:0], rd.line)
@@ -279,6 +297,10 @@ func (rd *reader) directive(f []string) error {
 		st, err := rd.parseStmt(f, rd.line)
 		if err != nil {
 			return rd.fail(err.Error())
+		}
+		if _, ok := st.(*ir.New); !ok {
+			// Each new is its own allocation site; Finalize numbers it.
+			rd.shared[rd.line] = st
 		}
 		rd.stmts = append(rd.stmts, st)
 	}

@@ -120,15 +120,15 @@ func (r *Resolver) Build(entries []*ir.Method) *CHA {
 			continue
 		}
 		g.reachable[m] = true
-		for _, blk := range m.Blocks {
-			for _, s := range blk.Stmts {
+		for bi, blk := range m.Blocks {
+			for si, s := range blk.Stmts {
 				inv, ok := s.(*ir.Invoke)
 				if !ok {
 					continue
 				}
 				targets := r.targets(inv)
 				if len(targets) > 0 {
-					g.callees[inv.Pos()] = targets
+					g.callees[ir.Pos{Method: m, Block: bi, Index: si}] = targets
 					work = append(work, targets...)
 				}
 			}
@@ -172,12 +172,12 @@ func (g *CHA) ReachableFrom(roots ...*ir.Method) map[*ir.Method]bool {
 	for len(work) > 0 {
 		m := work[len(work)-1]
 		work = work[:len(work)-1]
-		for _, blk := range m.Blocks {
-			for _, s := range blk.Stmts {
+		for bi, blk := range m.Blocks {
+			for si, s := range blk.Stmts {
 				if _, ok := s.(*ir.Invoke); !ok {
 					continue
 				}
-				for _, t := range g.callees[s.Pos()] {
+				for _, t := range g.callees[ir.Pos{Method: m, Block: bi, Index: si}] {
 					if !seen[t] {
 						seen[t] = true
 						work = append(work, t)

@@ -225,9 +225,16 @@ func checkAgainstReference(t *testing.T, p *ir.Program, r *Resolver, entries []*
 		t.Fatalf("ReachableMethods = %v, want %v", names(got), names(sortedMethods(want)))
 	}
 	for m := range want {
-		for _, inv := range invokes(m) {
-			if got, ref := g.Callees(inv.Pos()), refTargets(p, inv); !sameMethods(got, ref) {
-				t.Errorf("Callees(%v %s#%s kind %d) = %v, want %v", inv.Pos(), inv.Class, inv.Method, inv.Kind, names(got), names(ref))
+		for bi, blk := range m.Blocks {
+			for si, s := range blk.Stmts {
+				inv, ok := s.(*ir.Invoke)
+				if !ok {
+					continue
+				}
+				pos := ir.Pos{Method: m, Block: bi, Index: si}
+				if got, ref := g.Callees(pos), refTargets(p, inv); !sameMethods(got, ref) {
+					t.Errorf("Callees(%v %s#%s kind %d) = %v, want %v", pos, inv.Class, inv.Method, inv.Kind, names(got), names(ref))
+				}
 			}
 		}
 	}

@@ -1,10 +1,15 @@
 package corpus
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
+	"sierra/internal/apk"
+	"sierra/internal/appfile"
 	"sierra/internal/core"
+	"sierra/internal/harness"
+	"sierra/internal/ir/irtest"
 )
 
 func TestPaperRowsComplete(t *testing.T) {
@@ -54,6 +59,53 @@ func TestNamedAppsValidateAndAreDeterministic(t *testing.T) {
 			t.Errorf("%s: ground truth empty", row.Name)
 		}
 	}
+}
+
+// checkHarnessedSites checks app's allocation sites after its own
+// Finalize and again after harness generation's, which walks only the
+// synthetic classes it registers.
+func checkHarnessedSites(t *testing.T, what string, app *apk.App) {
+	t.Helper()
+	if err := irtest.CheckSites(app.Program); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	harness.Generate(app)
+	if err := irtest.CheckSites(app.Program); err != nil {
+		t.Fatalf("%s after harness generation: %v", what, err)
+	}
+}
+
+// TestFinalizeNumbersEverySite runs the site check over every paper app,
+// built and parsed from its serialization, and over one app of every
+// scenario family.
+func TestFinalizeNumbersEverySite(t *testing.T) {
+	smallest := 0
+	for i, row := range PaperRows() {
+		checkHarnessedSites(t, row.Name, mustNamedApp(row))
+		raw, err := appfile.Bytes(mustNamedApp(row))
+		if err != nil {
+			t.Fatal(err)
+		}
+		parsed, err := appfile.Read(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("%s: %v", row.Name, err)
+		}
+		checkHarnessedSites(t, row.Name+" parsed", parsed)
+		if row.SizeKB < PaperRows()[smallest].SizeKB {
+			smallest = i
+		}
+	}
+	for _, s := range Scenarios() {
+		// The row-derived families take the smallest row, so the check
+		// stays cheap at table2-x10's scale.
+		app, _ := s.Generate("sites-"+s.Name, 3, map[string]int{"row": smallest})
+		checkHarnessedSites(t, s.Name, app)
+	}
+}
+
+func mustNamedApp(row PaperRow) *apk.App {
+	app, _ := NamedApp(row)
+	return app
 }
 
 func TestGeneratedAppShape(t *testing.T) {

@@ -112,12 +112,11 @@ func GenerateTraced(app *apk.App, tr *obs.Trace) []*Harness {
 	}
 	for _, h := range out {
 		h.emit()
-	}
-	app.Program.Finalize()
-	// Positions exist only after Finalize; fill the site/slot Pos fields.
-	for _, h := range out {
 		h.locateSites()
 	}
+	// Number the harness classes' allocation sites; Finalize walks only
+	// the classes registered since the app's own finalization.
+	app.Program.Finalize()
 	if tr != nil {
 		lifecycle, gui, stmts := Stats(out)
 		tr.Count("harness.emitted", int64(len(out)))
@@ -266,27 +265,28 @@ func (s *GUISlot) paramsOf(h *Harness) []string {
 }
 
 // locateSites records the Pos of every lifecycle call and GUI invocation
-// now that the program is finalized.
+// in the emitted harness method.
 func (h *Harness) locateSites() {
 	counts := map[string]int{}
-	for _, blk := range h.Method.Blocks {
-		for _, s := range blk.Stmts {
+	for bi, blk := range h.Method.Blocks {
+		for si, s := range blk.Stmts {
 			inv, ok := s.(*ir.Invoke)
 			if !ok {
 				continue
 			}
+			pos := ir.Pos{Method: h.Method, Block: bi, Index: si}
 			if inv.Recv == h.ActivityVar && frontend.IsLifecycleName(inv.Method) {
 				counts[inv.Method]++
 				h.Lifecycle = append(h.Lifecycle, LifecycleSite{
 					Callback: inv.Method,
 					Instance: counts[inv.Method],
-					Pos:      inv.Pos(),
+					Pos:      pos,
 				})
 				continue
 			}
 			for _, slot := range h.GUI {
 				if inv.Recv == slot.RecvVar && inv.Method == slot.Callback {
-					slot.Pos = inv.Pos()
+					slot.Pos = pos
 				}
 			}
 		}
@@ -348,8 +348,8 @@ func discoverSlots(app *apk.App, res *callgraph.Resolver, comp apk.Component) []
 			if m.Class != nil && m.Class.Framework {
 				continue
 			}
-			for _, blk := range m.Blocks {
-				for _, s := range blk.Stmts {
+			for bi, blk := range m.Blocks {
+				for si, s := range blk.Stmts {
 					inv, ok := s.(*ir.Invoke)
 					if !ok {
 						continue
@@ -358,7 +358,7 @@ func discoverSlots(app *apk.App, res *callgraph.Resolver, comp apk.Component) []
 					if !ok || api.Kind != frontend.APISetListener {
 						continue
 					}
-					key := fmt.Sprintf("reg:%s:%s@%d.%d", api.Callback, m.QualifiedName(), blk.Index, indexOf(blk, s))
+					key := fmt.Sprintf("reg:%s:%s@%d.%d", api.Callback, m.QualifiedName(), bi, si)
 					if seen[key] {
 						continue
 					}
@@ -382,17 +382,6 @@ func discoverSlots(app *apk.App, res *callgraph.Resolver, comp apk.Component) []
 			return slots
 		}
 	}
-}
-
-// indexOf finds a statement's index within its block (pre-Finalize the
-// Pos fields aren't set yet).
-func indexOf(blk *ir.Block, s ir.Stmt) int {
-	for i, have := range blk.Stmts {
-		if have == s {
-			return i
-		}
-	}
-	return -1
 }
 
 // root is a discovery entry method and the slot it came from (-1 for a

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sierra/internal/apk"
+	"sierra/internal/appfile"
 	"sierra/internal/cfg"
 	"sierra/internal/corpus"
 	"sierra/internal/frontend"
@@ -190,6 +191,45 @@ func TestNestedRegistrationNestsSlots(t *testing.T) {
 	dom := cfg.MethodDominators(h.Method)
 	if !cfg.StmtDominates(dom, click.Pos, long.Pos) {
 		t.Error("parent slot invocation should dominate nested slot invocation")
+	}
+}
+
+// TestIdenticalRegistrationsKeepTheirSlots: the app reader shares one
+// statement object between byte-identical lines, so two identical
+// registration calls in one block are one *ir.Invoke at two positions.
+// Each position is its own registration and keeps its own GUI slot; a
+// key built from the statement's identity would merge them.
+func TestIdenticalRegistrationsKeepTheirSlots(t *testing.T) {
+	const text = `app twin
+activity A layout main
+layout main
+view main 1 android.widget.Button -1
+class A extends android.app.Activity implements android.view.View$OnClickListener
+method A onClick params v
+block A onClick 0
+ret _
+method A onCreate
+block A onCreate 0
+const id int 1
+call v btn this A findViewById id
+call v _ btn android.view.View setOnClickListener this
+call v _ btn android.view.View setOnClickListener this
+ret _
+`
+	app, err := appfile.Read(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stmts := app.Program.Class("A").Methods[frontend.OnCreate].Blocks[0].Stmts
+	if stmts[2] != stmts[3] {
+		t.Fatal("identical registration lines did not share a statement")
+	}
+	h := Generate(app)[0]
+	if len(h.GUI) != 2 {
+		t.Fatalf("GUI slots = %d, want one per registration (2)", len(h.GUI))
+	}
+	if h.GUI[0].Pos == h.GUI[1].Pos || !h.GUI[0].Pos.Valid() || !h.GUI[1].Pos.Valid() {
+		t.Errorf("slot sites %v and %v must be distinct and valid", h.GUI[0].Pos, h.GUI[1].Pos)
 	}
 }
 

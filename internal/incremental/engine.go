@@ -132,8 +132,8 @@ func (b *Baseline) Apply(next *apk.App, nextFP *Fingerprint, nextDigest string, 
 	span := tr.Start("incremental.apply")
 	defer span.End()
 
-	// Patch the changed bodies into the baseline program. Site ids and
-	// statement back-pointers transfer inside ReplaceBody.
+	// Patch the changed bodies into the baseline program. Site ids
+	// transfer inside ReplaceBody.
 	changedSet := make(map[*ir.Method]bool, len(st.Plan.Changed))
 	for _, qn := range st.Plan.Changed {
 		old, donor, err := b.resolveEdit(next, qn)

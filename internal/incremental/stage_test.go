@@ -11,6 +11,7 @@ import (
 	"sierra/internal/core"
 	"sierra/internal/corpus"
 	"sierra/internal/incremental"
+	"sierra/internal/ir/irtest"
 	"sierra/internal/obs"
 	"sierra/internal/serve"
 	"sierra/internal/shbg"
@@ -110,6 +111,14 @@ func TestEditClassParity(t *testing.T) {
 				}
 				if got != c.want {
 					t.Errorf("edit class %s landed on %s, want %s", c.name, got, c.want)
+				}
+				// A spliced body's inserted New (insert-new) must get a
+				// fresh site from the baseline's re-Finalize.
+				if err := irtest.CheckSites(base.App.Program); err != nil {
+					t.Errorf("baseline after %s: %v", got, err)
+				}
+				if err := irtest.CheckSites(coldApp.Program); err != nil {
+					t.Errorf("cold run: %v", err)
 				}
 				if !bytes.Equal(doc, coldDoc) {
 					t.Errorf("report not byte-identical to cold run:\n-- incremental --\n%s\n-- cold --\n%s", doc, coldDoc)

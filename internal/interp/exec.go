@@ -45,6 +45,7 @@ func (m *Machine) call(target *ir.Method, this Value, args []Value, depth int) V
 				return NullV()
 			}
 			s := blk.Stmts[si]
+			pos := ir.Pos{Method: target, Block: bi, Index: si}
 			switch st := s.(type) {
 			case *ir.New:
 				locals[st.Dst] = RefV(m.alloc(st.Class))
@@ -68,7 +69,7 @@ func (m *Machine) call(target *ir.Method, this Value, args []Value, depth int) V
 					v = base.Ref.Get(st.Field)
 					m.record(TraceAccess{
 						ObjID: base.Ref.ID, Class: base.Ref.Class, Field: st.Field,
-						Kind: Read, Pos: st.Pos(),
+						Kind: Read, Pos: pos,
 						RefTyped: v.Kind == VRef || v.Kind == VNull,
 					})
 				}
@@ -80,20 +81,20 @@ func (m *Machine) call(target *ir.Method, this Value, args []Value, depth int) V
 					base.Ref.Set(st.Field, v)
 					m.record(TraceAccess{
 						ObjID: base.Ref.ID, Class: base.Ref.Class, Field: st.Field,
-						Kind: Write, Pos: st.Pos(),
+						Kind: Write, Pos: pos,
 						RefTyped: v.Kind == VRef || v.Kind == VNull,
 					})
 				}
 			case *ir.StaticLoad:
 				v := m.statics[st.Class+"."+st.Field]
 				m.record(TraceAccess{ObjID: -1, Class: st.Class, Field: st.Field,
-					Kind: Read, Pos: st.Pos(), RefTyped: v.Kind == VRef || v.Kind == VNull})
+					Kind: Read, Pos: pos, RefTyped: v.Kind == VRef || v.Kind == VNull})
 				locals[st.Dst] = v
 			case *ir.StaticStore:
 				v := locals[st.Src]
 				m.statics[st.Class+"."+st.Field] = v
 				m.record(TraceAccess{ObjID: -1, Class: st.Class, Field: st.Field,
-					Kind: Write, Pos: st.Pos(), RefTyped: v.Kind == VRef || v.Kind == VNull})
+					Kind: Write, Pos: pos, RefTyped: v.Kind == VRef || v.Kind == VNull})
 			case *ir.BinOp:
 				locals[st.Dst] = evalBinOp(st.Op, locals[st.A], locals[st.B])
 			case *ir.Invoke:

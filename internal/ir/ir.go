@@ -16,6 +16,9 @@ import (
 // Android Framework model classes injected by the frontend.
 type Program struct {
 	classes map[string]*Class
+	// pending lists the classes the next Finalize walks: those
+	// registered, given a method, or given a new body since the last one.
+	pending []*Class
 	// nextSite hands out program-unique allocation site ids during Finalize.
 	nextSite  int
 	finalized bool
@@ -35,6 +38,7 @@ func (p *Program) AddClass(c *Class) {
 	}
 	c.program = p
 	p.classes[c.Name] = c
+	c.markPending()
 }
 
 // Class looks up a class by name, returning nil if absent.
@@ -53,28 +57,32 @@ func (p *Program) Classes() []*Class {
 // NumClasses reports the number of registered classes.
 func (p *Program) NumClasses() int { return len(p.classes) }
 
-// Finalize assigns program-unique allocation-site ids to every New
-// statement and back-links statements to their methods. Analyses require
-// a finalized program. Finalize is re-runnable: harness generation adds
-// synthetic classes after an app is built, then finalizes again — already
-// numbered sites keep their ids.
+// Finalize numbers blocks and assigns program-unique allocation-site ids
+// to every unnumbered New statement. Analyses require a finalized
+// program. Finalize is re-runnable and walks only the classes changed
+// since its last run (see pending), in name order: harness generation
+// adds synthetic classes after an app is built, then finalizes again
+// without revisiting the app's classes. Already numbered sites keep
+// their ids, so ids match a walk over every class in name order as long
+// as unnumbered Sites arise only in pending classes — in a registered
+// class, through AddMethod, ReplaceBody or ReplaceBodyFlex.
 func (p *Program) Finalize() {
-	for _, c := range p.Classes() {
+	sort.Slice(p.pending, func(i, j int) bool { return p.pending[i].Name < p.pending[j].Name })
+	for _, c := range p.pending {
+		c.pending = false
 		for _, m := range c.MethodsSorted() {
 			for bi, b := range m.Blocks {
 				b.Index = bi
-				for si, s := range b.Stmts {
+				for _, s := range b.Stmts {
 					if n, ok := s.(*New); ok && n.Site < 0 {
 						n.Site = p.nextSite
 						p.nextSite++
-					}
-					if setter, ok := s.(interface{ setPos(*Method, int, int) }); ok {
-						setter.setPos(m, bi, si)
 					}
 				}
 			}
 		}
 	}
+	p.pending = nil
 	p.finalized = true
 }
 
@@ -140,6 +148,7 @@ type Class struct {
 	Library bool
 
 	program *Program
+	pending bool // queued in program.pending
 }
 
 // NewClass creates a class with no methods.
@@ -170,6 +179,16 @@ func (c *Class) AddMethod(m *Method) {
 	}
 	m.Class = c
 	c.Methods[m.Name] = m
+	c.markPending()
+}
+
+// markPending queues a registered class for the next Program.Finalize.
+func (c *Class) markPending() {
+	if c == nil || c.program == nil || c.pending {
+		return
+	}
+	c.pending = true
+	c.program.pending = append(c.program.pending, c)
 }
 
 // MethodsSorted returns the class's methods sorted by name.

@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -51,18 +52,118 @@ func TestFinalizeAssignsPositionsAndSites(t *testing.T) {
 	if !p.Finalized() {
 		t.Fatal("program not finalized")
 	}
+	// Statements carry no position: a Pos built from the loop that
+	// found a statement is valid and names that statement.
 	for bi, blk := range m.Blocks {
+		if blk.Index != bi {
+			t.Fatalf("block %d numbered %d", bi, blk.Index)
+		}
 		for si, s := range blk.Stmts {
-			pos := s.Pos()
-			if pos.Method != m || pos.Block != bi || pos.Index != si {
-				t.Fatalf("stmt %v pos = %v, want %s@%d.%d", s, pos, m.QualifiedName(), bi, si)
-			}
+			pos := Pos{Method: m, Block: bi, Index: si}
 			if !pos.Valid() {
 				t.Fatalf("pos %v not valid", pos)
 			}
 			if pos.Stmt() != s {
 				t.Fatalf("pos.Stmt mismatch at %v", pos)
 			}
+		}
+	}
+}
+
+// refFinalize is the whole-program walk Finalize replaced: every class
+// in name order, numbering each unnumbered New.
+func refFinalize(p *Program, next int) int {
+	for _, c := range p.Classes() {
+		for _, m := range c.MethodsSorted() {
+			for _, b := range m.Blocks {
+				for _, s := range b.Stmts {
+					if n, ok := s.(*New); ok && n.Site < 0 {
+						n.Site = next
+						next++
+					}
+				}
+			}
+		}
+	}
+	return next
+}
+
+// sites lists every New's Site in whole-program name order.
+func sites(p *Program) []int {
+	var out []int
+	for _, c := range p.Classes() {
+		for _, m := range c.MethodsSorted() {
+			for _, b := range m.Blocks {
+				for _, s := range b.Stmts {
+					if n, ok := s.(*New); ok {
+						out = append(out, n.Site)
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestFinalizeWalksOnlyPendingClasses grows a finalized program the
+// three ways that leave unnumbered sites — a new class, a new method on
+// a registered class, and a body transplant inserting a New — and
+// checks each re-Finalize numbers exactly what the whole-program walk
+// numbers, without revisiting untouched classes.
+func TestFinalizeWalksOnlyPendingClasses(t *testing.T) {
+	allocs := func(name string, n int) *Method {
+		b := NewMethodBuilder(name)
+		for i := 0; i < n; i++ {
+			b.NewObj("o", "A")
+		}
+		b.Ret("")
+		return b.Build()
+	}
+	build := func() *Program {
+		p := NewProgram()
+		for _, name := range []string{"D", "B"} {
+			c := NewClass(name, "")
+			c.AddMethod(allocs("m", 2))
+			p.AddClass(c)
+		}
+		return p
+	}
+	steps := []func(p *Program){
+		func(p *Program) {
+			c := NewClass("C", "")
+			c.AddMethod(allocs("m", 1))
+			p.AddClass(c)
+			p.AddClass(NewClass("A", ""))
+		},
+		func(p *Program) { p.Class("D").AddMethod(allocs("a", 2)) },
+		func(p *Program) {
+			if err := p.Class("B").Methods["m"].ReplaceBodyFlex(allocs("m", 3)); err != nil {
+				t.Fatal(err)
+			}
+		},
+	}
+	got, want := build(), build()
+	got.Finalize()
+	next := refFinalize(want, 0)
+	for i, step := range steps {
+		step(got)
+		step(want)
+		if i == 0 {
+			// D was finalized and not touched since: not pending.
+			if len(got.pending) != 2 {
+				t.Fatalf("pending = %d classes, want 2 (A, C)", len(got.pending))
+			}
+		}
+		got.Finalize()
+		next = refFinalize(want, next)
+		if g, w := fmt.Sprint(sites(got)), fmt.Sprint(sites(want)); g != w {
+			t.Fatalf("step %d: sites %s, want %s", i, g, w)
+		}
+		if got.NumAllocSites() != next {
+			t.Fatalf("step %d: NumAllocSites = %d, want %d", i, got.NumAllocSites(), next)
+		}
+		if len(got.pending) != 0 {
+			t.Fatalf("step %d: %d classes still pending", i, len(got.pending))
 		}
 	}
 }

@@ -14,8 +14,9 @@ import "fmt"
 // wherever the old body has one (the caller guarantees this by checking
 // skeleton equality first). Each transplanted New keeps the *old*
 // statement's Site id, so pointer results that name old site ids remain
-// valid. All statements are re-linked to m. Returns an error — and
-// leaves m untouched — if the shapes disagree.
+// valid. Returns an error — and leaves m untouched — if the shapes
+// disagree. On success m's class is pending for the next
+// Program.Finalize, as after any change to its statements.
 func (m *Method) ReplaceBody(donor *Method) error {
 	if len(donor.Blocks) != len(m.Blocks) {
 		return fmt.Errorf("ir: ReplaceBody %s: block count %d != %d",
@@ -50,16 +51,13 @@ func (m *Method) ReplaceBody(donor *Method) error {
 		nb := donor.Blocks[bi]
 		nb.Index = bi
 		for si, os := range ob.Stmts {
-			ns := nb.Stmts[si]
 			if on, ok := os.(*New); ok {
-				ns.(*New).Site = on.Site
-			}
-			if setter, ok := ns.(interface{ setPos(*Method, int, int) }); ok {
-				setter.setPos(m, bi, si)
+				nb.Stmts[si].(*New).Site = on.Site
 			}
 		}
 		m.Blocks[bi] = nb
 	}
+	m.Class.markPending()
 	return nil
 }
 
@@ -79,7 +77,9 @@ func (m *Method) ReplaceBody(donor *Method) error {
 // drifted statements are semantically safe to splice (no flow into
 // already-solved keys) is the caller's planner's job — see
 // internal/incremental's stage planner. Returns an error and leaves m
-// untouched when the structure disagrees.
+// untouched when the structure disagrees. On success m's class is
+// pending for the next Program.Finalize, which numbers the inserted
+// sites.
 func (m *Method) ReplaceBodyFlex(donor *Method) error {
 	if len(donor.Blocks) != len(m.Blocks) {
 		return fmt.Errorf("ir: ReplaceBodyFlex %s: block count %d != %d",
@@ -123,11 +123,9 @@ func (m *Method) ReplaceBodyFlex(donor *Method) error {
 					}
 				}
 			}
-			if setter, ok := ns.(interface{ setPos(*Method, int, int) }); ok {
-				setter.setPos(m, bi, si)
-			}
 		}
 		m.Blocks[bi] = nb
 	}
+	m.Class.markPending()
 	return nil
 }

@@ -9,21 +9,23 @@ import (
 // variables (registers); heap interaction happens only through Load/Store
 // and their static counterparts, which is what makes access collection
 // for race detection straightforward.
+//
+// A statement is a value, not a place: it holds no link to its method
+// or block, so one statement object may stand at many positions (the
+// app-file reader shares one object per distinct statement line other
+// than new). Code that needs a statement's Pos builds it from the loop
+// that found the statement. Nothing writes a statement after
+// construction except New.Site, which is why allocations are never
+// shared.
 type Stmt interface {
 	fmt.Stringer
 	stmt()
-	// Pos returns the statement's position, valid after Program.Finalize.
-	Pos() Pos
 }
 
-// base carries the back-link filled in by Finalize.
-type base struct{ pos Pos }
+// base marks the statement types.
+type base struct{}
 
-func (b *base) stmt()    {}
-func (b *base) Pos() Pos { return b.pos }
-func (b *base) setPos(m *Method, block, index int) {
-	b.pos = Pos{Method: m, Block: block, Index: index}
-}
+func (base) stmt() {}
 
 // New allocates an instance of Class into Dst. Site is the program-unique
 // allocation-site id assigned by Finalize (-1 until then); it is the

@@ -511,9 +511,9 @@ func (a *analyzer) insertCopySrc(e *copyEdge, src VarKey) {
 // instance, returning whether any points-to set grew.
 func (a *analyzer) processInstance(mk MKey) bool {
 	changed := false
-	for _, blk := range mk.M.Blocks {
-		for _, s := range blk.Stmts {
-			if a.transfer(mk, s) {
+	for bi, blk := range mk.M.Blocks {
+		for si, s := range blk.Stmts {
+			if a.transfer(mk, s, ir.Pos{Method: mk.M, Block: bi, Index: si}) {
 				changed = true
 			}
 		}
@@ -521,7 +521,8 @@ func (a *analyzer) processInstance(mk MKey) bool {
 	return changed
 }
 
-func (a *analyzer) transfer(mk MKey, s ir.Stmt) bool {
+// transfer applies s, the statement at pos, in instance mk.
+func (a *analyzer) transfer(mk MKey, s ir.Stmt, pos ir.Pos) bool {
 	key := func(v string) VarKey { return VarKey{M: mk.M, Ctx: mk.Ctx, Var: v} }
 	switch st := s.(type) {
 	case *ir.New:
@@ -556,17 +557,16 @@ func (a *analyzer) transfer(mk MKey, s ir.Stmt) bool {
 		}
 		return a.pts(key(retVar)).AddAll(a.pts(key(st.Src)))
 	case *ir.Invoke:
-		return a.invoke(mk, st)
+		return a.invoke(mk, st, pos)
 	default:
 		return false
 	}
 }
 
 // invoke handles dispatch, special framework semantics, and call-edge
-// recording.
-func (a *analyzer) invoke(mk MKey, inv *ir.Invoke) bool {
+// recording for the call inv at pos.
+func (a *analyzer) invoke(mk MKey, inv *ir.Invoke, pos ir.Pos) bool {
 	key := func(v string) VarKey { return VarKey{M: mk.M, Ctx: mk.Ctx, Var: v} }
-	pos := inv.Pos()
 	changed := false
 
 	if api, ok := frontend.Recognize(a.cfg.Prog, inv); ok {
@@ -795,8 +795,8 @@ func (a *analyzer) fireEvents() bool {
 	changed := false
 	for i := 0; i < len(a.order); i++ {
 		mk := a.order[i]
-		for _, blk := range mk.M.Blocks {
-			for _, s := range blk.Stmts {
+		for bi, blk := range mk.M.Blocks {
+			for si, s := range blk.Stmts {
 				inv, ok := s.(*ir.Invoke)
 				if !ok {
 					continue
@@ -806,7 +806,7 @@ func (a *analyzer) fireEvents() bool {
 					continue
 				}
 				ev := Event{
-					Caller: mk, Pos: inv.Pos(), Inv: inv, API: api,
+					Caller: mk, Pos: ir.Pos{Method: mk.M, Block: bi, Index: si}, Inv: inv, API: api,
 					FieldObjs: func(o Obj, field string) []Obj {
 						return a.fpts(FieldKey{Obj: o, Field: field}).Slice()
 					},

@@ -71,6 +71,7 @@ type stmtState struct {
 // evSite is a recognized event-firing API call inside a method body.
 type evSite struct {
 	inv *ir.Invoke
+	pos ir.Pos
 	api frontend.APICall
 }
 
@@ -99,18 +100,16 @@ type evFieldDep struct {
 }
 
 type deltaState struct {
-	// Per-method caches: flattened statement lists (block order, the
-	// order processInstance visits) and recognized event sites.
-	stmtsOf  map[*ir.Method][]ir.Stmt
+	// eventsOf caches each method's recognized event sites.
 	eventsOf map[*ir.Method][]evSite
 
-	// Dense statement ids: instance i's statements occupy
-	// [instBase[i], instBase[i]+instLen[i]), where instLen[i] is the
-	// statement count of order[i].M at slotting time. instLen must be
+	// Dense statement ids: instance i's statements, in block order,
+	// occupy [instBase[i], instBase[i]+instLen[i]), where instLen[i] is
+	// the statement count of order[i].M at slotting time. instLen must be
 	// tracked explicitly: after a warm re-slot (warm.go) instBase is no
 	// longer monotone and the method body may already be patched, so
-	// neither neighbors nor a fresh len(methodStmts) recovers the old
-	// slot extent.
+	// neither neighbors nor a fresh NumStmts recovers the old slot
+	// extent.
 	instBase []int
 	instLen  []int
 	// stmts holds the slots in chunks of stmtChunk (see stmt), so that
@@ -153,7 +152,6 @@ type deltaState struct {
 
 func newDeltaState(a *analyzer) *deltaState {
 	d := &deltaState{
-		stmtsOf:     make(map[*ir.Method][]ir.Stmt),
 		eventsOf:    make(map[*ir.Method][]evSite),
 		varDeps:     make(map[VarKey]*consumers),
 		fieldDeps:   make(map[FieldKey]*consumers),
@@ -194,23 +192,6 @@ func (d *deltaState) stmt(sid int) *stmtState {
 // depEdges reports how many dependency edges the solver registered.
 func (d *deltaState) depEdges() int { return d.nDeps }
 
-// methodStmts returns m's statements flattened in block order (cached).
-func (d *deltaState) methodStmts(m *ir.Method) []ir.Stmt {
-	if s, ok := d.stmtsOf[m]; ok {
-		return s
-	}
-	n := 0
-	for _, blk := range m.Blocks {
-		n += len(blk.Stmts)
-	}
-	out := make([]ir.Stmt, 0, n)
-	for _, blk := range m.Blocks {
-		out = append(out, blk.Stmts...)
-	}
-	d.stmtsOf[m] = out
-	return out
-}
-
 // methodEvents returns m's event-firing API sites (cached): recognized
 // calls other than findViewById and listener registration, exactly the
 // filter the exhaustive fireEvents applies.
@@ -219,16 +200,18 @@ func (d *deltaState) methodEvents(a *analyzer, m *ir.Method) []evSite {
 		return s
 	}
 	var out []evSite
-	for _, s := range d.methodStmts(m) {
-		inv, ok := s.(*ir.Invoke)
-		if !ok {
-			continue
+	for bi, blk := range m.Blocks {
+		for si, s := range blk.Stmts {
+			inv, ok := s.(*ir.Invoke)
+			if !ok {
+				continue
+			}
+			api, ok := frontend.Recognize(a.cfg.Prog, inv)
+			if !ok || api.Kind == frontend.APIFindViewByID || api.Kind == frontend.APISetListener {
+				continue
+			}
+			out = append(out, evSite{inv: inv, pos: ir.Pos{Method: m, Block: bi, Index: si}, api: api})
 		}
-		api, ok := frontend.Recognize(a.cfg.Prog, inv)
-		if !ok || api.Kind == frontend.APIFindViewByID || api.Kind == frontend.APISetListener {
-			continue
-		}
-		out = append(out, evSite{inv: inv, api: api})
 	}
 	d.eventsOf[m] = out
 	return out
@@ -252,19 +235,19 @@ func (d *deltaState) registerInstance(a *analyzer, idx int, mk MKey) {
 // slots orphaned (never scanned: no instBase entry covers them).
 func (d *deltaState) slotInstance(a *analyzer, idx int, mk MKey) {
 	d.changed = true
-	stmts := d.methodStmts(mk.M)
+	n := mk.M.NumStmts()
 	base := d.nStmts
 	d.instBase[idx] = base
-	d.instLen[idx] = len(stmts)
-	for sid := base; sid < base+len(stmts); sid++ {
+	d.instLen[idx] = n
+	for sid := base; sid < base+n; sid++ {
 		if sid%stmtChunk == 0 {
 			d.stmts = append(d.stmts, make([]stmtState, stmtChunk))
 		}
 		d.stmt(sid).inst = idx
 		d.dirtyStmt.Add(sid)
 	}
-	d.nStmts += len(stmts)
-	if len(stmts) > 0 {
+	d.nStmts += n
+	if n > 0 {
 		d.dirtyInst.Add(idx)
 	}
 	if a.cfg.OnEvent != nil {
@@ -464,20 +447,22 @@ func (a *analyzer) runDelta() {
 func (a *analyzer) processInstanceDelta(idx int) {
 	d := a.d
 	mk := a.order[idx]
-	base := d.instBase[idx]
-	for si, s := range d.methodStmts(mk.M) {
-		sid := base + si
-		if !d.dirtyStmt.Has(sid) {
-			continue
+	sid := d.instBase[idx]
+	for bi, blk := range mk.M.Blocks {
+		for si, s := range blk.Stmts {
+			if d.dirtyStmt.Has(sid) {
+				d.dirtyStmt.Clear(sid)
+				a.stats.deltaProps++
+				a.transferDelta(mk, s, ir.Pos{Method: mk.M, Block: bi, Index: si}, sid)
+			}
+			sid++
 		}
-		d.dirtyStmt.Clear(sid)
-		a.stats.deltaProps++
-		a.transferDelta(mk, s, sid)
 	}
 }
 
-// transferDelta is the delta-aware transfer function.
-func (a *analyzer) transferDelta(mk MKey, s ir.Stmt, sid int) {
+// transferDelta is the delta-aware transfer function for s, the
+// statement at pos, in statement slot sid.
+func (a *analyzer) transferDelta(mk MKey, s ir.Stmt, pos ir.Pos, sid int) {
 	d := a.d
 	key := func(v string) VarKey { return VarKey{M: mk.M, Ctx: mk.Ctx, Var: v} }
 	switch stm := s.(type) {
@@ -542,7 +527,7 @@ func (a *analyzer) transferDelta(mk MKey, s ir.Stmt, sid int) {
 			a.touchVar(dk)
 		}
 	case *ir.Invoke:
-		a.invokeDelta(mk, stm, sid)
+		a.invokeDelta(mk, stm, pos, sid)
 	}
 }
 
@@ -632,12 +617,11 @@ func (a *analyzer) storeDelta(mk MKey, stm *ir.Store, sid int) {
 	}
 }
 
-// invokeDelta handles dispatch and framework semantics, binding targets
-// only for newly-seen receivers.
-func (a *analyzer) invokeDelta(mk MKey, inv *ir.Invoke, sid int) {
+// invokeDelta handles dispatch and framework semantics for the call inv
+// at pos, binding targets only for newly-seen receivers.
+func (a *analyzer) invokeDelta(mk MKey, inv *ir.Invoke, pos ir.Pos, sid int) {
 	d := a.d
 	key := func(v string) VarKey { return VarKey{M: mk.M, Ctx: mk.Ctx, Var: v} }
-	pos := inv.Pos()
 
 	if api, ok := frontend.Recognize(a.cfg.Prog, inv); ok {
 		// Framework stubs: findViewById's effect is a one-shot constant
@@ -795,7 +779,7 @@ func (a *analyzer) fireEventDelta(eid int) {
 	mk := a.order[ei.inst]
 	inv := ei.site.inv
 	ev := Event{
-		Caller: mk, Pos: inv.Pos(), Inv: inv, API: ei.site.api,
+		Caller: mk, Pos: ei.site.pos, Inv: inv, API: ei.site.api,
 		FieldObjs: func(o Obj, field string) []Obj {
 			fk := FieldKey{Obj: o, Field: field}
 			d.dependFieldEvent(fk, eid)

@@ -114,12 +114,13 @@ func (r *Result) ReachableFrom(roots ...MKey) map[MKey]bool {
 	for len(work) > 0 {
 		mk := work[len(work)-1]
 		work = work[:len(work)-1]
-		for _, blk := range mk.M.Blocks {
-			for _, s := range blk.Stmts {
+		for bi, blk := range mk.M.Blocks {
+			for si, s := range blk.Stmts {
 				if _, ok := s.(*ir.Invoke); !ok {
 					continue
 				}
-				for _, callee := range r.callees[siteKey{Caller: mk, Pos: s.Pos()}] {
+				pos := ir.Pos{Method: mk.M, Block: bi, Index: si}
+				for _, callee := range r.callees[siteKey{Caller: mk, Pos: pos}] {
 					if !seen[callee] {
 						seen[callee] = true
 						work = append(work, callee)

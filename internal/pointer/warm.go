@@ -118,9 +118,8 @@ func (w *Warm) ReSolve(changed []*ir.Method, tr *obs.Trace) error {
 	chSet := make(map[*ir.Method]bool, len(changed))
 	for _, m := range changed {
 		chSet[m] = true
-		// Invalidate the per-method caches: the body is already patched,
-		// so the next methodStmts/methodEvents read sees the new stmts.
-		delete(d.stmtsOf, m)
+		// Invalidate the event-site cache: the body is already patched,
+		// so the next methodEvents read sees the new stmts.
 		delete(d.eventsOf, m)
 	}
 

@@ -144,17 +144,18 @@ func collectForActions(res *pointer.Result, insts map[int][]pointer.MKey, aids [
 			if mk.M.Class != nil && harness.IsSynthetic(mk.M.Class.Name) {
 				continue
 			}
-			for _, blk := range mk.M.Blocks {
-				for _, s := range blk.Stmts {
+			for bi, blk := range mk.M.Blocks {
+				for si, s := range blk.Stmts {
+					pos := ir.Pos{Method: mk.M, Block: bi, Index: si}
 					switch st := s.(type) {
 					case *ir.Load:
-						record(aid, mk, st.Pos(), Read, st.Field, st.Obj, false, "")
+						record(aid, mk, pos, Read, st.Field, st.Obj, false, "")
 					case *ir.Store:
-						record(aid, mk, st.Pos(), Write, st.Field, st.Obj, false, "")
+						record(aid, mk, pos, Write, st.Field, st.Obj, false, "")
 					case *ir.StaticLoad:
-						record(aid, mk, st.Pos(), Read, st.Field, "", true, st.Class)
+						record(aid, mk, pos, Read, st.Field, "", true, st.Class)
 					case *ir.StaticStore:
-						record(aid, mk, st.Pos(), Write, st.Field, "", true, st.Class)
+						record(aid, mk, pos, Write, st.Field, "", true, st.Class)
 					}
 				}
 			}
