@@ -34,16 +34,7 @@ import (
 
 // synthLargeApp generates the macro-benchmark workload: ≥64 actions and
 // ≥1k accesses (the probe sizes land at ~231 actions / ~1.4k accesses).
-func synthLargeApp() *apk.App {
-	app, _ := corpus.Generate("SynthLarge", "1M", corpus.Knobs{
-		Activities: 8, AsyncTotal: 24, AsyncFields: 3,
-		GuardTotal: 12, GuardFields: 2,
-		ImplicitTotal: 8, ImplicitFields: 2,
-		TrapOnlyTotal: 8, FillerTotal: 24,
-		WithReceiver: true, WithService: true, WithHandlerThread: true,
-	})
-	return app
-}
+func synthLargeApp() *apk.App { return corpus.SynthLarge() }
 
 // synthAnalyzed runs the pipeline front half once (shared fixture for
 // the downstream kernels).
@@ -114,11 +105,13 @@ func BenchmarkKernelPointerPaper(b *testing.B) {
 }
 
 // BenchmarkKernelHarness measures harness generation — the per-activity
-// callback-discovery fixpoint over the class-hierarchy call graph — on
-// NPRNews, the paper app it costs most. Each iteration parses a fresh
-// app from its serialized bytes with the timer stopped, since Generate
-// registers its synthetic classes in the program, and collects the
-// parse garbage before timing. Layer: harness.
+// callback-discovery fixpoint, one class-hierarchy call graph per
+// activity growing round by round, each round scanning only the methods
+// it newly reaches — on NPRNews, the paper app whose discovery reaches
+// the most code. Each iteration parses a fresh app from its serialized
+// bytes with the timer stopped, since Generate registers its synthetic
+// classes in the program, and collects the parse garbage before timing.
+// Layer: harness.
 func BenchmarkKernelHarness(b *testing.B) {
 	raw := paperAppBytes(b, "NPRNews")
 	b.ReportAllocs()
@@ -211,6 +204,31 @@ func BenchmarkKernelRacyPairs(b *testing.B) {
 	b.ResetTimer()
 	var pairs []race.Pair
 	for i := 0; i < b.N; i++ {
+		pairs = race.RacyPairs(reg, g, accs)
+	}
+	b.ReportMetric(float64(len(accs)), "accesses")
+	b.ReportMetric(float64(len(pairs)), "pairs")
+}
+
+// BenchmarkKernelPairsPaper measures access collection and racy-pair
+// generation on NPRNews over a pre-solved points-to result: a paper app
+// with hot fields, where the same-field combinations outnumber the
+// aliasing ones ~200 to 1 — the shape SynthLarge, with no hot field,
+// cannot show. Access collection reuses the registry's memoized action
+// attribution after the first iteration. Layer: pairs.
+func BenchmarkKernelPairsPaper(b *testing.B) {
+	app, err := appfile.Read(bytes.NewReader(paperAppBytes(b, "NPRNews")))
+	if err != nil {
+		b.Fatal(err)
+	}
+	reg, res := actions.Analyze(app, harness.Generate(app), pointer.ActionSensitivePolicy{K: 2})
+	g := shbg.Build(reg, res, shbg.Options{})
+	b.ReportAllocs()
+	b.ResetTimer()
+	var accs []race.Access
+	var pairs []race.Pair
+	for i := 0; i < b.N; i++ {
+		accs = race.CollectAccesses(reg, res)
 		pairs = race.RacyPairs(reg, g, accs)
 	}
 	b.ReportMetric(float64(len(accs)), "accesses")

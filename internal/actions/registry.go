@@ -527,6 +527,10 @@ func (r *Registry) ActionInstances(res *pointer.Result) map[int][]pointer.MKey {
 		return out
 	}
 	out := make(map[int][]pointer.MKey, len(r.actions))
+	// Instances reached by several actions (every action under an
+	// insensitive policy, the harness root's and its callbacks' under
+	// any) are rendered once, not once per action.
+	rendered := map[pointer.MKey]string{}
 	for _, a := range r.actions {
 		roots := append([]pointer.MKey(nil), r.entryKeys[a.ID]...)
 		// Lifecycle/GUI actions enter via their harness call site.
@@ -546,7 +550,12 @@ func (r *Registry) ActionInstances(res *pointer.Result) map[int][]pointer.MKey {
 		// refuter-construction hot spot).
 		names := make([]string, len(keys))
 		for i, mk := range keys {
-			names[i] = mk.String()
+			name, ok := rendered[mk]
+			if !ok {
+				name = mk.String()
+				rendered[mk] = name
+			}
+			names[i] = name
 		}
 		sort.Sort(&keysByName{keys: keys, names: names})
 		out[a.ID] = keys

@@ -11,14 +11,19 @@ import (
 )
 
 // Resolver answers class-hierarchy queries for one program. It holds a
-// name-sorted snapshot of the program's classes and memoizes each
-// static type's subtype list and each call's CHA targets, so a call is
-// resolved once however many graphs are built through the resolver.
-// The program's class set and method tables must not change while the
-// resolver is in use.
+// name-sorted snapshot of the program's classes and an index of each
+// type's direct subtypes, and memoizes each static type's subtype list
+// and each call's CHA targets, so a call is resolved once however many
+// graphs grow through the resolver. The program's class set and method
+// tables must not change while the resolver is in use.
 type Resolver struct {
 	prog    *ir.Program
 	classes []*ir.Class
+	// direct maps a type name to the snapshot classes naming it as
+	// their superclass (only when that superclass is registered) or
+	// among their interfaces (registered or not) — exactly the edges
+	// ir.Program.IsSubtype walks, reversed.
+	direct map[string][]*ir.Class
 	// subs maps a static type to its proper subtypes, name-sorted.
 	subs map[string][]*ir.Class
 	// calls maps a call to its CHA targets, sorted by qualified name.
@@ -33,14 +38,24 @@ type callKey struct {
 	method string
 }
 
-// NewResolver snapshots p's classes.
+// NewResolver snapshots p's classes and indexes their direct subtypes.
 func NewResolver(p *ir.Program) *Resolver {
-	return &Resolver{
+	r := &Resolver{
 		prog:    p,
 		classes: p.Classes(),
+		direct:  make(map[string][]*ir.Class),
 		subs:    make(map[string][]*ir.Class),
 		calls:   make(map[callKey][]*ir.Method),
 	}
+	for _, c := range r.classes {
+		if c.Super != "" && p.Class(c.Super) != nil {
+			r.direct[c.Super] = append(r.direct[c.Super], c)
+		}
+		for _, itf := range c.Interfaces {
+			r.direct[itf] = append(r.direct[itf], c)
+		}
+	}
+	return r
 }
 
 // Classes returns the snapshot of the program's classes, sorted by
@@ -48,17 +63,27 @@ func NewResolver(p *ir.Program) *Resolver {
 func (r *Resolver) Classes() []*ir.Class { return r.classes }
 
 // subtypes returns every snapshot class other than root that is a
-// subtype of root, sorted by name.
+// subtype of root (ir.Program.IsSubtype), sorted by name: the classes
+// the direct-subtype index reaches from root.
 func (r *Resolver) subtypes(root string) []*ir.Class {
 	if out, ok := r.subs[root]; ok {
 		return out
 	}
 	var out []*ir.Class
-	for _, c := range r.classes {
-		if c.Name != root && r.prog.IsSubtype(c.Name, root) {
-			out = append(out, c)
+	seen := map[string]bool{root: true}
+	work := []string{root}
+	for len(work) > 0 {
+		t := work[len(work)-1]
+		work = work[:len(work)-1]
+		for _, c := range r.direct[t] {
+			if !seen[c.Name] {
+				seen[c.Name] = true
+				out = append(out, c)
+				work = append(work, c.Name)
+			}
 		}
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	r.subs[root] = out
 	return out
 }
@@ -97,94 +122,48 @@ func (r *Resolver) targets(inv *ir.Invoke) []*ir.Method {
 }
 
 // CHA is a context-insensitive call graph computed by class-hierarchy
-// analysis: a virtual call resolves to every subtype override of the
-// static receiver type.
+// analysis — a virtual call resolves to every subtype override of the
+// static receiver type — that grows root by root. Its edges are static
+// (a call's targets depend only on the call), so growing from a new
+// root never changes what earlier roots reach.
 type CHA struct {
-	// callees maps a call site to its possible targets.
-	callees map[ir.Pos][]*ir.Method
-	// reachable is the set of methods reachable from the entry points.
-	reachable map[*ir.Method]bool
+	r       *Resolver
+	reached map[*ir.Method]bool
 }
 
-// Build computes the CHA call graph reachable from entries.
-func (r *Resolver) Build(entries []*ir.Method) *CHA {
-	g := &CHA{
-		callees:   make(map[ir.Pos][]*ir.Method),
-		reachable: make(map[*ir.Method]bool),
+// NewCHA returns an empty graph resolving calls through r.
+func (r *Resolver) NewCHA() *CHA {
+	return &CHA{r: r, reached: make(map[*ir.Method]bool)}
+}
+
+// Grow adds root and every method it reaches to the graph, stopping at
+// methods the graph already reaches. It appends the newly reached
+// methods to dst, in discovery order, and returns it; a nil or already
+// reached root adds nothing.
+func (g *CHA) Grow(dst []*ir.Method, root *ir.Method) []*ir.Method {
+	if root == nil || g.reached[root] {
+		return dst
 	}
-	work := append([]*ir.Method(nil), entries...)
+	g.reached[root] = true
+	work := []*ir.Method{root}
 	for len(work) > 0 {
 		m := work[len(work)-1]
 		work = work[:len(work)-1]
-		if m == nil || g.reachable[m] {
-			continue
-		}
-		g.reachable[m] = true
-		for bi, blk := range m.Blocks {
-			for si, s := range blk.Stmts {
+		dst = append(dst, m)
+		for _, blk := range m.Blocks {
+			for _, s := range blk.Stmts {
 				inv, ok := s.(*ir.Invoke)
 				if !ok {
 					continue
 				}
-				targets := r.targets(inv)
-				if len(targets) > 0 {
-					g.callees[ir.Pos{Method: m, Block: bi, Index: si}] = targets
-					work = append(work, targets...)
-				}
-			}
-		}
-	}
-	return g
-}
-
-// Callees returns the resolved targets of the call at p (nil for
-// non-calls and framework no-ops). The slice is shared; callers must
-// not modify it.
-func (g *CHA) Callees(p ir.Pos) []*ir.Method { return g.callees[p] }
-
-// Reachable reports whether m is reachable from the entry points.
-func (g *CHA) Reachable(m *ir.Method) bool { return g.reachable[m] }
-
-// ReachableMethods returns all reachable methods sorted by name.
-func (g *CHA) ReachableMethods() []*ir.Method {
-	out := make([]*ir.Method, 0, len(g.reachable))
-	for m := range g.reachable {
-		out = append(out, m)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return out[i].QualifiedName() < out[j].QualifiedName()
-	})
-	return out
-}
-
-// ReachableFrom computes the subset of this graph reachable from the
-// given roots (following only edges already in the graph). Harness
-// generation uses it to nest a registration under the slot reaching it.
-func (g *CHA) ReachableFrom(roots ...*ir.Method) map[*ir.Method]bool {
-	seen := make(map[*ir.Method]bool)
-	var work []*ir.Method
-	for _, r := range roots {
-		if r != nil && !seen[r] {
-			seen[r] = true
-			work = append(work, r)
-		}
-	}
-	for len(work) > 0 {
-		m := work[len(work)-1]
-		work = work[:len(work)-1]
-		for bi, blk := range m.Blocks {
-			for si, s := range blk.Stmts {
-				if _, ok := s.(*ir.Invoke); !ok {
-					continue
-				}
-				for _, t := range g.callees[ir.Pos{Method: m, Block: bi, Index: si}] {
-					if !seen[t] {
-						seen[t] = true
+				for _, t := range g.r.targets(inv) {
+					if !g.reached[t] {
+						g.reached[t] = true
 						work = append(work, t)
 					}
 				}
 			}
 		}
 	}
-	return seen
+	return dst
 }

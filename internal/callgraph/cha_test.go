@@ -53,16 +53,16 @@ func hierarchyProgram() *ir.Program {
 func TestCHAResolution(t *testing.T) {
 	p := hierarchyProgram()
 	top := p.Class("Caller").Methods["top"]
-	g := NewResolver(p).Build([]*ir.Method{top})
+	r := NewResolver(p)
 
 	var virtualTargets, staticTargets, specialTargets []*ir.Method
-	for bi, blk := range top.Blocks {
-		for si, s := range blk.Stmts {
+	for _, blk := range top.Blocks {
+		for _, s := range blk.Stmts {
 			inv, ok := s.(*ir.Invoke)
 			if !ok {
 				continue
 			}
-			targets := g.Callees(ir.Pos{Method: top, Block: bi, Index: si})
+			targets := r.targets(inv)
 			switch inv.Kind {
 			case ir.InvokeVirtual:
 				virtualTargets = targets
@@ -88,40 +88,53 @@ func TestCHAResolution(t *testing.T) {
 func TestCHAReachability(t *testing.T) {
 	p := hierarchyProgram()
 	top := p.Class("Caller").Methods["top"]
-	g := NewResolver(p).Build([]*ir.Method{top})
+	grown := NewResolver(p).NewCHA().Grow(nil, top)
+	reached := setOf(grown)
 
-	if !g.Reachable(top) {
+	if !reached[top] {
 		t.Error("entry not reachable")
 	}
-	if !g.Reachable(p.Class("Sub2").Methods["get"]) {
+	if !reached[p.Class("Sub2").Methods["get"]] {
 		t.Error("CHA should reach every override")
 	}
-	if g.Reachable(p.Class("Caller").Methods["unreached"]) {
+	if reached[p.Class("Caller").Methods["unreached"]] {
 		t.Error("unreached method should not be reachable")
 	}
 	names := map[string]bool{}
-	for _, m := range g.ReachableMethods() {
+	for _, m := range grown {
 		names[m.QualifiedName()] = true
 	}
-	if !names["Util#helper"] || names["Caller#unreached"] {
+	if !names["Util#helper"] || names["Caller#unreached"] || len(names) != len(grown) {
 		t.Errorf("reachable set wrong: %v", names)
 	}
 }
 
+// TestCHAReachableFromSubset: each growth returns what its root
+// reaches and the graph did not reach before — a later root's growth
+// stops at methods an earlier root already reached.
 func TestCHAReachableFromSubset(t *testing.T) {
 	p := hierarchyProgram()
 	top := p.Class("Caller").Methods["top"]
 	other := p.Class("Caller").Methods["unreached"]
-	g := NewResolver(p).Build([]*ir.Method{top, other})
+	helper := p.Class("Util").Methods["helper"]
+	g := NewResolver(p).NewCHA()
 
-	fromOther := g.ReachableFrom(other)
-	if !fromOther[p.Class("Util").Methods["helper"]] {
+	fromOther := setOf(g.Grow(nil, other))
+	if !fromOther[helper] {
 		t.Error("helper should be reachable from unreached")
 	}
 	if fromOther[p.Class("Sub1").Methods["get"]] {
 		t.Error("Sub1.get must not be reachable from unreached")
 	}
-	if got := g.ReachableFrom(nil); len(got) != 0 {
+	grownTop := g.Grow(nil, top)
+	fromTop := setOf(grownTop)
+	if fromTop[helper] || !fromTop[top] || !fromTop[p.Class("Sub1").Methods["get"]] {
+		t.Errorf("growing from top must add what other did not reach, got %v", names(grownTop))
+	}
+	if got := g.Grow(nil, top); len(got) != 0 {
+		t.Errorf("regrowing a reached root added %v", names(got))
+	}
+	if got := g.Grow(nil, nil); len(got) != 0 {
 		t.Errorf("nil root should reach nothing, got %d", len(got))
 	}
 }
@@ -129,9 +142,8 @@ func TestCHAReachableFromSubset(t *testing.T) {
 func TestCHADeterministicOrder(t *testing.T) {
 	p := hierarchyProgram()
 	top := p.Class("Caller").Methods["top"]
-	g1 := NewResolver(p).Build([]*ir.Method{top})
-	g2 := NewResolver(p).Build([]*ir.Method{top})
-	m1, m2 := g1.ReachableMethods(), g2.ReachableMethods()
+	m1 := NewResolver(p).NewCHA().Grow(nil, top)
+	m2 := NewResolver(p).NewCHA().Grow(nil, top)
 	if len(m1) != len(m2) {
 		t.Fatal("nondeterministic reachable count")
 	}
@@ -140,4 +152,12 @@ func TestCHADeterministicOrder(t *testing.T) {
 			t.Fatalf("order differs at %d", i)
 		}
 	}
+}
+
+func setOf(ms []*ir.Method) map[*ir.Method]bool {
+	out := make(map[*ir.Method]bool, len(ms))
+	for _, m := range ms {
+		out[m] = true
+	}
+	return out
 }

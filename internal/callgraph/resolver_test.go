@@ -12,8 +12,8 @@ import (
 
 // The reference below resolves every call anew: each virtual
 // call filters Classes() through IsSubtype, the subtype definition the
-// resolver memoizes. TestResolverMatchesReference holds the memoized
-// graphs to it.
+// resolver's direct-subtype index encodes. TestResolverMatchesReference
+// holds the index, the memoized targets and the growing graphs to it.
 
 func refSubtypes(p *ir.Program, root string) []*ir.Class {
 	var out []*ir.Class
@@ -214,35 +214,57 @@ func names(ms []*ir.Method) []string {
 	return out
 }
 
-// checkAgainstReference compares a graph built through r with the
-// unmemoized reference: callees at every reachable call site, the
-// reachable set, and ReachableFrom each entry.
+// checkAgainstReference grows one graph through r from entries, one
+// root at a time, and compares it with the unmemoized reference: each
+// growth must add exactly what its root reaches beyond the earlier
+// roots, every reached call site must resolve to the reference
+// targets, and a fresh graph grown from one entry alone must reach
+// what that entry reaches.
 func checkAgainstReference(t *testing.T, p *ir.Program, r *Resolver, entries []*ir.Method) {
 	t.Helper()
-	g := r.Build(entries)
-	want := refReach(p, entries)
-	if got := g.ReachableMethods(); !sameMethods(got, sortedMethods(want)) {
-		t.Fatalf("ReachableMethods = %v, want %v", names(got), names(sortedMethods(want)))
+	g := r.NewCHA()
+	before := map[*ir.Method]bool{}
+	for i, e := range entries {
+		got := sortedMethods(setOf(g.Grow(nil, e)))
+		after := refReach(p, entries[:i+1])
+		var want []*ir.Method
+		for _, m := range sortedMethods(after) {
+			if !before[m] {
+				want = append(want, m)
+			}
+		}
+		if !sameMethods(got, want) {
+			t.Fatalf("Grow(%s) added %v, want %v", e.QualifiedName(), names(got), names(want))
+		}
+		before = after
 	}
-	for m := range want {
-		for bi, blk := range m.Blocks {
-			for si, s := range blk.Stmts {
-				inv, ok := s.(*ir.Invoke)
-				if !ok {
-					continue
-				}
-				pos := ir.Pos{Method: m, Block: bi, Index: si}
-				if got, ref := g.Callees(pos), refTargets(p, inv); !sameMethods(got, ref) {
-					t.Errorf("Callees(%v %s#%s kind %d) = %v, want %v", pos, inv.Class, inv.Method, inv.Kind, names(got), names(ref))
-				}
+	for m := range before {
+		for _, inv := range invokes(m) {
+			if got, ref := r.targets(inv), refTargets(p, inv); !sameMethods(got, ref) {
+				t.Errorf("targets(%s: %s#%s kind %d) = %v, want %v", m.QualifiedName(), inv.Class, inv.Method, inv.Kind, names(got), names(ref))
 			}
 		}
 	}
 	for _, e := range entries {
-		got := g.ReachableFrom(e)
+		got := NewResolver(p).NewCHA().Grow(nil, e)
 		ref := refReach(p, []*ir.Method{e})
-		if !sameMethods(sortedMethods(got), sortedMethods(ref)) {
-			t.Errorf("ReachableFrom(%s) = %v, want %v", e.QualifiedName(), names(sortedMethods(got)), names(sortedMethods(ref)))
+		if !sameMethods(sortedMethods(setOf(got)), sortedMethods(ref)) || len(got) != len(ref) {
+			t.Errorf("Grow(%s) on a fresh graph = %v, want %v", e.QualifiedName(), names(got), names(sortedMethods(ref)))
+		}
+	}
+}
+
+// checkSubtypes compares the index-backed subtype lists with the
+// IsSubtype filter for every class and both unregistered names.
+func checkSubtypes(t *testing.T, p *ir.Program, r *Resolver) {
+	t.Helper()
+	roots := []string{ghostSuper, ghostIface}
+	for _, c := range p.Classes() {
+		roots = append(roots, c.Name)
+	}
+	for _, root := range roots {
+		if got, ref := classNames(r.subtypes(root)), classNames(refSubtypes(p, root)); fmt.Sprint(got) != fmt.Sprint(ref) {
+			t.Errorf("subtypes(%s) = %v, want %v", root, got, ref)
 		}
 	}
 }
@@ -282,6 +304,7 @@ func TestResolverMatchesReference(t *testing.T) {
 		}
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			r := NewResolver(p)
+			checkSubtypes(t, p, r)
 			for trial := 0; trial < 4; trial++ {
 				k := 1 + rng.Intn(3)
 				if k > len(ms) {

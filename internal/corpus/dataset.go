@@ -114,6 +114,20 @@ func FDroidApp(i int) (*apk.App, *GroundTruth) {
 // FDroidCount is the size of the generated dataset (Table 5).
 const FDroidCount = 174
 
+// SynthLarge generates the padding-free large app the kernel
+// benchmarks and reference checks share: hundreds of actions and over
+// a thousand accesses (~231 and ~1.4k), and no unreachable padding.
+func SynthLarge() *apk.App {
+	app, _ := Generate("SynthLarge", "1M", Knobs{
+		Activities: 8, AsyncTotal: 24, AsyncFields: 3,
+		GuardTotal: 12, GuardFields: 2,
+		ImplicitTotal: 8, ImplicitFields: 2,
+		TrapOnlyTotal: 8, FillerTotal: 24,
+		WithReceiver: true, WithService: true, WithHandlerThread: true,
+	})
+	return app
+}
+
 // Names returns the named dataset's app names in table order.
 func Names() []string {
 	rows := PaperRows()

@@ -305,14 +305,26 @@ func (h *Harness) Site(cb string, n int) (LifecycleSite, bool) {
 
 // discoverSlots runs the registration-discovery fixpoint for one
 // activity and returns the GUI slots.
+//
+// One CHA graph grows across the fixpoint's rounds. A round roots the
+// callbacks of the slots the previous round found and scans only the
+// methods they newly reach, so each method is scanned once, in the
+// round that first reaches it, and each registration is met once. A
+// registration nests under the slot of the first root, in root order
+// (lifecycle callbacks, then slots by index, each group by name), that
+// reaches its method. Growing root by root in that order, each growth
+// stopping at methods already reached, labels every method with exactly
+// that slot; CHA edges are static and a round's new roots sort after
+// every earlier root, so no later round changes a label.
 func discoverSlots(app *apk.App, res *callgraph.Resolver, comp apk.Component) []*GUISlot {
 	p := app.Program
 	var slots []*GUISlot
-	seen := map[string]bool{} // dedup key
 
 	// XML-declared callbacks come first ("they are unique" — §3.2).
 	if comp.Layout != "" {
 		if l := app.Layouts[comp.Layout]; l != nil {
+			type xmlKey struct{ kind, target string }
+			seen := map[xmlKey]bool{}
 			for _, v := range l.AllViews() {
 				kinds := make([]string, 0, len(v.XMLCallbacks))
 				for kind := range v.XMLCallbacks {
@@ -321,7 +333,7 @@ func discoverSlots(app *apk.App, res *callgraph.Resolver, comp apk.Component) []
 				sort.Strings(kinds)
 				for _, kind := range kinds {
 					target := v.XMLCallbacks[kind]
-					key := "xml:" + kind + ":" + target
+					key := xmlKey{kind, target}
 					if seen[key] || p.ResolveMethod(comp.Class, target) == nil {
 						continue
 					}
@@ -340,16 +352,51 @@ func discoverSlots(app *apk.App, res *callgraph.Resolver, comp apk.Component) []
 	}
 
 	// Fixpoint over dynamically-registered listeners.
-	for {
-		entries, roots := entryMethods(p, comp.Class, slots)
-		cha := res.Build(entries)
-		added := false
-		for _, m := range cha.ReachableMethods() {
-			if m.Class != nil && m.Class.Framework {
-				continue
+	cha := res.NewCHA()
+	rooted := map[*ir.Method]bool{}
+	var roots []root
+	addRoot := func(m *ir.Method, slot int) {
+		if m != nil && !rooted[m] {
+			rooted[m] = true
+			roots = append(roots, root{slot: slot, m: m, name: m.QualifiedName()})
+		}
+	}
+	for _, lc := range []string{
+		frontend.OnCreate, frontend.OnStart, frontend.OnResume,
+		frontend.OnPause, frontend.OnStop, frontend.OnRestart, frontend.OnDestroy,
+	} {
+		addRoot(p.ResolveMethod(comp.Class, lc), -1)
+	}
+	var grown []*ir.Method
+	var fresh []reached
+	for next := 0; ; {
+		for ; next < len(slots); next++ {
+			for _, cls := range slots[next].Classes {
+				addRoot(p.ResolveMethod(cls, slots[next].Callback), next)
 			}
-			for bi, blk := range m.Blocks {
-				for si, s := range blk.Stmts {
+		}
+		sort.Slice(roots, func(i, j int) bool {
+			if roots[i].slot != roots[j].slot {
+				return roots[i].slot < roots[j].slot
+			}
+			return roots[i].name < roots[j].name
+		})
+		fresh = fresh[:0]
+		for _, r := range roots {
+			grown = cha.Grow(grown[:0], r.m)
+			for _, m := range grown {
+				if m.Class == nil || !m.Class.Framework {
+					fresh = append(fresh, reached{m: m, name: m.QualifiedName(), parent: r.slot})
+				}
+			}
+		}
+		roots = roots[:0]
+		sort.Slice(fresh, func(i, j int) bool { return fresh[i].name < fresh[j].name })
+		added := false
+		for _, rm := range fresh {
+			m := rm.m
+			for _, blk := range m.Blocks {
+				for _, s := range blk.Stmts {
 					inv, ok := s.(*ir.Invoke)
 					if !ok {
 						continue
@@ -358,22 +405,16 @@ func discoverSlots(app *apk.App, res *callgraph.Resolver, comp apk.Component) []
 					if !ok || api.Kind != frontend.APISetListener {
 						continue
 					}
-					key := fmt.Sprintf("reg:%s:%s@%d.%d", api.Callback, m.QualifiedName(), bi, si)
-					if seen[key] {
-						continue
-					}
-					seen[key] = true
 					arg := inv.Args[api.Arg]
-					classes, bindAct := listenerClasses(res, m, arg, api.Callback)
-					slot := &GUISlot{
+					classes, bindAct := listenerClasses(res.Classes(), m, arg, api.Callback)
+					slots = append(slots, &GUISlot{
 						Callback:     api.Callback,
 						Declarer:     declarerOf(api.Callback),
 						Classes:      classes,
 						BindActivity: bindAct,
-						Parent:       parentSlot(cha, roots, m),
+						Parent:       rm.parent,
 						Bindings:     []Binding{{SrcMethod: m, SrcVar: arg}},
-					}
-					slots = append(slots, slot)
+					})
 					added = true
 				}
 			}
@@ -384,71 +425,29 @@ func discoverSlots(app *apk.App, res *callgraph.Resolver, comp apk.Component) []
 	}
 }
 
-// root is a discovery entry method and the slot it came from (-1 for a
-// lifecycle callback).
+// root is a discovery entry method, its qualified name, and the slot
+// it came from (-1 for a lifecycle callback).
 type root struct {
 	slot int
 	m    *ir.Method
+	name string
 }
 
-// entryMethods returns the methods the discovery CHA starts from: the
-// activity's lifecycle callbacks plus every already-discovered slot
-// callback. It also returns each distinct entry with the first slot (if
-// any) it came from, lifecycle entries first and then by slot and
-// method name — the order parentSlot tries them in.
-func entryMethods(p *ir.Program, activity string, slots []*GUISlot) ([]*ir.Method, []root) {
-	var entries []*ir.Method
-	var roots []root
-	seen := map[*ir.Method]bool{}
-	add := func(m *ir.Method, slot int) {
-		entries = append(entries, m)
-		if !seen[m] {
-			seen[m] = true
-			roots = append(roots, root{slot, m})
-		}
-	}
-	for _, lc := range []string{
-		frontend.OnCreate, frontend.OnStart, frontend.OnResume,
-		frontend.OnPause, frontend.OnStop, frontend.OnRestart, frontend.OnDestroy,
-	} {
-		if m := p.ResolveMethod(activity, lc); m != nil {
-			add(m, -1)
-		}
-	}
-	for i, slot := range slots {
-		for _, cls := range slot.Classes {
-			if m := p.ResolveMethod(cls, slot.Callback); m != nil {
-				add(m, i)
-			}
-		}
-	}
-	sort.Slice(roots, func(i, j int) bool {
-		if roots[i].slot != roots[j].slot {
-			return roots[i].slot < roots[j].slot
-		}
-		return roots[i].m.QualifiedName() < roots[j].m.QualifiedName()
-	})
-	return entries, roots
-}
-
-// parentSlot decides which slot (if any) a registration found in method
-// reg nests under: if reg is reachable from a lifecycle entry it is
-// top-level; otherwise it belongs to the first GUI slot that reaches it.
-func parentSlot(cha *callgraph.CHA, roots []root, reg *ir.Method) int {
-	for _, r := range roots {
-		if cha.ReachableFrom(r.m)[reg] {
-			return r.slot
-		}
-	}
-	return -1
+// reached is an app method a discovery round newly reaches, its
+// qualified name, and the slot its registrations nest under.
+type reached struct {
+	m      *ir.Method
+	name   string
+	parent int
 }
 
 // listenerClasses resolves the candidate classes of a listener argument:
 // "this" means the registering class; a locally-allocated listener means
 // that class; anything else (field loads, params) over-approximates to
-// every app class implementing the callback — the type-based reflection
-// fallback the paper describes.
-func listenerClasses(res *callgraph.Resolver, m *ir.Method, arg, callback string) (classes []string, bindActivity bool) {
+// every app class in all (the program's classes, name-sorted)
+// implementing the callback — the type-based reflection fallback the
+// paper describes.
+func listenerClasses(all []*ir.Class, m *ir.Method, arg, callback string) (classes []string, bindActivity bool) {
 	if arg == "this" {
 		return []string{m.Class.Name}, true
 	}
@@ -483,7 +482,7 @@ func listenerClasses(res *callgraph.Resolver, m *ir.Method, arg, callback string
 		break
 	}
 	// Over-approximate: any non-framework class defining the callback.
-	for _, c := range res.Classes() {
+	for _, c := range all {
 		if c.Framework {
 			continue
 		}

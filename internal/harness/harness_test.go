@@ -194,6 +194,66 @@ func TestNestedRegistrationNestsSlots(t *testing.T) {
 	}
 }
 
+// sharedHelperApp registers two listeners in onCreate, Zed for clicks
+// (slot 0) and Able for long clicks (slot 1); both callbacks call the
+// static Util.reg, which registers Inner. Util.reg is reached from both
+// slots in the same discovery round, and Able's callback sorts first by
+// name.
+func sharedHelperApp() *apk.App {
+	p := ir.NewProgram()
+	frontend.InstallFramework(p)
+	act := ir.NewClass("A", frontend.ActivityClass)
+	b := ir.NewMethodBuilder(frontend.OnCreate)
+	b.Int("id", 1)
+	b.Call("btn", "this", "A", frontend.FindViewByID, "id")
+	b.NewObj("z", "Zed")
+	b.Call("", "btn", frontend.ViewClass, frontend.SetOnClickListener, "z")
+	b.NewObj("a", "Able")
+	b.Call("", "btn", frontend.ViewClass, frontend.SetOnLongClickListener, "a")
+	b.Ret("")
+	act.AddMethod(b.Build())
+	p.AddClass(act)
+	for _, l := range []struct{ cls, iface, cb string }{
+		{"Zed", frontend.OnClickListener, frontend.OnClick},
+		{"Able", frontend.OnLongClickListener, frontend.OnLongClick},
+		{"Inner", frontend.OnClickListener, frontend.OnClick},
+	} {
+		c := ir.NewClass(l.cls, frontend.Object, l.iface)
+		m := ir.NewMethodBuilder(l.cb, "v")
+		if l.cls != "Inner" {
+			m.CallStatic("", "Util", "reg", "v")
+		}
+		m.Ret("")
+		c.AddMethod(m.Build())
+		p.AddClass(c)
+	}
+	util := ir.NewClass("Util", frontend.Object)
+	reg := ir.NewStaticMethodBuilder("reg", "v")
+	reg.NewObj("i", "Inner")
+	reg.Call("", "v", frontend.ViewClass, frontend.SetOnClickListener, "i")
+	reg.Ret("")
+	util.AddMethod(reg.Build())
+	p.AddClass(util)
+	p.Finalize()
+	return appFor(p, "A")
+}
+
+// TestSharedRegistrationNestsUnderFirstSlot: a registration reached
+// from several slots nests under the lowest-indexed one, whatever the
+// callbacks' names.
+func TestSharedRegistrationNestsUnderFirstSlot(t *testing.T) {
+	h := Generate(sharedHelperApp())[0]
+	if len(h.GUI) != 3 {
+		t.Fatalf("GUI slots = %d, want 3:\n%s", len(h.GUI), slotSummary(h))
+	}
+	if h.GUI[0].Classes[0] != "Zed" || h.GUI[2].Classes[0] != "Inner" {
+		t.Fatalf("unexpected slot order:\n%s", slotSummary(h))
+	}
+	if got := h.GUI[2].Parent; got != 0 {
+		t.Errorf("Inner's parent = %d, want 0 (Zed's slot):\n%s", got, slotSummary(h))
+	}
+}
+
 // TestIdenticalRegistrationsKeepTheirSlots: the app reader shares one
 // statement object between byte-identical lines, so two identical
 // registration calls in one block are one *ir.Invoke at two positions.

@@ -377,6 +377,12 @@ func (m *Machine) execAPI(inv *ir.Invoke, api frontend.APICall, recv Value, argv
 
 	case frontend.APIStartService:
 		for _, comp := range m.App.Manifest.Services {
+			// A service without an app-defined onStartCommand (a
+			// bound-only one) gets no start event, as it gets no static
+			// action.
+			if cb := m.prog.ResolveMethod(comp.Class, frontend.OnStartCommand); cb == nil || cb.Class.Framework {
+				continue
+			}
 			comp := comp
 			svc := m.alloc(comp.Class)
 			m.enqueue(nil, &pendingEvent{

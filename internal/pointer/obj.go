@@ -10,6 +10,7 @@ package pointer
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strconv"
 	"strings"
@@ -264,6 +265,35 @@ func (s ObjSet) Single() (Obj, bool) {
 		return Obj{}, false
 	}
 	return s.d.in.snapshot()[id], true
+}
+
+// Any reports whether fn holds for some object of the set. It visits
+// objects in id order (not Slice's canonical order), stops at the first
+// hit, and allocates nothing.
+func (s ObjSet) Any(fn func(Obj) bool) bool {
+	if s.d == nil {
+		return false
+	}
+	objs := s.d.in.snapshot()
+	for w, word := range s.d.bits {
+		for word != 0 {
+			if fn(objs[w<<6+bits.TrailingZeros64(word)]) {
+				return true
+			}
+			word &= word - 1
+		}
+	}
+	return false
+}
+
+// AppendIDs appends the set's dense ids, ascending, to dst and returns
+// it. Ids index one id space: two sets' ids compare only when both come
+// from the same analysis (as every set of one Result does).
+func (s ObjSet) AppendIDs(dst []int) []int {
+	if s.d == nil {
+		return dst
+	}
+	return s.d.bits.AppendBits(dst)
 }
 
 // Slice returns the objects in deterministic order (the same

@@ -179,13 +179,9 @@ func setIsRef(res *pointer.Result, acc *Access) {
 		acc.IsRef = res.StaticPointsTo(acc.Class, acc.Field).Len() > 0
 		return
 	}
-	acc.IsRef = false
-	for _, o := range acc.Objs.Slice() {
-		if res.FieldPointsTo(o, acc.Field).Len() > 0 {
-			acc.IsRef = true
-			break
-		}
-	}
+	acc.IsRef = acc.Objs.Any(func(o pointer.Obj) bool {
+		return res.FieldPointsTo(o, acc.Field).Len() > 0
+	})
 }
 
 // accessLess is the canonical access order: (action, position, kind).
@@ -201,20 +197,52 @@ func accessLess(a, b *Access) bool {
 	return a.Kind < b.Kind
 }
 
+// sortAccesses sorts into the canonical order (accessLess) with each
+// position rendered once, not O(n log n) times inside the comparator.
 func sortAccesses(out []Access) {
-	sort.Slice(out, func(i, j int) bool { return accessLess(&out[i], &out[j]) })
+	pos := make([]string, len(out))
+	for i := range out {
+		pos[i] = out[i].Pos.String()
+	}
+	sort.Sort(&accessesByKey{accs: out, pos: pos})
+}
+
+// accessesByKey sorts accesses by accessLess over pre-rendered
+// positions, keeping the two slices aligned.
+type accessesByKey struct {
+	accs []Access
+	pos  []string
+}
+
+func (s *accessesByKey) Len() int { return len(s.accs) }
+func (s *accessesByKey) Less(i, j int) bool {
+	a, b := &s.accs[i], &s.accs[j]
+	if a.Action != b.Action {
+		return a.Action < b.Action
+	}
+	if s.pos[i] != s.pos[j] {
+		return s.pos[i] < s.pos[j]
+	}
+	return a.Kind < b.Kind
+}
+func (s *accessesByKey) Swap(i, j int) {
+	s.accs[i], s.accs[j] = s.accs[j], s.accs[i]
+	s.pos[i], s.pos[j] = s.pos[j], s.pos[i]
 }
 
 // RacyPairs intersects accesses across HB-unordered actions: same field,
 // overlapping points-to sets (or the same static slot), at least one
-// write, actions in compatible scopes.
+// write, actions in compatible scopes. The accesses must come from one
+// analysis result (as CollectAccesses returns them), whose points-to
+// sets share one object id space.
 func RacyPairs(reg *actions.Registry, g *shbg.Graph, accesses []Access) []Pair {
 	return RacyPairsTraced(reg, g, accesses, nil)
 }
 
 // RacyPairsTraced is RacyPairs with observability: it counts the
 // candidate funnel into race.pairs_considered (same-field combinations
-// examined), race.alias_hits (pairs whose memory overlaps),
+// of distinct actions), race.alias_hits (those whose memory overlaps,
+// with a write),
 // race.hb_filtered (overlapping pairs dropped because HB orders them),
 // and race.pairs_emitted (nil Trace = no-op).
 func RacyPairsTraced(reg *actions.Registry, g *shbg.Graph, accesses []Access, tr *obs.Trace) []Pair {
@@ -232,55 +260,28 @@ type pairKey struct {
 }
 
 // racyPairsImpl is the shared pair generator. With edited == nil it is
-// the cold path: every same-field combination runs the full alias /
-// scope / HB filter chain. With edited non-nil (the incremental path,
-// RacyPairsDelta) a combination whose endpoints both lie at positions
-// outside the edited methods skips the chain entirely — its access
-// values, alias relation, scopes, and (graph-equality-verified) HB
-// edges are all provably unchanged from the baseline, so membership in
-// prev IS the filter-chain outcome. Clean pairs are spliced straight
-// from prev (rebuilt over the current access values, which carry the
-// refreshed IsRef flags), and only combinations touching an
-// edited-method position are enumerated at all, so the delta path never
-// scans clean×clean. Dedup keys and the final canonical sort are
-// identical either way, so the output is byte-for-byte the cold result.
+// the cold path: every same-field combination is a candidate. With
+// edited non-nil (the incremental path, RacyPairsDelta) a combination
+// whose endpoints both lie at positions outside the edited methods is
+// not enumerated at all — its access values, alias relation, scopes,
+// and (graph-equality-verified) HB edges are all provably unchanged
+// from the baseline, so membership in prev IS the filter-chain outcome.
+// Clean pairs are spliced straight from prev (rebuilt over the current
+// access values, which carry the refreshed IsRef flags), and only
+// combinations touching an edited-method position are candidates.
+//
+// Either way candidates are reached through a per-field inverted index
+// (aliasIndex) from object — or, for statics, class — to accesses, so
+// only combinations that alias and include a write meet the scope/HB
+// chain; race.pairs_considered still counts every same-field
+// combination of distinct actions among the candidates. Emission order
+// is free: dedup keys and the final canonical sort make the output
+// byte-for-byte the all-combinations result.
 func racyPairsImpl(reg *actions.Registry, g *shbg.Graph, accesses []Access, edited map[*ir.Method]bool, prev []Pair, tr *obs.Trace) []Pair {
 	var considered, aliasHits, hbFiltered int64
 	var out []Pair
 	seen := map[pairKey]bool{}
-
-	// chain runs the full filter chain on one combination and emits.
-	chain := func(a, b *Access) {
-		if a.Action == b.Action {
-			return
-		}
-		considered++
-		if a.Kind != Write && b.Kind != Write {
-			return
-		}
-		if a.Static != b.Static {
-			return
-		}
-		if a.Static {
-			if a.Class != b.Class {
-				return
-			}
-		} else if !a.Objs.Intersects(b.Objs) {
-			return
-		}
-		aliasHits++
-		actA, actB := reg.Get(a.Action), reg.Get(b.Action)
-		if !actions.SameScope(actA, actB) {
-			return
-		}
-		if g.Ordered(a.Action, b.Action) {
-			hbFiltered++
-			return
-		}
-		p := Pair{A: *a, B: *b}
-		if a.Action > b.Action {
-			p = Pair{A: *b, B: *a}
-		}
+	emit := func(p Pair) {
 		k := pairKey{p.A.Action, p.A.Pos, p.B.Action, p.B.Pos, p.A.Field}
 		if !seen[k] {
 			seen[k] = true
@@ -288,33 +289,38 @@ func racyPairsImpl(reg *actions.Registry, g *shbg.Graph, accesses []Access, edit
 		}
 	}
 
+	// chain runs the scope/HB filters on an aliasing combination of
+	// distinct actions with at least one write, and emits.
+	chain := func(a, b *Access) {
+		aliasHits++
+		if !actions.SameScope(reg.Get(a.Action), reg.Get(b.Action)) {
+			return
+		}
+		if g.Ordered(a.Action, b.Action) {
+			hbFiltered++
+			return
+		}
+		if a.Action > b.Action {
+			a, b = b, a
+		}
+		emit(Pair{A: *a, B: *b})
+	}
+
+	// mine marks the accesses whose combinations are candidates: all of
+	// them cold, those at edited positions on the delta path.
+	mine := make([]bool, len(accesses))
+	byField := map[string][]int{}
 	if edited == nil {
-		// Cold: bucket by field name — only same-named fields can
-		// overlap — and run every combination through the chain.
-		byField := map[string][]int{}
 		for i := range accesses {
+			mine[i] = true
 			byField[accesses[i].Field] = append(byField[accesses[i].Field], i)
 		}
-		fields := make([]string, 0, len(byField))
-		for f := range byField {
-			fields = append(fields, f)
-		}
-		sort.Strings(fields)
-		for _, f := range fields {
-			idxs := byField[f]
-			for i := 0; i < len(idxs); i++ {
-				for j := i + 1; j < len(idxs); j++ {
-					chain(&accesses[idxs[i]], &accesses[idxs[j]])
-				}
-			}
-		}
 	} else {
-		// Delta: splice every prev pair whose endpoints both lie outside
-		// the edited methods, rebuilt over the current access values
+		// Splice every prev pair whose endpoints both lie outside the
+		// edited methods, rebuilt over the current access values
 		// ((action, position) names an access uniquely — one statement,
-		// one kind), then enumerate only the combinations touching an
-		// edited-method position. The two emission sets are disjoint —
-		// spliced pairs touch no edited position, computed ones always do.
+		// one kind). The emission sets are disjoint — spliced pairs
+		// touch no edited position, computed ones always do.
 		type apKey struct {
 			action int
 			pos    ir.Pos
@@ -324,6 +330,7 @@ func racyPairsImpl(reg *actions.Registry, g *shbg.Graph, accesses []Access, edit
 		for i := range accesses {
 			idxByAP[apKey{accesses[i].Action, accesses[i].Pos}] = i
 			if edited[accesses[i].Pos.Method] {
+				mine[i] = true
 				editedFields[accesses[i].Field] = true
 			}
 		}
@@ -339,34 +346,25 @@ func racyPairsImpl(reg *actions.Registry, g *shbg.Graph, accesses []Access, edit
 				// values.
 				continue
 			}
-			np := Pair{A: accesses[i], B: accesses[j]}
-			k := pairKey{np.A.Action, np.A.Pos, np.B.Action, np.B.Pos, np.A.Field}
-			if !seen[k] {
-				seen[k] = true
-				out = append(out, np)
-			}
+			emit(Pair{A: accesses[i], B: accesses[j]})
 		}
-		byField := map[string][]int{}
 		for i := range accesses {
 			if editedFields[accesses[i].Field] {
 				byField[accesses[i].Field] = append(byField[accesses[i].Field], i)
 			}
 		}
-		fields := make([]string, 0, len(byField))
-		for f := range byField {
-			fields = append(fields, f)
+	}
+
+	ix := newAliasIndex(len(accesses))
+	for _, idxs := range byField {
+		considered += distinctActionPairs(accesses, idxs, nil)
+		if edited != nil {
+			considered -= distinctActionPairs(accesses, idxs, mine)
 		}
-		sort.Strings(fields)
-		for _, f := range fields {
-			idxs := byField[f]
-			for i := 0; i < len(idxs); i++ {
-				for j := i + 1; j < len(idxs); j++ {
-					a, b := &accesses[idxs[i]], &accesses[idxs[j]]
-					if !edited[a.Pos.Method] && !edited[b.Pos.Method] {
-						continue
-					}
-					chain(a, b)
-				}
+		ix.fill(accesses, idxs)
+		for _, i := range idxs {
+			if mine[i] {
+				ix.partners(accesses, mine, i, func(j int) { chain(&accesses[j], &accesses[i]) })
 			}
 		}
 	}
@@ -380,6 +378,118 @@ func racyPairsImpl(reg *actions.Registry, g *shbg.Graph, accesses []Access, edit
 	tr.Count("race.hb_filtered", hbFiltered)
 	tr.Count("race.pairs_emitted", int64(len(out)))
 	return out
+}
+
+// distinctActionPairs counts the combinations of two of idxs' accesses
+// that belong to different actions, leaving out the accesses marked in
+// skip (nil skips none).
+func distinctActionPairs(accesses []Access, idxs []int, skip []bool) int64 {
+	perAction := map[int]int64{}
+	var n, same int64
+	for _, i := range idxs {
+		if skip != nil && skip[i] {
+			continue
+		}
+		same += perAction[accesses[i].Action]
+		perAction[accesses[i].Action]++
+		n++
+	}
+	return n*(n-1)/2 - same
+}
+
+// aliasIndex is one field's inverted index: for every object (by dense
+// id) and every static field's class, the reading and the writing
+// accesses, each list ascending.
+type aliasIndex struct {
+	objs    map[int]*kindLists
+	classes map[string]*kindLists
+	ids     []int
+	// stamp[j] == i+1 marks j as met while collecting i's partners, so
+	// a partner sharing several objects with i is met once.
+	stamp []int
+}
+
+// kindLists holds access indices by AccessKind (Read, Write).
+type kindLists [2][]int
+
+func newAliasIndex(n int) *aliasIndex {
+	return &aliasIndex{
+		objs:    map[int]*kindLists{},
+		classes: map[string]*kindLists{},
+		stamp:   make([]int, n),
+	}
+}
+
+// fill indexes one field's accesses, replacing the previous field's.
+func (x *aliasIndex) fill(accesses []Access, idxs []int) {
+	clear(x.objs)
+	clear(x.classes)
+	for _, i := range idxs {
+		a := &accesses[i]
+		if a.Static {
+			addTo(x.classes, a.Class, a.Kind, i)
+			continue
+		}
+		x.ids = a.Objs.AppendIDs(x.ids[:0])
+		for _, id := range x.ids {
+			addTo(x.objs, id, a.Kind, i)
+		}
+	}
+}
+
+// addTo appends access i to the list of its kind under key k.
+func addTo[K comparable](m map[K]*kindLists, k K, kind AccessKind, i int) {
+	l := m[k]
+	if l == nil {
+		l = &kindLists{}
+		m[k] = l
+	}
+	l[kind] = append(l[kind], i)
+}
+
+// partners calls fn once for every access j of i's field and of another
+// action that shares memory with i, where at least one of the two
+// writes and i is the endpoint that owns the combination. Only accesses
+// marked mine own combinations: a read owns those with every write, a
+// write those with the writes before it and with the writes and reads
+// not marked mine. So every candidate combination is met exactly once,
+// and a read-read combination never.
+func (x *aliasIndex) partners(accesses []Access, mine []bool, i int, fn func(j int)) {
+	a := &accesses[i]
+	visit := func(l *kindLists) {
+		if l == nil {
+			return
+		}
+		for _, j := range l[Write] {
+			if a.Kind == Write && (j == i || mine[j] && j > i) {
+				continue
+			}
+			x.meet(accesses, i, j, fn)
+		}
+		if a.Kind == Write {
+			for _, j := range l[Read] {
+				if !mine[j] {
+					x.meet(accesses, i, j, fn)
+				}
+			}
+		}
+	}
+	if a.Static {
+		visit(x.classes[a.Class])
+		return
+	}
+	x.ids = a.Objs.AppendIDs(x.ids[:0])
+	for _, id := range x.ids {
+		visit(x.objs[id])
+	}
+}
+
+func (x *aliasIndex) meet(accesses []Access, i, j int, fn func(j int)) {
+	if x.stamp[j] == i+1 || accesses[j].Action == accesses[i].Action {
+		return
+	}
+	x.stamp[j] = i + 1
+	fn(j)
 }
 
 // pairsByKey sorts pairs by their canonical Key with each key rendered

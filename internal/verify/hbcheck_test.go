@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -14,12 +15,14 @@ import (
 	"sierra/internal/shbg"
 )
 
-// mapEvent resolves a trace event to its static action id, or -1 when
-// the mapping is ambiguous (several actions share the label) or unknown.
+// mapEvent resolves a trace event to its static action: it returns the
+// number of static actions the event's label matches, and the action id
+// when that number is 1. No match means the runtime fired a callback
+// that discovery missed; several mean the label is ambiguous.
 // occurrence is the 1-based count of this label so far in the trace —
 // it distinguishes the duplicated lifecycle instances (first onResume is
 // instance 1, later ones instance 2, mirroring the harness model).
-func mapEvent(reg *actions.Registry, launcher string, ev *interp.TraceEvent, occurrence int) int {
+func mapEvent(reg *actions.Registry, launcher string, ev *interp.TraceEvent, occurrence int) (id, matches int) {
 	var cands []*actions.Action
 	switch ev.Kind {
 	case interp.EvLifecycle:
@@ -37,7 +40,7 @@ func mapEvent(reg *actions.Registry, launcher string, ev *interp.TraceEvent, occ
 		// Labels look like "run[TimerRunnable]" / "onClick[Click0_0]".
 		open := strings.IndexByte(ev.Label, '[')
 		if open < 0 {
-			return -1
+			return -1, 0
 		}
 		cb := ev.Label[:open]
 		cls := strings.TrimSuffix(ev.Label[open+1:], "]")
@@ -48,38 +51,53 @@ func mapEvent(reg *actions.Registry, launcher string, ev *interp.TraceEvent, occ
 		}
 	}
 	if len(cands) != 1 {
-		return -1
+		return -1, len(cands)
 	}
-	return cands[0].ID
+	return cands[0].ID, 1
 }
 
 // TestStaticHBRespectsDynamicOrder is the end-to-end soundness
 // cross-check: if the SHBG claims a ≺ b, no execution may run b's sole
 // occurrence before a's sole occurrence. Restricting to labels that
 // occur exactly once per trace sidesteps the instance conflation that
-// static action nodes inherently have.
+// static action nodes inherently have. Every executed event must also
+// map to a static action (the actions obligation): an unknown event is
+// a callback the runtime fires but discovery missed, and fails the
+// test; an ambiguous one is skipped. The check runs on the handmade
+// apps and two paper apps (40 schedules each) and on every scenario
+// family at seeds 0–2 (10 schedules each).
 func TestStaticHBRespectsDynamicOrder(t *testing.T) {
-	apps := []struct {
-		name    string
-		factory func() *apk.App
-	}{
-		{"newsapp", corpus.NewsApp},
-		{"sudoku", corpus.SudokuTimerApp},
-		{"dbapp", corpus.DatabaseApp},
-		{"nullguard", corpus.NullGuardApp},
+	type app struct {
+		name      string
+		factory   func() *apk.App
+		schedules int64
+	}
+	apps := []app{
+		{"newsapp", corpus.NewsApp, 40},
+		{"sudoku", corpus.SudokuTimerApp, 40},
+		{"dbapp", corpus.DatabaseApp, 40},
+		{"nullguard", corpus.NullGuardApp, 40},
 		{"gen-VuDroid", func() *apk.App {
 			row, _ := corpus.RowByName("VuDroid")
 			a, _ := corpus.NamedApp(row)
 			return a
-		}},
+		}, 40},
 		{"gen-SuperGenPass", func() *apk.App {
 			row, _ := corpus.RowByName("SuperGenPass")
 			a, _ := corpus.NamedApp(row)
 			return a
-		}},
+		}, 40},
+	}
+	for _, sc := range corpus.Scenarios() {
+		for seed := int64(0); seed < 3; seed++ {
+			name := fmt.Sprintf("%s-%d", sc.Name, seed)
+			apps = append(apps, app{name, func() *apk.App {
+				a, _ := sc.Generate(name, seed, nil)
+				return a
+			}, 10})
+		}
 	}
 	for _, tc := range apps {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			app := tc.factory()
 			hs := harness.Generate(app)
@@ -91,13 +109,18 @@ func TestStaticHBRespectsDynamicOrder(t *testing.T) {
 			g := shbg.Build(reg, res, shbg.Options{DisableGUITeardownOrder: true})
 			launcher := app.Launcher().Class
 
-			violations := 0
-			for seed := int64(0); seed < 40; seed++ {
-				m := interp.NewMachine(tc.factory(), seed)
+			// The machine keeps heap and statics to itself and only
+			// reads the app, so one unanalyzed copy serves every
+			// schedule.
+			runApp := tc.factory()
+			violations, unknown := 0, 0
+			for seed := int64(0); seed < tc.schedules; seed++ {
+				m := interp.NewMachine(runApp, seed)
 				m.RegisterManifestReceivers()
 				tr := m.Run(60)
 
-				// Map events whose labels occur exactly once.
+				// Map every event; order-check those whose labels occur
+				// exactly once.
 				labelCount := map[string]int{}
 				for _, ev := range tr.Events {
 					labelCount[ev.Label]++
@@ -110,10 +133,15 @@ func TestStaticHBRespectsDynamicOrder(t *testing.T) {
 				occ := map[string]int{}
 				for i, ev := range tr.Events {
 					occ[ev.Label]++
-					if labelCount[ev.Label] != 1 {
+					aid, matches := mapEvent(reg, launcher, ev, occ[ev.Label])
+					if matches == 0 {
+						unknown++
+						if unknown <= 5 {
+							t.Errorf("seed %d: event %q (kind %d) maps to no static action", seed, ev.Label, ev.Kind)
+						}
 						continue
 					}
-					if aid := mapEvent(reg, launcher, ev, occ[ev.Label]); aid >= 0 {
+					if matches == 1 && labelCount[ev.Label] == 1 {
 						seq = append(seq, mapped{order: i, action: aid})
 					}
 				}
@@ -137,8 +165,8 @@ func TestStaticHBRespectsDynamicOrder(t *testing.T) {
 					}
 				}
 			}
-			if violations > 0 {
-				t.Fatalf("%d HB soundness violations", violations)
+			if violations > 0 || unknown > 0 {
+				t.Fatalf("%d HB soundness violations, %d unknown events", violations, unknown)
 			}
 		})
 	}
@@ -163,7 +191,7 @@ func TestDynamicPostedByCoveredByStaticHB(t *testing.T) {
 		byID := map[int]int{} // event id -> action id
 		for _, ev := range tr.Events {
 			occ[ev.Label]++
-			byID[ev.ID] = mapEvent(reg, launcher, ev, occ[ev.Label])
+			byID[ev.ID], _ = mapEvent(reg, launcher, ev, occ[ev.Label])
 		}
 		for _, ev := range tr.Events {
 			if ev.Kind == interp.EvLifecycle || ev.PostedBy < 0 {
