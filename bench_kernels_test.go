@@ -235,9 +235,9 @@ func BenchmarkKernelPairsPaper(b *testing.B) {
 	b.ReportMetric(float64(len(pairs)), "pairs")
 }
 
-// BenchmarkKernelRefutation measures per-pair symbolic refutation of
-// every candidate, sequentially (the fresh-refuter cost structure the
-// parallel pool distributes). Layer: refute.
+// BenchmarkKernelRefutation measures symbolic refutation of every
+// candidate by one refuter's Check loop, each pair from empty memos
+// (the per-pair work CheckAll's workers do). Layer: refute.
 func BenchmarkKernelRefutation(b *testing.B) {
 	reg, res := synthAnalyzed(b)
 	g := shbg.Build(reg, res, shbg.Options{})
@@ -254,9 +254,8 @@ func BenchmarkKernelRefutation(b *testing.B) {
 }
 
 // BenchmarkKernelRefutationParallel measures CheckAll at increasing
-// worker counts: jobs=1 is the legacy shared-memo loop, jobs>1 the
-// per-pair fresh-memo pool (whose verdicts stay deterministic at any
-// width). Layer: refute.
+// worker counts; every width computes the same verdicts, so the lanes
+// compare one kernel at different widths. Layer: refute.
 func BenchmarkKernelRefutationParallel(b *testing.B) {
 	reg, res := synthAnalyzed(b)
 	g := shbg.Build(reg, res, shbg.Options{})

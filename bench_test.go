@@ -238,7 +238,8 @@ func BenchmarkAblationPathBudget(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationRefutationCache toggles the refuter's memoization.
+// BenchmarkAblationRefutationCache toggles the memos the refuter's
+// queries within one pair share.
 func BenchmarkAblationRefutationCache(b *testing.B) {
 	row, _ := corpus.RowByName("OpenSudoku")
 	app, _ := corpus.NamedApp(row)

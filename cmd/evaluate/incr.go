@@ -65,7 +65,7 @@ func runIncrBench(path string, iters, groups int, quiet bool) error {
 	baseRaw := corpus.StageDemoText(groups, corpus.StageDemoEdit{})
 	editRaw := corpus.StageDemoText(groups, corpus.StageDemoEdit{ExtraStmt: "load w a f1_0"})
 	editDigest := batch.RawDigest(editRaw)
-	refCfg := symexec.Config{Jobs: 2} // per-pair-pure verdicts, splice-safe
+	refCfg := symexec.Config{Jobs: 2}
 	opts := core.Options{Refuter: refCfg}
 
 	var coldMs, warmMs []float64

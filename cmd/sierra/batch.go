@@ -95,7 +95,6 @@ func runBatch(cfg batchConfig) int {
 		fmt.Sprintf("refute=%t", !cfg.noRefute),
 		fmt.Sprintf("maxpaths=%d", cfg.maxPaths),
 		fmt.Sprintf("maxdepth=%d", cfg.maxDepth),
-		fmt.Sprintf("refutejobs=%d", cfg.refuteJobs),
 	}
 	analyze := stream.Analyzer(core.Options{
 		Policy:          cfg.policy,

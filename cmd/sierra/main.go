@@ -85,7 +85,7 @@ func main() {
 		noRefute       = flag.Bool("no-refute", false, "skip symbolic refutation")
 		refuteMaxPaths = flag.Int("refute-max-paths", 5000, "refutation path budget per query (the paper's 5,000)")
 		refuteMaxDepth = flag.Int("refute-max-depth", 6, "refutation call-inlining depth bound (the paper's 6)")
-		refuteJobs     = flag.Int("refute-jobs", 0, "per-pair refutation workers within one app (0 = GOMAXPROCS; raised to at least 2, as in sierra serve, so reports are byte-identical at any count)")
+		refuteJobs     = flag.Int("refute-jobs", 0, "per-pair refutation workers within one app (0 = GOMAXPROCS; reports are byte-identical at any count)")
 		list           = flag.Bool("list", false, "list named dataset apps and exit")
 		verbose        = flag.Bool("v", false, "print every report plus the observability breakdown")
 		verifyN        = flag.Int("verify", 0, "dynamically confirm the top N reports via schedule search (§6.4)")
@@ -140,9 +140,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	// The refutation pool resolves exactly as the daemon's does, so
-	// -report-json stays byte-identical to `sierra serve` on any host.
-	*refuteJobs = serve.RefuteJobs(*refuteJobs)
+	*refuteJobs = resolveJobs(*refuteJobs)
 
 	if *batchGlob != "" || *streamCfg != "" {
 		code := runBatch(batchConfig{

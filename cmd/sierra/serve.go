@@ -36,7 +36,7 @@ func runServe(args []string) int {
 		baselines      = fs.Int("baselines", 0, "warm incremental baselines kept per daemon (0 = default)")
 		baselineMaxMem = fs.Int64("baseline-max-bytes", 0, "bound the warm baseline pool by estimated resident bytes, LRU-evicted (0 = entry cap only)")
 		queueDepth     = fs.Int("queue-depth", 0, "accepted-but-unstarted submission bound (0 = default)")
-		refuteJobs     = fs.Int("refute-jobs", 0, "per-pair refutation workers (0 = GOMAXPROCS; raised to at least 2 so each pair's verdict is independent of the others, as incremental re-analysis requires)")
+		refuteJobs     = fs.Int("refute-jobs", 0, "per-pair refutation workers (0 = GOMAXPROCS; reports are byte-identical at any count)")
 		refuteMaxPaths = fs.Int("refute-max-paths", 0, "refutation path budget per query (0 = the paper's default)")
 		refuteMaxDepth = fs.Int("refute-max-depth", 0, "refutation call-inlining depth bound (0 = the paper's default)")
 		events         = fs.String("events", "", "stream sierra-events/1 flight-recorder events as JSONL to this file")

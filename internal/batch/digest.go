@@ -13,7 +13,7 @@ import (
 // analysis changes in ways the options fingerprint cannot express
 // (e.g. a pipeline bug fix that alters results for identical inputs),
 // so persisted DirCache entries from older binaries are never returned.
-const cacheEpoch = "sierra-cache/2"
+const cacheEpoch = "sierra-cache/3"
 
 // AppDigest returns the content digest of an app: the SHA-256 of its
 // canonical appfile serialization. Two apps with identical manifests,

@@ -11,6 +11,7 @@ import (
 	"sierra/internal/ir"
 	"sierra/internal/obs"
 	"sierra/internal/pointer"
+	"sierra/internal/race"
 	"sierra/internal/report"
 	"sierra/internal/symexec"
 )
@@ -109,11 +110,11 @@ func (b *Baseline) CanApply() bool {
 // skeleton equality implies shape equality; defended anyway), the
 // baseline is marked Poisoned and must be discarded.
 //
-// Verdict-splicing is only sound when verdicts are pure per pair: the
-// baseline must have been produced with per-pair-pure refutation
-// (Config.Jobs > 1 — see symexec.Checker), and cfg here must match the
-// baseline's refutation config. Callers own both invariants; `sierra
-// serve` pins one refutation config for the daemon's lifetime.
+// Verdict-splicing is sound because symexec refutes every pair from
+// empty memos, so a verdict depends on nothing but its pair. cfg must
+// match the baseline's refutation budgets; `sierra serve` pins one
+// refutation config for the daemon's lifetime. If cfg.Ctx interrupts
+// the re-refutation, the baseline is poisoned and Apply declines.
 //
 // The caller must hold b.Mu.
 func (b *Baseline) Apply(next *apk.App, nextFP *Fingerprint, nextDigest string, cfg symexec.Config, tr *obs.Trace) (Stats, bool) {
@@ -155,15 +156,20 @@ func (b *Baseline) Apply(next *apk.App, nextFP *Fingerprint, nextDigest string, 
 	// result's call edges (depth-unbounded — a superset of the walker's
 	// depth-bounded inlining) is a sound "touches changed code" test.
 	touched := b.touchedActions(changedSet)
-	checker := symexec.NewChecker(b.Res.Registry, b.Res.PTA, cfg)
 	verdicts := append([]symexec.Verdict(nil), b.Res.AllVerdicts...)
+	var redo []int
 	for i, p := range b.Res.RacyPairs {
-		if !touched[p.A.Action] && !touched[p.B.Action] {
-			continue
+		if touched[p.A.Action] || touched[p.B.Action] {
+			redo = append(redo, i)
 		}
-		verdicts[i] = checker.Check(p)
-		st.PairsRerefuted++
 	}
+	if !b.rerefute(redo, b.Res.RacyPairs, verdicts, cfg) {
+		b.Poisoned = true
+		st.Plan = Plan{Reason: "refute-interrupted", Changed: st.Plan.Changed}
+		tr.Count("incremental.fallbacks", 1)
+		return st, false
+	}
+	st.PairsRerefuted = len(redo)
 
 	// Rebuild the surviving set and re-rank on the patched program
 	// (ranking reads guard fields from the live bodies, exactly like a
@@ -189,6 +195,24 @@ func (b *Baseline) Apply(next *apk.App, nextFP *Fingerprint, nextDigest string, 
 	tr.Count("race.pairs_total", int64(st.PairsTotal))
 	tr.Observe("incremental.apply_ms", float64(time.Since(t0))/1e6)
 	return st, true
+}
+
+// rerefute refutes pairs[i] for every i in redo with one CheckAll call
+// and stores each verdict at verdicts[i]. It reports false, leaving
+// verdicts partly written, when cfg.Ctx interrupted the run.
+func (b *Baseline) rerefute(redo []int, pairs []race.Pair, verdicts []symexec.Verdict, cfg symexec.Config) bool {
+	sub := make([]race.Pair, len(redo))
+	for k, i := range redo {
+		sub[k] = pairs[i]
+	}
+	got, interrupted := symexec.CheckAll(b.Res.Registry, b.Res.PTA, cfg, sub)
+	if interrupted {
+		return false
+	}
+	for k, i := range redo {
+		verdicts[i] = got[k]
+	}
+	return true
 }
 
 // resolveEdit finds the baseline method and its donor body for one

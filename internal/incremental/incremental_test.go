@@ -26,8 +26,8 @@ func readDemo(t *testing.T, ed corpus.IncrDemoEdit) ([]byte, *apk.App) {
 	return raw, app
 }
 
-// serveCfg mirrors the daemon's pinned refutation config: Jobs >= 2
-// selects per-pair-pure checking, the precondition for verdict splicing.
+// serveCfg is the refutation config edits are applied with. Its worker
+// count does not change a verdict, so it need not match the baseline's.
 func serveCfg() symexec.Config { return symexec.Config{Jobs: 2} }
 
 func fullAnalyze(t *testing.T, app *apk.App) *core.Result {

@@ -330,8 +330,9 @@ func stageGate(old, donor *ir.Method, pta *pointer.Result) error {
 // the planner or the edit gate declines — the caller falls back to a
 // cold run and the baseline stays valid. Once mutation starts, any
 // failure (patch error, re-solve verification, action drift, SHBG base
-// drift) marks the baseline Poisoned; the caller must drop it and run
-// cold. The caller must hold b.Mu.
+// drift, re-refutation interrupted by refCfg.Ctx) marks the baseline
+// Poisoned; the caller must drop it and run cold. The caller must hold
+// b.Mu.
 func (b *Baseline) ApplyStages(next *apk.App, nextFP *Fingerprint, nextDigest string, refCfg symexec.Config, shbgOpts shbg.Options, tr *obs.Trace) (StageStats, bool) {
 	st := StageStats{PairsTotal: len(b.Res.RacyPairs)}
 	decline := func(reason string) (StageStats, bool) {
@@ -446,10 +447,8 @@ func (b *Baseline) ApplyStages(next *apk.App, nextFP *Fingerprint, nextDigest st
 	st.PairsRemoved = removed
 	st.PairsTotal = len(pairs)
 
-	// The checker's interference-graph setup is not free, so build it
-	// lazily — an edit whose pairs all splice never pays for it.
-	var checker *symexec.Checker
 	verdicts := make([]symexec.Verdict, len(pairs))
+	var redo []int
 	for i, p := range pairs {
 		if match[i] < 0 {
 			st.PairsAdded++
@@ -459,12 +458,12 @@ func (b *Baseline) ApplyStages(next *apk.App, nextFP *Fingerprint, nextDigest st
 			st.PairsSpliced++
 			continue
 		}
-		if checker == nil {
-			checker = symexec.NewChecker(b.Res.Registry, b.Res.PTA, refCfg)
-		}
-		verdicts[i] = checker.Check(p)
-		st.PairsRerefuted++
+		redo = append(redo, i)
 	}
+	if !b.rerefute(redo, pairs, verdicts, refCfg) {
+		return poison("refute-interrupted")
+	}
+	st.PairsRerefuted = len(redo)
 
 	var survivors = pairs[:0:0]
 	var sverdicts []symexec.Verdict

@@ -2,6 +2,7 @@ package incremental_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
@@ -15,6 +16,7 @@ import (
 	"sierra/internal/obs"
 	"sierra/internal/serve"
 	"sierra/internal/shbg"
+	"sierra/internal/symexec"
 )
 
 func readStageDemo(t *testing.T, groups int, ed corpus.StageDemoEdit) ([]byte, *apk.App) {
@@ -29,12 +31,13 @@ func readStageDemo(t *testing.T, groups int, ed corpus.StageDemoEdit) ([]byte, *
 
 // warmBaseline builds the baseline the serve daemon would hold after a
 // cold analysis with KeepPTAWarm: fingerprint from the fresh parse,
-// warm solver state retained.
+// warm solver state retained. It refutes on one worker, unlike the
+// applies (serveCfg), which re-refute on two.
 func warmBaseline(t *testing.T, groups int, ed corpus.StageDemoEdit) *incremental.Baseline {
 	t.Helper()
 	raw, app := readStageDemo(t, groups, ed)
 	fp := incremental.Compute(app)
-	res := core.Analyze(app, core.Options{Refuter: serveCfg(), KeepPTAWarm: true})
+	res := core.Analyze(app, core.Options{Refuter: symexec.Config{Jobs: 1}, KeepPTAWarm: true})
 	if res.Interrupted {
 		t.Fatalf("analysis interrupted at %q", res.InterruptedStage)
 	}
@@ -51,7 +54,9 @@ func warmBaseline(t *testing.T, groups int, ed corpus.StageDemoEdit) *incrementa
 // of the edited revision — and must land on the planned tier for the
 // class. A "tier2" class exercises delta re-seeding, SHBG row patching,
 // and pair diffing end to end; a "fallback" class proves the gates fail
-// closed instead of splicing something unsound.
+// closed instead of splicing something unsound. The baseline refutes
+// on one worker, the applies on two and the cold run on three: the
+// spliced and the re-refuted verdicts must agree whatever the width.
 func TestEditClassParity(t *testing.T) {
 	type class struct {
 		name string
@@ -90,7 +95,10 @@ func TestEditClassParity(t *testing.T) {
 
 				// The cold truth: a fresh full run of the edited revision.
 				_, coldApp := readStageDemo(t, groups, c.next)
-				coldRes := fullAnalyze(t, coldApp)
+				coldRes := core.Analyze(coldApp, core.Options{Refuter: symexec.Config{Jobs: 3}})
+				if coldRes.Interrupted {
+					t.Fatalf("cold run interrupted at %q", coldRes.InterruptedStage)
+				}
 				coldDoc := serve.RenderReport(editDigest, coldRes)
 
 				// Mirror the serve tiering.
@@ -166,6 +174,45 @@ func TestStagePoisonFallsBackCold(t *testing.T) {
 	if _, ok := base.ApplyStages(editApp, incremental.Compute(editApp), batch.RawDigest(editRaw), serveCfg(), shbg.Options{}, tr); ok {
 		t.Fatal("poisoned baseline accepted a stage apply")
 	}
+}
+
+// TestInterruptedRefutationPoisons: once either tier has patched the
+// baseline, a refutation that its context cuts short must poison the
+// baseline and decline, not splice a partial verdict set.
+func TestInterruptedRefutationPoisons(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	refCfg := serveCfg()
+	refCfg.Ctx = ctx
+
+	t.Run("stages", func(t *testing.T) {
+		tr := obs.New("test")
+		base := warmBaseline(t, 1, corpus.StageDemoEdit{})
+		editRaw, editApp := readStageDemo(t, 1, corpus.StageDemoEdit{ExtraStmt: "load w a f1_0"})
+		st, ok := base.ApplyStages(editApp, incremental.Compute(editApp), batch.RawDigest(editRaw), refCfg, shbg.Options{}, tr)
+		if ok {
+			t.Fatal("stage apply accepted an interrupted re-refutation")
+		}
+		if !base.Poisoned || st.Plan.Reason != "refute-interrupted" {
+			t.Errorf("poisoned=%v reason=%q, want a baseline poisoned for refute-interrupted", base.Poisoned, st.Plan.Reason)
+		}
+	})
+	t.Run("reuse", func(t *testing.T) {
+		tr := obs.New("test")
+		baseRaw, baseApp := readDemo(t, corpus.IncrDemoEdit{})
+		base := &incremental.Baseline{
+			Name: baseApp.Name, Digest: batch.RawDigest(baseRaw), FP: incremental.Compute(baseApp),
+			App: baseApp, Res: fullAnalyze(t, baseApp),
+		}
+		editRaw, editApp := readDemo(t, corpus.IncrDemoEdit{IfLine: "if c == int 0"})
+		st, ok := base.Apply(editApp, incremental.Compute(editApp), batch.RawDigest(editRaw), refCfg, tr)
+		if ok {
+			t.Fatal("Apply accepted an interrupted re-refutation")
+		}
+		if !base.Poisoned || st.Plan.Reason != "refute-interrupted" {
+			t.Errorf("poisoned=%v reason=%q, want a baseline poisoned for refute-interrupted", base.Poisoned, st.Plan.Reason)
+		}
+	})
 }
 
 // TestPoolByteBudget: the baseline pool must evict by estimated

@@ -3,7 +3,6 @@ package serve_test
 import (
 	"bytes"
 	"fmt"
-	"reflect"
 	"testing"
 
 	"sierra/internal/core"
@@ -32,17 +31,12 @@ func refuteTail(base *core.Result, cfg symexec.Config) *core.Result {
 	return &res
 }
 
-// TestRefuterParityAcrossFamilies pins the refutation pool's contract
-// on every scenario family except table2-x10 (too large for a unit
-// test), a few seeds each:
-//
-//   - at a tight (2) and the paper's (5000) path budget, every worker
-//     count ≥ 2 renders the byte-identical canonical report, which is
-//     what lets serve.RefuteJobs pick any count ≥ 2;
-//   - at the default budget, the one-worker shared-memo refuter reaches
-//     the same verdict for every pair as the per-pair pool. Its path
-//     counts may differ: memos shared across pairs change how many
-//     paths a later pair explores, so its reports are not byte-identical.
+// TestRefuterParityAcrossFamilies pins the refuter's contract on every
+// scenario family except table2-x10 (too large for a unit test), a few
+// seeds each: at a tight (2) and the paper's (5000) path budget, every
+// worker count, one included, renders the byte-identical canonical
+// report, path counts and all, because every pair is refuted from
+// empty memos.
 func TestRefuterParityAcrossFamilies(t *testing.T) {
 	const seeds = 3
 	for _, sc := range corpus.Scenarios() {
@@ -64,22 +58,12 @@ func TestRefuterParityAcrossFamilies(t *testing.T) {
 			}
 
 			for _, maxPaths := range []int{2, 5000} {
-				want := serve.RenderReport("", refuteTail(base, symexec.Config{MaxPaths: maxPaths, Jobs: 2}))
-				for _, jobs := range []int{3, 8} {
+				want := serve.RenderReport("", refuteTail(base, symexec.Config{MaxPaths: maxPaths, Jobs: 1}))
+				for _, jobs := range []int{2, 3, 8} {
 					got := serve.RenderReport("", refuteTail(base, symexec.Config{MaxPaths: maxPaths, Jobs: jobs}))
 					if !bytes.Equal(got, want) {
-						t.Errorf("%s max-paths=%d: report at jobs=%d differs from jobs=2", name, maxPaths, jobs)
+						t.Errorf("%s max-paths=%d: report at jobs=%d differs from jobs=1", name, maxPaths, jobs)
 					}
-				}
-			}
-
-			seq, _ := symexec.CheckAll(base.Registry, base.PTA, symexec.Config{Jobs: 1}, base.RacyPairs)
-			par, _ := symexec.CheckAll(base.Registry, base.PTA, symexec.Config{Jobs: 2}, base.RacyPairs)
-			for i := range base.RacyPairs {
-				s, p := seq[i], par[i]
-				if s.TruePositive != p.TruePositive || s.BudgetExhausted != p.BudgetExhausted ||
-					!reflect.DeepEqual(s.RefutedOrders, p.RefutedOrders) {
-					t.Errorf("%s pair %s: jobs=1 verdict %+v, jobs=2 %+v", name, base.RacyPairs[i].Key(), s, p)
 				}
 			}
 		}

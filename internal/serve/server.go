@@ -35,11 +35,8 @@ type Config struct {
 	// JobTimeout is the per-analysis deadline (0 = none). A timed-out
 	// analysis fails its job; partial results are never stored.
 	JobTimeout time.Duration
-	// RefuteJobs sizes the per-analysis refutation pool, resolved by
-	// the package-level RefuteJobs (0 = GOMAXPROCS, at least 2).
-	// Per-pair-pure refutation is what makes verdicts order-independent,
-	// which incremental verdict splicing and report byte-parity both
-	// require (see symexec.Checker).
+	// RefuteJobs sizes the per-analysis refutation pool (0 =
+	// GOMAXPROCS). Reports do not depend on it.
 	RefuteJobs int
 	// MaxPaths/MaxDepth tune the refuter budget (0 = defaults). Part of
 	// the report cache fingerprint.
@@ -122,23 +119,11 @@ func (j *jobState) get() (string, string) {
 	return j.status, j.errMsg
 }
 
-// RefuteJobs resolves a -refute-jobs value the way both the daemon and
-// the one-shot `sierra` CLI must, so their reports stay byte-identical:
-// 0 means GOMAXPROCS, and anything below 2 is raised to 2. At two or
-// more workers symexec.CheckAll runs every pair on a private memo fork,
-// making each verdict and its path count a pure function of the pair;
-// the one-worker shared-memo refuter lets earlier pairs' memos change
-// later pairs' path counts, which the canonical report records.
-func RefuteJobs(n int) int {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	return max(n, 2)
-}
-
 // New assembles a server (no listener yet; Start binds it).
 func New(cfg Config) (*Server, error) {
-	cfg.RefuteJobs = RefuteJobs(cfg.RefuteJobs)
+	if cfg.RefuteJobs <= 0 {
+		cfg.RefuteJobs = runtime.GOMAXPROCS(0)
+	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 1024
 	}
@@ -372,8 +357,8 @@ func (s *Server) reportKey(digest string) string {
 	)
 }
 
-// refuterConfig is the daemon's pinned refutation config. RefuteJobs ≥ 2
-// selects per-pair-pure checking; the budget knobs are in the report key.
+// refuterConfig is the daemon's pinned refutation config; the budget
+// knobs are in the report key.
 func (s *Server) refuterConfig() symexec.Config {
 	return symexec.Config{
 		MaxPaths: s.cfg.MaxPaths,

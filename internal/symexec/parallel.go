@@ -15,38 +15,20 @@ import (
 // by the configured context (the returned verdicts then cover only the
 // pairs refuted before cancellation; the prefix is always contiguous).
 //
-// cfg.Jobs ≤ 1 runs the single shared-memo refuter over the pairs in
-// order — exactly the legacy sequential loop. cfg.Jobs > 1 fans the
-// pairs out over a bounded worker pool: the inlined action graphs are
-// prebuilt once and shared read-only, while each pair gets private
-// memo tables, making its verdict a pure function of the pair and the
-// output independent of worker count and scheduling. Observability is
-// recorded by an in-order emitter either way, so counter totals and
-// the refute.pair_paths series order match the sequential run's shape.
-// A worker panic is isolated to its pair, which keeps the paper's
-// over-approximate "report anyway" verdict instead of crashing the
-// pipeline.
+// The pairs fan out over min(max(cfg.Jobs, 1), len(pairs)) workers.
+// The inlined action graphs are prebuilt once and shared read-only,
+// while every pair starts from empty memo tables, so each verdict is a
+// pure function of its pair and the output is identical at any worker
+// count. Observability is recorded by an in-order emitter, so counter
+// totals and the refute.pair_paths series do not depend on scheduling
+// either. A worker panic is isolated to its pair, which keeps the
+// paper's over-approximate "report anyway" verdict instead of crashing
+// the pipeline.
 func CheckAll(reg *actions.Registry, res *pointer.Result, cfg Config, pairs []race.Pair) ([]Verdict, bool) {
-	ctx := cfg.Ctx
-	cancelled := func() bool { return ctx != nil && ctx.Err() != nil }
-
-	if cfg.Jobs <= 1 {
-		ref := NewRefuter(reg, res, cfg)
-		verdicts := make([]Verdict, 0, len(pairs))
-		for _, p := range pairs {
-			if cancelled() {
-				return verdicts, true
-			}
-			verdicts = append(verdicts, ref.Check(p))
-		}
-		if cfg.Obs != nil {
-			if ab := ref.arenaBytes(); ab > 0 {
-				cfg.Obs.Count("symexec.arena_bytes", ab)
-			}
-		}
-		return verdicts, false
+	if len(pairs) == 0 {
+		return []Verdict{}, false
 	}
-
+	ctx := cfg.Ctx
 	tr := cfg.Obs
 	workerCfg := cfg
 	workerCfg.Obs = nil // workers stay silent; the emitter records
@@ -69,10 +51,7 @@ func CheckAll(reg *actions.Registry, res *pointer.Result, cfg Config, pairs []ra
 		base.actionGraphs(aid)
 	}
 
-	jobs := cfg.Jobs
-	if jobs > len(pairs) {
-		jobs = len(pairs)
-	}
+	jobs := min(max(cfg.Jobs, 1), len(pairs))
 	type result struct {
 		v        Verdict
 		pruned   int64
@@ -89,11 +68,10 @@ func CheckAll(reg *actions.Registry, res *pointer.Result, cfg Config, pairs []ra
 		wg.Add(1)
 		go func(slot int) {
 			defer wg.Done()
-			// One fork per worker, recycled across pairs: resetPair
-			// clears every memo and rewinds the arenas, so each pair
-			// still sees the equivalent of a fresh fork (pure verdicts,
-			// worker-count independent) without re-paying the map and
-			// scratch allocations per pair.
+			// One fork per worker, recycled across pairs: check clears
+			// every memo and rewinds the arenas before each pair, so
+			// the worker does not re-pay the map and scratch
+			// allocations per pair.
 			wref := base.fork()
 			for i := range idxCh {
 				results[i] = func() (r result) {
@@ -122,7 +100,6 @@ func CheckAll(reg *actions.Registry, res *pointer.Result, cfg Config, pairs []ra
 							r.durMS = -1
 						}
 					}()
-					wref.resetPair()
 					v, pruned, capped := wref.check(pairs[i])
 					return result{v: v, pruned: pruned, capped: capped, done: true}
 				}()
@@ -130,13 +107,11 @@ func CheckAll(reg *actions.Registry, res *pointer.Result, cfg Config, pairs []ra
 			wbytes[slot] += wref.arenaBytes()
 		}(w)
 	}
-	fed := 0
 	for i := range pairs {
-		if cancelled() {
+		if ctx != nil && ctx.Err() != nil {
 			break
 		}
 		idxCh <- i
-		fed++
 	}
 	close(idxCh)
 	wg.Wait()
@@ -144,7 +119,7 @@ func CheckAll(reg *actions.Registry, res *pointer.Result, cfg Config, pairs []ra
 	// Every fed index completed (cancellation only stops feeding, and
 	// walkers bail budget-style when the context dies mid-pair), so the
 	// done prefix is contiguous. Emit it in pair order.
-	verdicts := make([]Verdict, 0, fed)
+	verdicts := make([]Verdict, 0, len(pairs))
 	for i := 0; i < len(results) && results[i].done; i++ {
 		recordVerdict(tr, pairs[i], results[i].v, results[i].pruned, results[i].capped, results[i].durMS)
 		if results[i].panicked && tr != nil {
@@ -153,7 +128,6 @@ func CheckAll(reg *actions.Registry, res *pointer.Result, cfg Config, pairs []ra
 		verdicts = append(verdicts, results[i].v)
 	}
 	if tr != nil {
-		tr.Count("symexec.refute_par_jobs", int64(len(verdicts)))
 		var ab int64
 		for _, b := range wbytes {
 			ab += b
@@ -167,10 +141,8 @@ func CheckAll(reg *actions.Registry, res *pointer.Result, cfg Config, pairs []ra
 
 // fork returns a refuter sharing the receiver's read-only prebuilt
 // state (callee map, action instances, inlined graphs) with private
-// memo tables, walker scratch, and pruned/capped tallies — the
-// isolation that makes a pair's verdict independent of which other
-// pairs ran first. Every keyed memo (entry, witness, points-to, seed)
-// starts fresh so no fork observes another pair's cached state.
+// memo tables, walker scratch, and pruned/capped tallies, so forks can
+// run on different goroutines.
 func (r *Refuter) fork() *Refuter {
 	nr := &Refuter{
 		Reg:         r.Reg,

@@ -2,6 +2,7 @@ package symexec
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -26,70 +27,73 @@ func analyzeForCheckAll(t *testing.T, app *apk.App) (*actions.Registry, *pointer
 	return reg, res, pairs
 }
 
-// TestCheckAllParallelDeterministic verdicts must be identical across
-// every worker count > 1: each pair's verdict is a pure function of the
-// pair once the memo tables are private.
+// refuteCounters are the counters recordVerdict emits per pair.
+var refuteCounters = []string{
+	"refute.pairs", "refute.paths", "refute.paths_pruned",
+	"refute.entry_stores_capped", "refute.budget_exhausted",
+	"refute.verdict.race", "refute.verdict.refuted_both",
+	"refute.verdict.refuted_ab", "refute.verdict.refuted_ba",
+}
+
+// refuteObsDiff reports the first refute.* counter or refute.pair_paths
+// sample on which two traces differ ("" when none does).
+func refuteObsDiff(a, b *obs.Trace) string {
+	for _, c := range refuteCounters {
+		if x, y := a.Counter(c), b.Counter(c); x != y {
+			return fmt.Sprintf("%s: %d vs %d", c, x, y)
+		}
+	}
+	sa := a.Snapshot().Series["refute.pair_paths"]
+	sb := b.Snapshot().Series["refute.pair_paths"]
+	if len(sa) != len(sb) {
+		return fmt.Sprintf("refute.pair_paths: %d vs %d samples", len(sa), len(sb))
+	}
+	for i := range sa {
+		if sa[i] != sb[i] {
+			return fmt.Sprintf("refute.pair_paths[%d]: %+v vs %+v", i, sa[i], sb[i])
+		}
+	}
+	return ""
+}
+
+// TestCheckAllParallelDeterministic a pair's verdict depends on nothing
+// but the pair: at every worker count (0 and 1 included) CheckAll
+// returns the verdicts, path counts included, that one reused
+// Refuter's Check loop returns, and records the same refute.* counters
+// and refute.pair_paths series, values and order alike.
 func TestCheckAllParallelDeterministic(t *testing.T) {
-	for _, mk := range []func() *apk.App{corpus.SudokuTimerApp, corpus.NewsApp, corpus.DatabaseApp} {
+	for name, mk := range map[string]func() *apk.App{
+		"SudokuTimer": corpus.SudokuTimerApp, "News": corpus.NewsApp, "Database": corpus.DatabaseApp,
+	} {
 		reg, res, pairs := analyzeForCheckAll(t, mk())
 		if len(pairs) == 0 {
-			t.Fatal("fixture produced no pairs")
+			t.Fatalf("%s: fixture produced no pairs", name)
 		}
-		var runs [][]Verdict
-		for _, jobs := range []int{2, 3, 8} {
-			v, interrupted := CheckAll(reg, res, Config{Jobs: jobs}, pairs)
+		trWant := obs.New("loop")
+		ref := NewRefuter(reg, res, Config{Obs: trWant})
+		want := make([]Verdict, len(pairs))
+		for i, p := range pairs {
+			want[i] = ref.Check(p)
+		}
+		for _, jobs := range []int{0, 1, 2, 3, 4, 8} {
+			tr := obs.New("pool")
+			got, interrupted := CheckAll(reg, res, Config{Jobs: jobs, Obs: tr}, pairs)
 			if interrupted {
-				t.Fatalf("jobs=%d: interrupted without a context", jobs)
+				t.Fatalf("%s jobs=%d: interrupted without a context", name, jobs)
 			}
-			if len(v) != len(pairs) {
-				t.Fatalf("jobs=%d: %d verdicts for %d pairs", jobs, len(v), len(pairs))
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s jobs=%d: verdicts differ from the Check loop:\n%+v\nvs\n%+v", name, jobs, got, want)
 			}
-			runs = append(runs, v)
-		}
-		for i := 1; i < len(runs); i++ {
-			if !reflect.DeepEqual(runs[0], runs[i]) {
-				t.Errorf("verdicts differ across worker counts:\n%+v\nvs\n%+v", runs[0], runs[i])
+			if d := refuteObsDiff(tr, trWant); d != "" {
+				t.Errorf("%s jobs=%d: %s", name, jobs, d)
 			}
-		}
-	}
-}
-
-// TestCheckAllSequentialMatchesRefuterLoop jobs<=1 must be the legacy
-// shared-memo loop, verdict for verdict.
-func TestCheckAllSequentialMatchesRefuterLoop(t *testing.T) {
-	reg, res, pairs := analyzeForCheckAll(t, corpus.SudokuTimerApp())
-	ref := NewRefuter(reg, res, Config{})
-	var want []Verdict
-	for _, p := range pairs {
-		want = append(want, ref.Check(p))
-	}
-	got, interrupted := CheckAll(reg, res, Config{}, pairs)
-	if interrupted {
-		t.Fatal("interrupted without a context")
-	}
-	if !reflect.DeepEqual(append([]Verdict{}, got...), want) {
-		t.Errorf("CheckAll(jobs=1) = %+v, want %+v", got, want)
-	}
-}
-
-// TestCheckAllTruePositivesAgree the race/no-race outcome must agree
-// between the sequential and parallel paths: private memos change
-// budget accounting, never feasibility on these in-budget fixtures.
-func TestCheckAllTruePositivesAgree(t *testing.T) {
-	reg, res, pairs := analyzeForCheckAll(t, corpus.SudokuTimerApp())
-	seq, _ := CheckAll(reg, res, Config{Jobs: 1}, pairs)
-	par, _ := CheckAll(reg, res, Config{Jobs: 4}, pairs)
-	for i := range pairs {
-		if seq[i].TruePositive != par[i].TruePositive {
-			t.Errorf("pair %s: sequential TruePositive=%v, parallel=%v",
-				pairs[i].Key(), seq[i].TruePositive, par[i].TruePositive)
 		}
 	}
 }
 
 // TestCheckAllCancelledReturnsPrefix a pre-cancelled context yields an
-// empty (but well-formed) prefix and the interrupted flag, on both
-// paths.
+// empty (but well-formed) prefix and the interrupted flag, with one
+// worker and with several.
 func TestCheckAllCancelledReturnsPrefix(t *testing.T) {
 	reg, res, pairs := analyzeForCheckAll(t, corpus.SudokuTimerApp())
 	ctx, cancel := context.WithCancel(context.Background())
@@ -107,7 +111,9 @@ func TestCheckAllCancelledReturnsPrefix(t *testing.T) {
 
 // TestCheckAllPanicIsolation a worker panic (here: a pair whose action
 // id does not exist) must not crash the pool; the pair keeps the
-// over-approximate report-anyway verdict and is counted.
+// over-approximate report-anyway verdict and is counted, and the pairs
+// after it (checked by the same worker when there is one) keep their
+// verdicts.
 func TestCheckAllPanicIsolation(t *testing.T) {
 	reg, res, pairs := analyzeForCheckAll(t, corpus.SudokuTimerApp())
 	if len(pairs) == 0 {
@@ -117,47 +123,28 @@ func TestCheckAllPanicIsolation(t *testing.T) {
 	bad.A.Action = reg.NumActions() + 50
 	bad.B.Action = reg.NumActions() + 51
 	mixed := append([]race.Pair{bad}, pairs...)
+	want, _ := CheckAll(reg, res, Config{}, pairs)
 
-	tr := obs.New("test")
-	v, interrupted := CheckAll(reg, res, Config{Jobs: 4, Obs: tr}, mixed)
-	if interrupted {
-		t.Fatal("panic was reported as interruption")
-	}
-	if len(v) != len(mixed) {
-		t.Fatalf("%d verdicts for %d pairs", len(v), len(mixed))
-	}
-	if !v[0].TruePositive || !v[0].BudgetExhausted {
-		t.Errorf("panicked pair verdict = %+v, want over-approximate race", v[0])
-	}
-	if got := tr.Counter("refute.pair_panics"); got != 1 {
-		t.Errorf("refute.pair_panics = %d, want 1", got)
-	}
-	if got := tr.Counter("symexec.refute_par_jobs"); got != int64(len(mixed)) {
-		t.Errorf("symexec.refute_par_jobs = %d, want %d", got, len(mixed))
-	}
-}
-
-// TestCheckAllObsParityWithSequential the parallel emitter must record
-// the same refute.pairs total and the same pair_paths series keys in
-// the same order as the sequential path.
-func TestCheckAllObsParityWithSequential(t *testing.T) {
-	reg, res, pairs := analyzeForCheckAll(t, corpus.NewsApp())
-	trSeq := obs.New("seq")
-	CheckAll(reg, res, Config{Jobs: 1, Obs: trSeq}, pairs)
-	trPar := obs.New("par")
-	CheckAll(reg, res, Config{Jobs: 4, Obs: trPar}, pairs)
-
-	if a, b := trSeq.Counter("refute.pairs"), trPar.Counter("refute.pairs"); a != b {
-		t.Errorf("refute.pairs: sequential %d, parallel %d", a, b)
-	}
-	sa := trSeq.Snapshot().Series["refute.pair_paths"]
-	sb := trPar.Snapshot().Series["refute.pair_paths"]
-	if len(sa) != len(sb) {
-		t.Fatalf("series lengths differ: %d vs %d", len(sa), len(sb))
-	}
-	for i := range sa {
-		if sa[i].Label != sb[i].Label {
-			t.Errorf("series order diverges at %d: %q vs %q", i, sa[i].Label, sb[i].Label)
+	for _, jobs := range []int{1, 4} {
+		tr := obs.New("test")
+		v, interrupted := CheckAll(reg, res, Config{Jobs: jobs, Obs: tr}, mixed)
+		if interrupted {
+			t.Fatalf("jobs=%d: panic was reported as interruption", jobs)
+		}
+		if len(v) != len(mixed) {
+			t.Fatalf("jobs=%d: %d verdicts for %d pairs", jobs, len(v), len(mixed))
+		}
+		if !v[0].TruePositive || !v[0].BudgetExhausted {
+			t.Errorf("jobs=%d: panicked pair verdict = %+v, want over-approximate race", jobs, v[0])
+		}
+		if !reflect.DeepEqual(v[1:], want) {
+			t.Errorf("jobs=%d: verdicts after the panic differ from a clean run", jobs)
+		}
+		if got := tr.Counter("refute.pair_panics"); got != 1 {
+			t.Errorf("jobs=%d: refute.pair_panics = %d, want 1", jobs, got)
+		}
+		if got := tr.Counter("refute.pairs"); got != int64(len(mixed)) {
+			t.Errorf("jobs=%d: refute.pairs = %d, want %d", jobs, got, len(mixed))
 		}
 	}
 }

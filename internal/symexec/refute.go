@@ -33,17 +33,13 @@ type Config struct {
 	MaxPaths int
 	// MaxDepth bounds call inlining depth (the paper uses 6).
 	MaxDepth int
-	// DisableCache turns off cross-query memoization (for the ablation
-	// benchmark).
+	// DisableCache turns off the A-walk and E-walk memos that queries
+	// within one pair share (for the ablation benchmark). Memos never
+	// span pairs either way.
 	DisableCache bool
-	// Jobs is the per-pair refutation parallelism for CheckAll. At most
-	// 1 (the default) pairs are refuted sequentially by one refuter
-	// whose memo tables span pairs — the legacy behavior, bit-for-bit.
-	// Above 1, each pair is refuted independently on a bounded worker
-	// pool with private memo tables over shared read-only graphs, so
-	// every verdict is a pure function of its pair: deterministic for
-	// any worker count, but path counts — and, at tight budgets,
-	// verdicts — can differ from the memo-amplified sequential path.
+	// Jobs is the number of workers CheckAll refutes pairs on; values
+	// below 1 mean 1. It changes no verdict, path count or refute.*
+	// counter.
 	Jobs int
 	// Obs, when non-nil, receives the refutation effort counters and the
 	// per-pair refute.pair_paths series (see README.md "Observability").
@@ -204,12 +200,12 @@ func NewRefuter(reg *actions.Registry, res *pointer.Result, cfg Config) *Refuter
 	return r
 }
 
-// resetPair recycles a pooled worker refuter between pairs: every keyed
-// memo is cleared and both arenas rewound, which is observably
-// identical to a fresh fork (each memo starts empty; the shared graphs
-// are read-only), so a pair's verdict stays a pure function of the
-// pair. Cumulative tallies (pruned, entryCapped, arena bytes) survive —
-// check reads deltas and the arenas report lifetime bytes.
+// resetPair readies the refuter for the next pair: every keyed memo is
+// cleared and both arenas rewound, which is observably identical to a
+// fresh refuter (each memo starts empty; the graphs are read-only), so
+// a pair's verdict stays a pure function of the pair. Cumulative
+// tallies (pruned, entryCapped, arena bytes) survive — check reads
+// deltas and the arenas report lifetime bytes.
 func (r *Refuter) resetPair() {
 	clear(r.entryMemo)
 	clear(r.witnessMemo)
@@ -228,7 +224,9 @@ func (r *Refuter) arenaBytes() int64 {
 
 // Check decides whether the candidate pair survives refutation: a pair
 // is a true positive iff a feasible path witnesses it in both orderings
-// of the two actions (§5). Per-pair wall time is measured only when a
+// of the two actions (§5). Every call starts from empty memos, so the
+// verdict, path count included, does not depend on which pairs the
+// refuter checked before. Per-pair wall time is measured only when a
 // trace is attached, so the telemetry-off path pays nothing.
 func (r *Refuter) Check(p race.Pair) Verdict {
 	var t0 time.Time
@@ -244,9 +242,9 @@ func (r *Refuter) Check(p race.Pair) Verdict {
 
 // check is Check without observability: it returns the verdict plus
 // the pruned-path and capped-store deltas so callers that defer obs
-// recording (the parallel pool's in-order emitter) can replay them
-// later.
+// recording (CheckAll's in-order emitter) can replay them later.
 func (r *Refuter) check(p race.Pair) (Verdict, int64, int64) {
+	r.resetPair()
 	v := Verdict{}
 	budget := r.Cfg.MaxPaths
 	prunedBefore := r.pruned
@@ -275,9 +273,8 @@ func (r *Refuter) check(p race.Pair) (Verdict, int64, int64) {
 // recordVerdict emits one pair's refutation counters, its
 // refute.pair_paths sample, and the refute.pair_ms / refute.walk_paths
 // histogram observations (nil Trace = no-op; durMS < 0 means the pair
-// was not timed). Sequential Check calls it inline; CheckAll's
-// parallel path calls it from the in-order emitter so counter and
-// series order match the sequential run.
+// was not timed). Check calls it inline; CheckAll calls it from the
+// in-order emitter so counter and series order follow pair order.
 func recordVerdict(tr *obs.Trace, p race.Pair, v Verdict, pruned, capped int64, durMS float64) {
 	if tr == nil {
 		return

@@ -87,53 +87,44 @@ func TestWalkerParityCacheDisabled(t *testing.T) {
 
 // TestWalkerParityParallel the worker pool over trail walkers must
 // produce the same verdict slice and observability totals as the
-// clone-walker pool.
+// clone-walker pool, with one worker and with several.
 func TestWalkerParityParallel(t *testing.T) {
 	for name, mk := range parityApps() {
 		reg, res, pairs := analyzeForCheckAll(t, mk())
-		trTrail := obs.New("trail")
-		trailV, _ := CheckAll(reg, res, Config{Jobs: 4, Obs: trTrail}, pairs)
-		trClone := obs.New("clone")
-		cloneV, _ := CheckAll(reg, res, Config{Jobs: 4, Obs: trClone, cloneWalker: true}, pairs)
-		if !reflect.DeepEqual(trailV, cloneV) {
-			t.Errorf("%s: parallel verdicts diverge:\n%+v\nvs\n%+v", name, trailV, cloneV)
-		}
-		for _, c := range []string{"refute.pairs", "refute.paths", "refute.paths_pruned", "refute.entry_stores_capped"} {
-			if a, b := trTrail.Counter(c), trClone.Counter(c); a != b {
-				t.Errorf("%s: %s diverges: trail %d, clone %d", name, c, a, b)
+		for _, jobs := range []int{1, 4} {
+			trTrail := obs.New("trail")
+			trailV, _ := CheckAll(reg, res, Config{Jobs: jobs, Obs: trTrail}, pairs)
+			trClone := obs.New("clone")
+			cloneV, _ := CheckAll(reg, res, Config{Jobs: jobs, Obs: trClone, cloneWalker: true}, pairs)
+			if !reflect.DeepEqual(trailV, cloneV) {
+				t.Errorf("%s jobs=%d: verdicts diverge:\n%+v\nvs\n%+v", name, jobs, trailV, cloneV)
+			}
+			for _, c := range []string{"refute.pairs", "refute.paths", "refute.paths_pruned", "refute.entry_stores_capped"} {
+				if a, b := trTrail.Counter(c), trClone.Counter(c); a != b {
+					t.Errorf("%s jobs=%d: %s diverges: trail %d, clone %d", name, jobs, c, a, b)
+				}
 			}
 		}
 	}
 }
 
-// TestWalkerParitySequentialCheckAll jobs=1 parity, exercising the
-// shared-memo sequential path under both walkers.
-func TestWalkerParitySequentialCheckAll(t *testing.T) {
-	reg, res, pairs := analyzeForCheckAll(t, corpus.NewsApp())
-	trailV, _ := CheckAll(reg, res, Config{Jobs: 1}, pairs)
-	cloneV, _ := CheckAll(reg, res, Config{Jobs: 1, cloneWalker: true}, pairs)
-	if !reflect.DeepEqual(trailV, cloneV) {
-		t.Errorf("sequential verdicts diverge:\n%+v\nvs\n%+v", trailV, cloneV)
-	}
-}
-
 // TestRacePairVerdictsStable is a pinned-output regression: a pair's
-// verdict must not depend on how many pairs the refuter checked before
-// it, under either walker.
+// verdict, path count included, must not depend on how many pairs the
+// refuter checked before it, under either walker.
 func TestRacePairVerdictsStable(t *testing.T) {
-	reg, res, pairs := analyzeForCheckAll(t, corpus.DatabaseApp())
-	for _, cw := range []bool{false, true} {
-		fresh := make([]Verdict, len(pairs))
-		for i, p := range pairs {
-			fresh[i] = NewRefuter(reg, res, Config{cloneWalker: cw}).Check(p)
-		}
-		shared := NewRefuter(reg, res, Config{cloneWalker: cw})
-		for i, p := range pairs {
-			got := shared.Check(p)
-			if got.TruePositive != fresh[i].TruePositive ||
-				!reflect.DeepEqual(got.RefutedOrders, fresh[i].RefutedOrders) {
-				t.Errorf("cloneWalker=%v pair %s: shared-memo feasibility %+v, fresh %+v",
-					cw, p.Key(), got, fresh[i])
+	for name, mk := range map[string]func() *apk.App{
+		"Database": corpus.DatabaseApp, "SudokuTimer": corpus.SudokuTimerApp,
+	} {
+		reg, res, pairs := analyzeForCheckAll(t, mk())
+		for _, cw := range []bool{false, true} {
+			reused := NewRefuter(reg, res, Config{cloneWalker: cw})
+			for _, p := range pairs {
+				got := reused.Check(p)
+				want := NewRefuter(reg, res, Config{cloneWalker: cw}).Check(p)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s cloneWalker=%v pair %s: reused refuter %+v, fresh %+v",
+						name, cw, p.Key(), got, want)
+				}
 			}
 		}
 	}

@@ -45,8 +45,7 @@ func (o Outcome) Confirmed() bool { return o.ObservedAB && o.ObservedBA }
 // both orders. factory must produce a fresh app per run (the simulator
 // mutates heap state).
 func Witness(factory func() *apk.App, pair race.Pair, opts Options) Outcome {
-	out, _ := WitnessErr(func() (*apk.App, error) { return factory(), nil }, pair, opts)
-	return out
+	return WitnessAll(factory, []race.Pair{pair}, opts)[0].Outcome
 }
 
 // WitnessErr is Witness with a fallible factory: the first factory
@@ -54,37 +53,8 @@ func Witness(factory func() *apk.App, pair race.Pair, opts Options) Outcome {
 // was observed up to that point (callers exit cleanly instead of
 // panicking inside the factory).
 func WitnessErr(factory func() (*apk.App, error), pair race.Pair, opts Options) (Outcome, error) {
-	if opts.Schedules == 0 {
-		opts.Schedules = 50
-	}
-	if opts.EventsPerSchedule == 0 {
-		opts.EventsPerSchedule = 60
-	}
-	out := Outcome{WitnessSeedAB: -1, WitnessSeedBA: -1}
-	for s := 0; s < opts.Schedules; s++ {
-		if out.Confirmed() {
-			break
-		}
-		app, err := factory()
-		if err != nil {
-			return out, err
-		}
-		seed := opts.Seed + int64(s)*104729
-		m := interp.NewMachine(app, seed)
-		m.RegisterManifestReceivers()
-		tr := m.Run(opts.EventsPerSchedule)
-		out.Schedules++
-		ab, ba := observe(tr, pair.A.Pos, pair.B.Pos)
-		if ab && !out.ObservedAB {
-			out.ObservedAB = true
-			out.WitnessSeedAB = seed
-		}
-		if ba && !out.ObservedBA {
-			out.ObservedBA = true
-			out.WitnessSeedBA = seed
-		}
-	}
-	return out, nil
+	out, err := witness(factory, []race.Pair{pair}, opts)
+	return out[0].Outcome, err
 }
 
 // observation is one executed access: its event index and the concrete
@@ -118,8 +88,32 @@ func itoa(i int) string {
 	return string(buf[n:])
 }
 
-// observe scans a trace for accesses at the two static positions
+// traceIndex is one trace's accesses grouped by static position, plus
+// the events that write each concrete object, in event order.
+type traceIndex struct {
+	byPos map[string][]observation
+	// writesTo[objID] lists event ids containing a write to the object.
+	writesTo map[int][]int
+}
+
+func indexTrace(tr *interp.Trace) traceIndex {
+	idx := traceIndex{byPos: map[string][]observation{}, writesTo: map[int][]int{}}
+	for _, ev := range tr.Events {
+		for _, acc := range ev.Accesses {
+			k := posKey(acc.Pos)
+			idx.byPos[k] = append(idx.byPos[k], observation{event: ev.ID, objID: acc.ObjID})
+			if acc.Kind == interp.Write {
+				idx.writesTo[acc.ObjID] = append(idx.writesTo[acc.ObjID], ev.ID)
+			}
+		}
+	}
+	return idx
+}
+
+// observe looks up accesses at the two static positions (posKey form)
 // touching the same concrete object, reporting which orders occurred.
+// Same-position pairs (one statement racing with itself across action
+// instances) observe on both sides.
 //
 // An ordering only counts when the two accesses are *adjacent* with
 // respect to their object: no event between them writes that object.
@@ -128,37 +122,17 @@ func itoa(i int) string {
 // the later access (§5). Without adjacency, an intervening event (e.g.
 // onResume re-arming Fig 8's guard between stop() and the timer tick)
 // would "witness" an ordering the refutation never claimed impossible.
-func observe(tr *interp.Trace, posA, posB ir.Pos) (ab, ba bool) {
-	keyA, keyB := posKey(posA), posKey(posB)
-	var as, bs []observation
-	// writesTo[objID] lists event ids containing a write to the object.
-	writesTo := map[int][]int{}
-	for _, ev := range tr.Events {
-		for _, acc := range ev.Accesses {
-			k := posKey(acc.Pos)
-			if k == keyA {
-				as = append(as, observation{event: ev.ID, objID: acc.ObjID})
-			}
-			// Same-position pairs (one statement racing with itself
-			// across action instances) observe on both sides.
-			if k == keyB {
-				bs = append(bs, observation{event: ev.ID, objID: acc.ObjID})
-			}
-			if acc.Kind == interp.Write {
-				writesTo[acc.ObjID] = append(writesTo[acc.ObjID], ev.ID)
-			}
-		}
-	}
+func (idx traceIndex) observe(keyA, keyB string) (ab, ba bool) {
 	adjacent := func(objID, lo, hi int) bool {
-		for _, w := range writesTo[objID] {
+		for _, w := range idx.writesTo[objID] {
 			if w > lo && w < hi {
 				return false
 			}
 		}
 		return true
 	}
-	for _, a := range as {
-		for _, b := range bs {
+	for _, a := range idx.byPos[keyA] {
+		for _, b := range idx.byPos[keyB] {
 			if a.objID != b.objID || a.event == b.event {
 				continue
 			}
@@ -179,13 +153,58 @@ type Report struct {
 	Outcome Outcome
 }
 
-// WitnessAll runs the search for every pair, reusing schedules is not
-// possible (heap state differs per pair query positions are independent),
-// so each pair gets its own budget.
+// WitnessAll runs the search for every pair. Each schedule runs once
+// and every pair not yet confirmed observes its trace, so a pair's
+// Outcome (seeds and schedule count included) is exactly what Witness
+// reports for it alone.
 func WitnessAll(factory func() *apk.App, pairs []race.Pair, opts Options) []Report {
-	out := make([]Report, 0, len(pairs))
-	for _, p := range pairs {
-		out = append(out, Report{Pair: p, Outcome: Witness(factory, p, opts)})
-	}
+	out, _ := witness(func() (*apk.App, error) { return factory(), nil }, pairs, opts)
 	return out
+}
+
+func witness(factory func() (*apk.App, error), pairs []race.Pair, opts Options) ([]Report, error) {
+	if opts.Schedules == 0 {
+		opts.Schedules = 50
+	}
+	if opts.EventsPerSchedule == 0 {
+		opts.EventsPerSchedule = 60
+	}
+	out := make([]Report, len(pairs))
+	keys := make([][2]string, len(pairs))
+	for i, p := range pairs {
+		out[i] = Report{Pair: p, Outcome: Outcome{WitnessSeedAB: -1, WitnessSeedBA: -1}}
+		keys[i] = [2]string{posKey(p.A.Pos), posKey(p.B.Pos)}
+	}
+	open := len(pairs)
+	for s := 0; s < opts.Schedules && open > 0; s++ {
+		app, err := factory()
+		if err != nil {
+			return out, err
+		}
+		// The trace depends only on the app and the seed.
+		seed := opts.Seed + int64(s)*104729
+		m := interp.NewMachine(app, seed)
+		m.RegisterManifestReceivers()
+		idx := indexTrace(m.Run(opts.EventsPerSchedule))
+		for i := range out {
+			o := &out[i].Outcome
+			if o.Confirmed() {
+				continue
+			}
+			o.Schedules++
+			ab, ba := idx.observe(keys[i][0], keys[i][1])
+			if ab && !o.ObservedAB {
+				o.ObservedAB = true
+				o.WitnessSeedAB = seed
+			}
+			if ba && !o.ObservedBA {
+				o.ObservedBA = true
+				o.WitnessSeedBA = seed
+			}
+			if o.Confirmed() {
+				open--
+			}
+		}
+	}
+	return out, nil
 }

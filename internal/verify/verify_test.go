@@ -1,10 +1,12 @@
 package verify
 
 import (
+	"fmt"
 	"testing"
 
 	"sierra/internal/actions"
 	"sierra/internal/apk"
+	"sierra/internal/core"
 	"sierra/internal/corpus"
 	"sierra/internal/harness"
 	"sierra/internal/pointer"
@@ -144,6 +146,91 @@ func TestWitnessAllShapes(t *testing.T) {
 			t.Error("confirmed without witness seeds")
 		}
 	}
+}
+
+// familyApp generates a scenario family's app; each call is a fresh
+// copy (analysis extends the program with harness classes).
+func familyApp(sc corpus.Scenario, seed int64) func() *apk.App {
+	name := fmt.Sprintf("%s-%d", sc.Name, seed)
+	return func() *apk.App {
+		a, _ := sc.Generate(name, seed, nil)
+		return a
+	}
+}
+
+// TestWitnessAllMatchesWitness: sharing each schedule's trace across
+// pairs must not change any pair's outcome — observed orders, witness
+// seeds and schedule counts equal a per-pair search.
+func TestWitnessAllMatchesWitness(t *testing.T) {
+	apps := map[string]func() *apk.App{"newsapp": corpus.NewsApp}
+	for _, sc := range corpus.Scenarios() {
+		if sc.Name == "guarded-sync" || sc.Name == "async-storm" {
+			apps[sc.Name+"-0"] = familyApp(sc, 0)
+		}
+	}
+	opts := Options{Schedules: 12, EventsPerSchedule: 60, Seed: 4}
+	for name, mk := range apps {
+		res := core.Analyze(mk(), core.Options{SkipRefutation: true})
+		if len(res.RacyPairs) == 0 {
+			t.Fatalf("%s: no pairs", name)
+		}
+		runApp := mk()
+		factory := func() *apk.App { return runApp }
+		confirmed := 0
+		for i, r := range WitnessAll(factory, res.RacyPairs, opts) {
+			want := Witness(factory, res.RacyPairs[i], opts)
+			if r.Outcome != want {
+				t.Errorf("%s pair %s: WitnessAll %+v, Witness %+v", name, r.Pair.Key(), r.Outcome, want)
+			}
+			if want.Confirmed() {
+				confirmed++
+			}
+		}
+		t.Logf("%s: %d pairs, %d confirmed", name, len(res.RacyPairs), confirmed)
+	}
+}
+
+// TestRefutedPairsNeverWitnessed is the refute obligation of the
+// soundness ledger on every scenario family except table2-x10 (too
+// large for a unit test), at seeds 0–2: no pair the production
+// pipeline refutes may be witnessed in both orders by the runtime
+// (20 schedules of 60 events each).
+func TestRefutedPairsNeverWitnessed(t *testing.T) {
+	total, oneOrder := 0, 0
+	for _, sc := range corpus.Scenarios() {
+		if sc.Name == "table2-x10" {
+			continue
+		}
+		for seed := int64(0); seed < 3; seed++ {
+			mk := familyApp(sc, seed)
+			res := core.Analyze(mk(), core.Options{})
+			var refuted []race.Pair
+			for i, v := range res.AllVerdicts {
+				if !v.TruePositive {
+					refuted = append(refuted, res.RacyPairs[i])
+				}
+			}
+			// The machine only reads the app, so one unanalyzed copy
+			// serves every schedule.
+			runApp := mk()
+			reports := WitnessAll(func() *apk.App { return runApp }, refuted,
+				Options{Schedules: 20, EventsPerSchedule: 60, Seed: seed})
+			for _, r := range reports {
+				if r.Outcome.ObservedAB || r.Outcome.ObservedBA {
+					oneOrder++
+				}
+				if r.Outcome.Confirmed() {
+					t.Errorf("%s-%d: refuted pair %s witnessed in both orders (seeds %d/%d) — refuter unsound",
+						sc.Name, seed, r.Pair.Key(), r.Outcome.WitnessSeedAB, r.Outcome.WitnessSeedBA)
+				}
+			}
+			total += len(refuted)
+		}
+	}
+	if total == 0 {
+		t.Fatal("no family refuted any pair")
+	}
+	t.Logf("%d refuted pairs checked, %d of them observed in one order", total, oneOrder)
 }
 
 func TestOutcomeConfirmedSemantics(t *testing.T) {

@@ -8,13 +8,6 @@
 #                                        plus one iteration of the parallel
 #                                        refutation bench at 2 workers under
 #                                        GOMAXPROCS=2
-#   ./scripts/benchdiff.sh -cpu [list]   scaling lane: run the parallel
-#                                        refutation kernel with jobs=N under
-#                                        GOMAXPROCS=N for each N in the
-#                                        comma-separated list (default
-#                                        1,2,4,8) and write per-core ns/op
-#                                        medians + speedup-vs-1 curves to
-#                                        BENCH_scaling.json
 #   ./scripts/benchdiff.sh -incr [N]     incremental lane: cold vs warm medians
 #                                        for the canonical one-method
 #                                        skeleton-visible edit on an N-group
@@ -32,7 +25,10 @@
 #                                        `git archive` into a throwaway
 #                                        directory) and print a per-kernel
 #                                        ns/op + allocs/op delta as JSON in the
-#                                        BENCH_kernels.json before/after shape
+#                                        BENCH_kernels.json before/after shape;
+#                                        the refutation pool's widths are the
+#                                        BenchmarkKernelRefutationParallel/jobs=N
+#                                        lanes
 #
 # Every comparison run also appends one entry — UTC date, HEAD SHA,
 # baseline ref/SHA, host CPU count, and the HEAD median of every kernel,
@@ -50,17 +46,16 @@ set -eu
 PATTERN="${BENCH_PATTERN:-BenchmarkKernel}"
 COUNT="${BENCH_COUNT:-3}"
 # The one parallel per-app kernel, the refutation pool; it exposes jobs=N
-# sub-benchmarks whose list tracks GOMAXPROCS (see bench_kernels_test.go),
-# so `-cpu N` always finds a matching jobs=N lane.
+# sub-benchmarks (see bench_kernels_test.go).
 PAR_PATTERN='BenchmarkKernelRefutationParallel'
 
 usage() {
-    echo "usage: $0 -smoke | $0 -cpu [1,2,4,8] | $0 -incr [groups] | $0 -stream [config] | $0 <git-ref>" >&2
+    echo "usage: $0 -smoke | $0 -incr [groups] | $0 -stream [config] | $0 <git-ref>" >&2
     exit 2
 }
 
 [ $# -ge 1 ] && [ $# -le 2 ] || usage
-[ $# -eq 2 ] && [ "$1" != "-cpu" ] && [ "$1" != "-incr" ] && [ "$1" != "-stream" ] && usage
+[ $# -eq 2 ] && [ "$1" != "-incr" ] && [ "$1" != "-stream" ] && usage
 
 repo_root=$(git rev-parse --show-toplevel)
 cd "$repo_root"
@@ -132,109 +127,6 @@ if [ "$1" = "-incr" ]; then
         -incr-iters "${BENCH_INCR_ITERS:-7}" -incr-groups "$GROUPS"
     cat "$INCR_OUT"
     echo "benchdiff: wrote $INCR_OUT" >&2
-    exit 0
-fi
-
-if [ "$1" = "-cpu" ]; then
-    CPUS="${2:-1,2,4,8}"
-    SCALING="${BENCH_SCALING:-$repo_root/BENCH_scaling.json}"
-    tmp=$(mktemp -d)
-    trap 'rm -rf "$tmp"' EXIT INT TERM
-    host_cpus=$(nproc 2>/dev/null || echo 1)
-    # Honesty on small hosts: a jobs=N lane with N > host_cpus measures
-    # scheduler overhead, not parallel speedup, and would poison the
-    # speedup-vs-1 curve. Skip those lanes and record them in the
-    # artifact; BENCH_OVERSUB=1 forces them anyway.
-    RUN_CPUS=""
-    SKIPPED=""
-    for n in $(printf '%s' "$CPUS" | tr ',' ' '); do
-        if [ "$n" -gt "$host_cpus" ] && [ "${BENCH_OVERSUB:-0}" != "1" ]; then
-            SKIPPED="${SKIPPED:+$SKIPPED,}$n"
-            echo "benchdiff: skipping jobs=$n lane (host has $host_cpus CPUs; BENCH_OVERSUB=1 forces it)" >&2
-            continue
-        fi
-        RUN_CPUS="${RUN_CPUS:+$RUN_CPUS,}$n"
-    done
-    if [ -z "$RUN_CPUS" ]; then
-        echo "benchdiff: no runnable -cpu lanes: every requested N in {$CPUS} exceeds the host's $host_cpus CPUs" >&2
-        exit 1
-    fi
-    for n in $(printf '%s' "$RUN_CPUS" | tr ',' ' '); do
-        echo "benchdiff: scaling lane GOMAXPROCS=$n jobs=$n (count=$COUNT)..." >&2
-        # jobs=N exists at every N because the benches' jobs list includes
-        # GOMAXPROCS(0); the jobs=N$ anchor skips any #01 duplicate.
-        go test -run '^$' -bench "$PAR_PATTERN/jobs=$n\$" -benchmem \
-            -count="$COUNT" -cpu "$n" . >>"$tmp/scaling.txt"
-    done
-    awk -v cpus="$RUN_CPUS" -v skipped="$SKIPPED" -v host_cpus="$host_cpus" -v count="$COUNT" \
-        -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
-        -v head_sha="$(git rev-parse HEAD)" '
-    function median(arr, n,    i, j, tmpv, half) {
-        for (i = 2; i <= n; i++) {
-            tmpv = arr[i]
-            for (j = i - 1; j >= 1 && arr[j] > tmpv; j--) arr[j + 1] = arr[j]
-            arr[j + 1] = tmpv
-        }
-        half = int((n + 1) / 2)
-        return arr[half]
-    }
-    function med(kernel, jobs,    i, tmpa) {
-        for (i = 1; i <= cnt[kernel, jobs]; i++) tmpa[i] = ns[kernel, jobs, i]
-        return median(tmpa, cnt[kernel, jobs])
-    }
-    /^Benchmark/ {
-        name = $1
-        sub(/-[0-9]+$/, "", name)          # strip the -N GOMAXPROCS suffix
-        split(name, parts, "/")
-        kernel = parts[1]
-        jobs = parts[2]
-        sub(/^jobs=/, "", jobs)
-        if (!(kernel in seen)) { seen[kernel] = 1; kernels[++nk] = kernel }
-        for (k = 3; k <= NF; k++)
-            if ($k == "ns/op") {
-                cnt[kernel, jobs]++
-                ns[kernel, jobs, cnt[kernel, jobs]] = $(k - 1) + 0
-            }
-    }
-    END {
-        nc = split(cpus, cl, ",")
-        # stable kernel order
-        for (i = 1; i <= nk; i++)
-            for (j = i + 1; j <= nk; j++)
-                if (kernels[j] < kernels[i]) { t = kernels[i]; kernels[i] = kernels[j]; kernels[j] = t }
-        printf "{\n  \"schema\": \"sierra-kernel-scaling/v1\",\n"
-        printf "  \"date\": \"%s\",\n  \"head_sha\": \"%s\",\n", date, head_sha
-        printf "  \"host_cpus\": %d,\n  \"count\": %d,\n", host_cpus, count
-        printf "  \"cpus\": [%s],\n", cpus
-        printf "  \"skipped_oversubscribed\": [%s],\n", skipped
-        printf "  \"note\": \"Each lane runs jobs=N under GOMAXPROCS=N. jobs=1 is the shared-memo sequential refuter; jobs>=2 is the per-pair pool, whose reports are byte-identical at any count, so speedup_vs_1 compares the pool against the sequential refuter, not one kernel at two widths. Lanes with N > host_cpus oversubscribe the host and measure scheduling overhead, not parallel speedup; they are skipped (and listed in skipped_oversubscribed) unless BENCH_OVERSUB=1 forces them.\",\n"
-        printf "  \"kernels\": {\n"
-        for (i = 1; i <= nk; i++) {
-            kernel = kernels[i]
-            base = 0
-            printf "    \"%s\": {\n      \"ns_op\": {", kernel
-            sep = ""
-            for (c = 1; c <= nc; c++) {
-                if (cnt[kernel, cl[c]] == 0) continue
-                m = med(kernel, cl[c])
-                if (cl[c] + 0 == 1) base = m
-                printf "%s\"%s\": %d", sep, cl[c], m
-                sep = ", "
-            }
-            printf "},\n      \"speedup_vs_1\": {"
-            sep = ""
-            for (c = 1; c <= nc; c++) {
-                if (cl[c] + 0 == 1 || cnt[kernel, cl[c]] == 0) continue
-                m = med(kernel, cl[c])
-                printf "%s\"%s\": %.2f", sep, cl[c], (base > 0 && m > 0 ? base / m : 0)
-                sep = ", "
-            }
-            printf "}\n    }%s\n", (i < nk ? "," : "")
-        }
-        printf "  }\n}\n"
-    }' "$tmp/scaling.txt" >"$SCALING"
-    cat "$SCALING"
-    echo "benchdiff: wrote $SCALING" >&2
     exit 0
 fi
 
