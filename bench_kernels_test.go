@@ -235,6 +235,32 @@ func BenchmarkKernelPairsPaper(b *testing.B) {
 	b.ReportMetric(float64(len(pairs)), "pairs")
 }
 
+// BenchmarkKernelAttribution measures action attribution — the
+// per-action reachability over the call graph that access collection
+// and refuter construction share — on NPRNews. The registry memoizes it
+// per result, so each iteration runs a fresh analysis of the parsed app
+// with the timer stopped. Layer: pairs.
+func BenchmarkKernelAttribution(b *testing.B) {
+	app, err := appfile.Read(bytes.NewReader(paperAppBytes(b, "NPRNews")))
+	if err != nil {
+		b.Fatal(err)
+	}
+	hs := harness.Generate(app)
+	b.ReportAllocs()
+	b.ResetTimer()
+	insts := 0
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		reg, res := actions.Analyze(app, hs, pointer.ActionSensitivePolicy{K: 2})
+		b.StartTimer()
+		insts = 0
+		for _, ids := range reg.ActionInstances(res) {
+			insts += len(ids)
+		}
+	}
+	b.ReportMetric(float64(insts), "attributed")
+}
+
 // BenchmarkKernelRefutation measures symbolic refutation of every
 // candidate by one refuter's Check loop, each pair from empty memos
 // (the per-pair work CheckAll's workers do). Layer: refute.

@@ -140,8 +140,8 @@ func TestDatabaseAppSystemAction(t *testing.T) {
 	// DataReceiver#onReceive.
 	insts := reg.ActionInstances(res)
 	foundBody := false
-	for _, mk := range insts[recv.ID] {
-		if mk.M.QualifiedName() == "DataReceiver#onReceive" {
+	for _, id := range insts[recv.ID] {
+		if res.Method(id).QualifiedName() == "DataReceiver#onReceive" {
 			foundBody = true
 		}
 	}
@@ -199,16 +199,16 @@ func TestActionAttributionDisjointUnderAS(t *testing.T) {
 	insts := reg.ActionInstances(res)
 	// Under action sensitivity each non-harness instance belongs to at
 	// most one action (contexts carry the action id).
-	owner := map[pointer.MKey]int{}
-	for aid, keys := range insts {
-		for _, mk := range keys {
-			if mk.Ctx.Action != aid {
+	owner := map[pointer.Inst]int{}
+	for aid, ids := range insts {
+		for _, id := range ids {
+			if res.Key(id).Ctx.Action != aid {
 				continue // entry plumbing (harness main under root action)
 			}
-			if prev, dup := owner[mk]; dup && prev != aid {
-				t.Errorf("instance %v attributed to both A%d and A%d", mk, prev, aid)
+			if prev, dup := owner[id]; dup && prev != aid {
+				t.Errorf("instance %v attributed to both A%d and A%d", res.Key(id), prev, aid)
 			}
-			owner[mk] = aid
+			owner[id] = aid
 		}
 	}
 }
@@ -219,10 +219,10 @@ func TestAttributionSharedUnderHybrid(t *testing.T) {
 	insts := reg.ActionInstances(res)
 	// Without action sensitivity the adapter's add/notify instances are
 	// shared between actions — count instances attributed to 2+ actions.
-	count := map[string]int{}
-	for _, keys := range insts {
-		for _, mk := range keys {
-			count[mk.String()]++
+	count := map[pointer.Inst]int{}
+	for _, ids := range insts {
+		for _, id := range ids {
+			count[id]++
 		}
 	}
 	shared := 0

@@ -2,7 +2,6 @@ package actions
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"sierra/internal/apk"
@@ -44,7 +43,7 @@ type Registry struct {
 	// refuter construction), so recomputing the reachability closures
 	// each time was a measurable share of refuter setup.
 	instMu   sync.Mutex
-	instMemo map[*pointer.Result]map[int][]pointer.MKey
+	instMemo map[*pointer.Result][][]pointer.Inst
 }
 
 // NewRegistry creates the registry and the upfront actions: one harness
@@ -512,73 +511,43 @@ func (r *Registry) scopeOf(id int) int {
 }
 
 // ActionInstances attributes call-graph instances to actions by
-// reachability from each action's entry instances. Under action-
+// reachability from each action's entry instances: for each action id,
+// the ids of the instances it reaches, ascending. Under action-
 // sensitive policies the sets are disjoint (contexts carry the action
 // id); under insensitive policies method instances shared between
 // actions attribute to all of them — exactly the imprecision action
 // sensitivity removes.
 //
 // The result is memoized per Result and shared: callers must treat the
-// returned map and its slices as read-only.
-func (r *Registry) ActionInstances(res *pointer.Result) map[int][]pointer.MKey {
+// returned slices as read-only.
+func (r *Registry) ActionInstances(res *pointer.Result) [][]pointer.Inst {
 	r.instMu.Lock()
 	defer r.instMu.Unlock()
 	if out, ok := r.instMemo[res]; ok {
 		return out
 	}
-	out := make(map[int][]pointer.MKey, len(r.actions))
-	// Instances reached by several actions (every action under an
-	// insensitive policy, the harness root's and its callbacks' under
-	// any) are rendered once, not once per action.
-	rendered := map[pointer.MKey]string{}
+	out := make([][]pointer.Inst, len(r.actions))
+	var roots []pointer.Inst
 	for _, a := range r.actions {
-		roots := append([]pointer.MKey(nil), r.entryKeys[a.ID]...)
+		roots = roots[:0]
+		for _, mk := range r.entryKeys[a.ID] {
+			if id, ok := res.Lookup(mk); ok {
+				roots = append(roots, id)
+			}
+		}
 		// Lifecycle/GUI actions enter via their harness call site.
 		if a.HarnessSite.Valid() {
-			h := r.Harnesses[a.Scope]
-			for _, mainMK := range res.InstancesOf(h.Method) {
-				roots = append(roots, res.CalleesAt(mainMK, a.HarnessSite)...)
+			for _, main := range res.MethodInstances(r.Harnesses[a.Scope].Method) {
+				roots = append(roots, res.CalleesAt(main, a.HarnessSite)...)
 			}
 		}
-		reach := res.ReachableFrom(roots...)
-		keys := make([]pointer.MKey, 0, len(reach))
-		for mk := range reach {
-			keys = append(keys, mk)
-		}
-		// Decorate-sort: render each key once instead of O(n log n)
-		// times inside the comparator (this runs per action and was the
-		// refuter-construction hot spot).
-		names := make([]string, len(keys))
-		for i, mk := range keys {
-			name, ok := rendered[mk]
-			if !ok {
-				name = mk.String()
-				rendered[mk] = name
-			}
-			names[i] = name
-		}
-		sort.Sort(&keysByName{keys: keys, names: names})
-		out[a.ID] = keys
+		out[a.ID] = res.ReachableFrom(roots...)
 	}
 	if r.instMemo == nil {
-		r.instMemo = map[*pointer.Result]map[int][]pointer.MKey{}
+		r.instMemo = map[*pointer.Result][][]pointer.Inst{}
 	}
 	r.instMemo[res] = out
 	return out
-}
-
-// keysByName sorts MKeys by their pre-rendered String forms, keeping
-// the two slices aligned.
-type keysByName struct {
-	keys  []pointer.MKey
-	names []string
-}
-
-func (s *keysByName) Len() int           { return len(s.keys) }
-func (s *keysByName) Less(i, j int) bool { return s.names[i] < s.names[j] }
-func (s *keysByName) Swap(i, j int) {
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
-	s.names[i], s.names[j] = s.names[j], s.names[i]
 }
 
 // messageWhats extracts constant message codes at a send site: the

@@ -215,10 +215,7 @@ func (a *App) Validate() error {
 		}
 		return nil
 	}
-	// Layouts and XML callbacks are checked in name order, so which
-	// unresolved callback an error names does not depend on map order.
-	layouts := sortedKeys(a.Layouts)
-	for _, act := range a.Manifest.Activities {
+	for i, act := range a.Manifest.Activities {
 		if err := check(act, "android.app.Activity", "activity"); err != nil {
 			return err
 		}
@@ -227,21 +224,12 @@ func (a *App) Validate() error {
 				return fmt.Errorf("apk %s: activity %s references unknown layout %q", a.Name, act.Class, act.Layout)
 			}
 		}
-		for _, ln := range layouts {
-			for _, v := range a.Layouts[ln].AllViews() {
-				for _, kind := range sortedKeys(v.XMLCallbacks) {
-					target := v.XMLCallbacks[kind]
-					found := false
-					for _, comp := range a.Manifest.Activities {
-						if p.ResolveMethod(comp.Class, target) != nil {
-							found = true
-							break
-						}
-					}
-					if !found {
-						return fmt.Errorf("apk %s: XML callback %q matches no activity method", a.Name, target)
-					}
-				}
+		// XML callbacks resolve against every activity, not this one:
+		// one sweep, where the first activity's checks end, decides
+		// them all.
+		if i == 0 {
+			if err := a.checkXMLCallbacks(); err != nil {
+				return err
 			}
 		}
 	}
@@ -253,6 +241,31 @@ func (a *App) Validate() error {
 	for _, rcv := range a.Manifest.Receivers {
 		if err := check(rcv, "android.content.BroadcastReceiver", "receiver"); err != nil {
 			return err
+		}
+	}
+	return nil
+}
+
+// checkXMLCallbacks requires every layout XML callback to name a method
+// of some manifest activity. Layouts and callbacks are checked in name
+// order, so which unresolved callback an error names does not depend on
+// map order.
+func (a *App) checkXMLCallbacks() error {
+	for _, ln := range sortedKeys(a.Layouts) {
+		for _, v := range a.Layouts[ln].AllViews() {
+			for _, kind := range sortedKeys(v.XMLCallbacks) {
+				target := v.XMLCallbacks[kind]
+				found := false
+				for _, comp := range a.Manifest.Activities {
+					if a.Program.ResolveMethod(comp.Class, target) != nil {
+						found = true
+						break
+					}
+				}
+				if !found {
+					return fmt.Errorf("apk %s: XML callback %q matches no activity method", a.Name, target)
+				}
+			}
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package apk_test
 
 import (
+	"strings"
 	"testing"
 
 	"sierra/internal/apk"
@@ -106,6 +107,15 @@ func TestValidateCatchesBrokenApps(t *testing.T) {
 	app.Layouts["main"].Root.Children[1].XMLCallbacks = map[string]string{"onClick": "noSuchMethod"}
 	if err := app.Validate(); err == nil {
 		t.Error("dangling XML callback not caught")
+	}
+
+	// Callbacks are swept once, after the first activity's checks: a
+	// dangling callback outranks a broken second activity.
+	app = corpus.NewsApp()
+	app.Layouts["main"].Root.Children[1].XMLCallbacks = map[string]string{"onClick": "noSuchMethod"}
+	app.Manifest.Activities = append(app.Manifest.Activities, apk.Component{Class: "Missing"})
+	if err := app.Validate(); err == nil || !strings.Contains(err.Error(), `XML callback "noSuchMethod"`) {
+		t.Errorf("dangling callback with a broken second activity: got %v, want the callback error", err)
 	}
 }
 

@@ -33,9 +33,7 @@ func (s *Set) Add(i int) bool {
 	}
 	w := i >> 6
 	if w >= len(*s) {
-		grown := make(Set, w+1)
-		copy(grown, *s)
-		*s = grown
+		s.grow(w + 1)
 	}
 	mask := uint64(1) << (uint(i) & 63)
 	if (*s)[w]&mask != 0 {
@@ -43,6 +41,21 @@ func (s *Set) Add(i int) bool {
 	}
 	(*s)[w] |= mask
 	return true
+}
+
+// grow extends s to n zeroed-tail words. A reallocation reserves room
+// for twice the old capacity, so a set filled in ascending order
+// reallocates O(log n) times, not once per word.
+func (s *Set) grow(n int) {
+	if n <= cap(*s) {
+		old := len(*s)
+		*s = (*s)[:n]
+		clear((*s)[old:])
+		return
+	}
+	grown := make(Set, n, max(n, 2*cap(*s)))
+	copy(grown, *s)
+	*s = grown
 }
 
 // Clear unsets bit i (no-op for out-of-range i; the set never shrinks).
@@ -76,9 +89,7 @@ func (s *Set) Or(other Set) int {
 			n--
 		}
 		if n > len(*s) {
-			grown := make(Set, n)
-			copy(grown, *s)
-			*s = grown
+			s.grow(n)
 		}
 	}
 	dst := *s
@@ -180,9 +191,7 @@ func (s Set) TakeDelta(prev *Set, dst []int) []int {
 			n--
 		}
 		if n > len(*prev) {
-			grown := make(Set, n)
-			copy(grown, *prev)
-			*prev = grown
+			prev.grow(n)
 		}
 	}
 	p := *prev

@@ -54,6 +54,15 @@ func (p *Program) Classes() []*Class {
 	return out
 }
 
+// EachClass calls fn on every registered class in no particular order —
+// for callers that only aggregate over classes, which Classes' sort
+// would cost for nothing.
+func (p *Program) EachClass(fn func(*Class)) {
+	for _, c := range p.classes {
+		fn(c)
+	}
+}
+
 // NumClasses reports the number of registered classes.
 func (p *Program) NumClasses() int { return len(p.classes) }
 

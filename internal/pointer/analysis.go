@@ -3,6 +3,7 @@ package pointer
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"sierra/internal/frontend"
@@ -21,7 +22,9 @@ type Entry struct {
 	// ParamObjs seeds parameters with objects directly.
 	ParamObjs map[string][]Obj
 	// ParamFrom installs persistent copy constraints param ⊆ src, e.g.
-	// handleMessage's msg parameter from the sendMessage argument.
+	// handleMessage's msg parameter from the sendMessage argument. A src
+	// must name a variable of an installed instance (such as the
+	// caller of the event that returned the entry); others are ignored.
 	ParamFrom map[string]VarKey
 }
 
@@ -139,20 +142,21 @@ func newAnalyzer(cfg Config) *analyzer {
 	// code no entry reaches (most of a padded app).
 	in := NewInterner()
 	a := &analyzer{
-		cfg: cfg,
-		in:  in,
-		res: &Result{
-			Policy:    cfg.Policy,
-			in:        in,
-			pts:       make(map[VarKey]ObjSet),
-			fpts:      make(map[FieldKey]ObjSet),
-			spts:      make(map[string]ObjSet),
-			instances: make(map[MKey]bool),
-			byMethod:  make(map[*ir.Method][]MKey),
-			callees:   make(map[siteKey][]MKey),
-		},
-		edgeOf:     make(map[VarKey]*copyEdge),
-		calleeSeen: make(map[calleeEdge]bool),
+		cfg:       cfg,
+		in:        in,
+		res:       newResult(cfg.Policy, in),
+		infos:     make(map[*ir.Method]*methodInfo),
+		callees:   make(map[calleeKey]calleeVal),
+		seedsOf:   make(map[*ir.Method][]int, len(cfg.Seeds)),
+		seedSlots: make([][2]int32, len(cfg.Seeds)),
+	}
+	for i := range cfg.Seeds {
+		s := &cfg.Seeds[i]
+		a.seedSlots[i] = [2]int32{-1, -1}
+		a.seedsOf[s.SrcMethod] = append(a.seedsOf[s.SrcMethod], i)
+		if s.DstMethod != s.SrcMethod {
+			a.seedsOf[s.DstMethod] = append(a.seedsOf[s.DstMethod], i)
+		}
 	}
 	a.viewFallback = sortedViewObjs(cfg.Views)
 	if cfg.Solver != SolverExhaustive {
@@ -187,14 +191,14 @@ func (a *analyzer) runExhaustive() {
 		a.res.passes = pass + 1
 		changed := false
 		// Statements of every discovered instance (order-stable: the
-		// slice only grows, and growth order is deterministic).
-		for i := 0; i < len(a.order); i++ {
+		// table only grows, and growth order is deterministic).
+		for i := 0; i < len(a.res.insts); i++ {
 			if i%ctxStride == ctxStride-1 && ctxDone(cfg.Ctx) {
 				a.res.Interrupted = true
 				break
 			}
 			a.stats.iterations++
-			if a.processInstance(a.order[i]) {
+			if a.processInstance(Inst(i)) {
 				changed = true
 			}
 		}
@@ -232,8 +236,9 @@ func (a *analyzer) reportObs() {
 	if tr == nil {
 		return
 	}
-	tr.Count("pointer.passes", int64(a.res.passes))
-	if a.res.Interrupted {
+	r := a.res
+	tr.Count("pointer.passes", int64(r.passes))
+	if r.Interrupted {
 		tr.Count("pointer.interrupted", 1)
 	}
 	tr.Count("pointer.worklist_iterations", a.stats.iterations)
@@ -244,13 +249,15 @@ func (a *analyzer) reportObs() {
 		tr.Count("pointer.delta_props", a.stats.deltaProps)
 		tr.Count("pointer.dep_edges", int64(a.d.depEdges()))
 	}
-	tr.Count("pointer.instances", int64(len(a.res.instances)))
-	tr.Count("pointer.entries", int64(len(a.res.entryKeys)))
+	tr.Count("pointer.instances", int64(len(r.insts)))
+	tr.Count("pointer.entries", int64(len(r.entries)))
 	tr.Count("pointer.cha_targets", a.stats.chaTargets)
 	tr.Count("pointer.events_fired", a.stats.eventsFired)
 	edges := 0
-	for _, callees := range a.res.callees {
-		edges += len(callees)
+	for _, inst := range r.insts {
+		for _, callees := range inst.calls {
+			edges += len(callees)
+		}
 	}
 	tr.Count("pointer.call_edges", int64(edges))
 	copies := 0
@@ -258,54 +265,70 @@ func (a *analyzer) reportObs() {
 		copies += len(e.srcs)
 	}
 	tr.Count("pointer.copy_constraints", int64(copies))
-	var totalObjs, maxSet, words int
-	for _, set := range a.res.pts {
-		n := set.Len()
-		totalObjs += n
-		if n > maxSet {
-			maxSet = n
+	var vars, totalObjs, maxSet, words int
+	for _, inst := range r.insts {
+		for _, set := range inst.vars {
+			if set.d == nil {
+				continue
+			}
+			vars++
+			n := set.Len()
+			totalObjs += n
+			if n > maxSet {
+				maxSet = n
+			}
+			words += set.Words()
 		}
-		words += set.Words()
 	}
-	for _, set := range a.res.fpts {
-		words += set.Words()
+	for _, f := range r.fsets {
+		words += f.set.Words()
 	}
-	for _, set := range a.res.spts {
-		words += set.Words()
+	for _, s := range r.ssets {
+		words += s.set.Words()
 	}
 	tr.Count("pointer.objset_words", int64(words))
 	tr.Count("pointer.interned_objs", int64(a.in.NumObjs()))
-	tr.Gauge("pointer.pts_vars", float64(len(a.res.pts)))
+	tr.Gauge("pointer.pts_vars", float64(vars))
 	tr.Gauge("pointer.pts_objs", float64(totalObjs))
 	tr.Gauge("pointer.pts_max", float64(maxSet))
 }
 
-// siteKey identifies a call site instance.
-type siteKey struct {
-	Caller MKey
-	Pos    ir.Pos
-}
-
 type analyzer struct {
-	cfg   Config
-	in    *Interner
-	res   *Result
-	order []MKey // instance worklist in discovery order
-	// edgeOf maps each copy destination to its edge, so addCopy finds
-	// (or dedups) an edge with one hash lookup plus a scan of the
-	// destination's short source list — no nested membership maps and no
-	// key re-rendering per call.
-	edgeOf map[VarKey]*copyEdge
-	// sortedCopies holds the copy edges String()-ordered so applyCopies
-	// iterates deterministically without re-sorting (and re-rendering
-	// keys) every sweep.
+	cfg Config
+	in  *Interner
+	res *Result
+	// infos holds the slot table and layout of every reached method.
+	infos  map[*ir.Method]*methodInfo
+	nSites int32 // call-site ids handed out by layout
+	// callees memoizes call binding per (caller context, call site,
+	// receiver): the policy's callee context — already switched at
+	// action-entry sites — and the dispatch target. The policy runs once
+	// per distinct key, not per visit.
+	callees map[calleeKey]calleeVal
+	// heap memoizes Policy.HeapCtx per context id.
+	heap []heapCtx
+	// vs holds each local's solver bookkeeping, per instance and slot.
+	vs [][]varState
+	// sortedCopies holds the copy edges in rendered-key order (see
+	// Result.localName), so
+	// applyCopies iterates deterministically without re-sorting.
 	sortedCopies []*copyEdge
-	// calleeSeen is the membership mirror of res.callees, so recordEdge
-	// is O(1) per re-visit instead of a linear scan of the edge list.
-	calleeSeen map[calleeEdge]bool
+	// seedsOf lists, per method, the seeds reading or writing it;
+	// seedSlots resolves each seed's source and destination variable to
+	// a slot once its method is laid out (-1 before).
+	seedsOf   map[*ir.Method][]int
+	seedSlots [][2]int32
 	// viewFallback is the sorted all-views slice viewObjs falls back to
 	// for non-constant findViewById arguments, computed once.
 	viewFallback []Obj
+	// Chunks that set headers, instances, local slots, solver
+	// bookkeeping, operand lists and callee lists are carved from.
+	sets      []objsetData
+	instChunk []instance
+	slotChunk []ObjSet
+	intChunk  []int32
+	vsChunk   []varState
+	instIDs   []Inst
 	// d holds the difference-propagation state; nil under the exhaustive
 	// solver.
 	d *deltaState
@@ -320,17 +343,38 @@ type analyzer struct {
 	}
 }
 
-// calleeEdge is one (call site, callee) pair — the recordEdge dedup key.
-type calleeEdge struct {
-	sk     siteKey
-	callee MKey
+// calleeKey keys the call-binding memo; recv is the receiver's object
+// id, or -1 for a call without one.
+type calleeKey struct {
+	caller, site, recv int32
+}
+
+type calleeVal struct {
+	ctx    int32
+	target *ir.Method
+}
+
+type heapCtx struct {
+	s  string
+	ok bool
+}
+
+// varState is one local's solver bookkeeping.
+type varState struct {
+	// edge is the copy edge whose destination is the local.
+	edge *copyEdge
+	// key is the local's rendered name, once a copy edge needed it.
+	key string
+	// deps and copies head the local's consumer and copy-edge chains
+	// (delta solver only; see link).
+	deps, copies int32
 }
 
 // copyEdge is one destination's persistent copy constraints, its
-// sources kept String()-sorted.
+// sources kept sorted by rendered key.
 type copyEdge struct {
 	key  string
-	dst  VarKey
+	dst  local
 	srcs []copySrc
 	// dirty marks that some source grew since the delta solver last
 	// applied this edge (unused by the exhaustive solver).
@@ -339,7 +383,7 @@ type copyEdge struct {
 
 type copySrc struct {
 	key string
-	src VarKey
+	src local
 }
 
 // install registers an entry's method instance and seeds, reporting
@@ -348,109 +392,188 @@ func (a *analyzer) install(e Entry, isRoot bool) bool {
 	if e.Method == nil {
 		return false
 	}
-	changed := false
-	mk := MKey{M: e.Method, Ctx: e.Ctx}
-	if a.newInstance(mk, isRoot) {
-		changed = true
-	}
-	thisKey := VarKey{M: e.Method, Ctx: e.Ctx, Var: "this"}
+	id, changed := a.newInstance(e.Method, a.res.ctx.intern(e.Ctx), isRoot)
+	mi := a.res.insts[id].info
+	this := local{id, mi.this}
 	for _, o := range e.This {
-		if a.pts(thisKey).Add(o) {
+		if a.pts(this).Add(o) {
 			changed = true
-			a.touchVar(thisKey)
+			a.touchVar(this)
 		}
 	}
 	for v, objs := range e.ParamObjs {
-		k := VarKey{M: e.Method, Ctx: e.Ctx, Var: v}
+		l := local{id, mi.slot(v)}
 		for _, o := range objs {
-			if a.pts(k).Add(o) {
+			if a.pts(l).Add(o) {
 				changed = true
-				a.touchVar(k)
+				a.touchVar(l)
 			}
 		}
 	}
 	for v, src := range e.ParamFrom {
-		dst := VarKey{M: e.Method, Ctx: e.Ctx, Var: v}
-		if !a.hasCopy(dst, src) {
-			a.addCopy(dst, src)
+		s, ok := a.localOf(src)
+		if !ok {
+			continue
+		}
+		dst := local{id, mi.slot(v)}
+		if !a.hasCopy(dst, s) {
+			a.addCopy(dst, s)
 			changed = true
 		}
 	}
 	return changed
 }
 
-// newInstance registers a method instance on first sight: the instance
-// set, the discovery-ordered worklist, the per-method index, the entry
-// list (for roots), and — under the delta solver — the per-statement
-// dirty bookkeeping. Reports whether the instance was new.
-func (a *analyzer) newInstance(mk MKey, isRoot bool) bool {
-	if a.res.instances[mk] {
-		return false
+// localOf resolves a variable key to an installed instance's local.
+func (a *analyzer) localOf(k VarKey) (local, bool) {
+	id, ok := a.res.Lookup(MKey{M: k.M, Ctx: k.Ctx})
+	if !ok {
+		return local{}, false
 	}
-	a.res.instances[mk] = true
-	a.order = append(a.order, mk)
-	a.res.byMethod[mk.M] = append(a.res.byMethod[mk.M], mk)
+	return local{id, a.res.insts[id].info.slot(k.Var)}, true
+}
+
+// newInstance registers a method instance on first sight — the instance
+// table, the per-method index, the entry list (for roots), and under
+// the delta solver the per-statement dirty bookkeeping — and returns
+// its id and whether it was new.
+func (a *analyzer) newInstance(m *ir.Method, ctx int32, isRoot bool) (Inst, bool) {
+	k := instKey{m, ctx}
+	if id, ok := a.res.instIdx[k]; ok {
+		return id, false
+	}
+	mi := a.methodInfo(m)
+	id := Inst(len(a.res.insts))
+	inst := &carve(&a.instChunk, 1)[0]
+	*inst = instance{m: m, ctx: ctx, info: mi, vars: carve(&a.slotChunk, len(mi.names))}
+	a.res.insts = append(a.res.insts, inst)
+	a.res.instIdx[k] = id
+	a.res.byMethod[m] = append(a.res.byMethod[m], id)
 	if isRoot {
-		a.res.entryKeys = append(a.res.entryKeys, mk)
+		a.res.entries = append(a.res.entries, id)
 	}
+	a.vs = append(a.vs, nil)
 	if a.d != nil {
-		a.d.registerInstance(a, len(a.order)-1, mk)
+		a.d.registerInstance(a, id)
 	}
-	return true
+	return id, true
 }
 
 // touchVar / touchField / touchStatic notify the delta solver that a
 // points-to set grew (no-ops under the exhaustive solver).
-func (a *analyzer) touchVar(k VarKey) {
+func (a *analyzer) touchVar(l local) {
 	if a.d != nil {
-		a.d.touchVar(k)
+		a.d.touchVar(a, l)
 	}
 }
 
-func (a *analyzer) touchField(k FieldKey) {
+func (a *analyzer) touchField(fi int32) {
 	if a.d != nil {
-		a.d.touchField(k)
+		a.d.touchField(fi)
 	}
 }
 
-func (a *analyzer) touchStatic(key string) {
+func (a *analyzer) touchStatic(si int32) {
 	if a.d != nil {
-		a.d.touchStatic(key)
+		a.d.touchStatic(si)
 	}
 }
 
-func (a *analyzer) pts(k VarKey) ObjSet {
-	s, ok := a.res.pts[k]
-	if !ok {
-		s = a.in.NewSet()
-		a.res.pts[k] = s
+// chunkLen is how many elements one chunk allocation holds.
+const chunkLen = 256
+
+// carve returns n zeroed elements of capacity n cut from *chunk, which
+// it refills when short: one allocation serves many small tables.
+// Requests over a quarter chunk get their own array.
+func carve[T any](chunk *[]T, n int) []T {
+	if n > chunkLen/4 {
+		return make([]T, n)
+	}
+	if len(*chunk) < n {
+		*chunk = make([]T, chunkLen)
+	}
+	out := (*chunk)[:n:n]
+	*chunk = (*chunk)[n:]
+	return out
+}
+
+// newSet returns an empty set in the analysis's id space.
+func (a *analyzer) newSet() ObjSet {
+	d := &carve(&a.sets, 1)[0]
+	d.in = a.in
+	return ObjSet{d: d}
+}
+
+// pts returns a local's points-to set, materializing it on first use.
+func (a *analyzer) pts(l local) ObjSet {
+	inst := a.res.insts[l.inst]
+	if int(l.slot) >= len(inst.vars) {
+		inst.vars = append(inst.vars, make([]ObjSet, len(inst.info.names)-len(inst.vars))...)
+	}
+	s := inst.vars[l.slot]
+	if s.d == nil {
+		s = a.newSet()
+		inst.vars[l.slot] = s
 	}
 	return s
 }
 
-func (a *analyzer) fpts(k FieldKey) ObjSet {
-	s, ok := a.res.fpts[k]
-	if !ok {
-		s = a.in.NewSet()
-		a.res.fpts[k] = s
+// varState returns a local's solver bookkeeping.
+func (a *analyzer) varState(l local) *varState {
+	vs := a.vs[l.inst]
+	if int(l.slot) >= len(vs) {
+		n := len(a.res.insts[l.inst].info.names)
+		if len(vs) == 0 {
+			vs = carve(&a.vsChunk, n)
+		} else {
+			vs = append(vs, make([]varState, n-len(vs))...)
+		}
+		a.vs[l.inst] = vs
+	}
+	return &vs[l.slot]
+}
+
+// fieldSet returns the index and set of an object's field,
+// materializing it on first use.
+func (a *analyzer) fieldSet(obj uint32, field int32) (int32, ObjSet) {
+	r := a.res
+	k := fieldKey(obj, field)
+	if i, ok := r.fieldIdx[k]; ok {
+		return i, r.fsets[i].set
+	}
+	i := int32(len(r.fsets))
+	s := a.newSet()
+	r.fsets = append(r.fsets, fieldSet{obj: obj, field: field, set: s})
+	r.fieldIdx[k] = i
+	return i, s
+}
+
+// staticSet returns static si's set, materializing it on first use.
+func (a *analyzer) staticSet(si int32) ObjSet {
+	s := a.res.ssets[si].set
+	if s.d == nil {
+		s = a.newSet()
+		a.res.ssets[si].set = s
 	}
 	return s
 }
 
-func (a *analyzer) spts(cls, field string) ObjSet {
-	key := cls + "." + field
-	s, ok := a.res.spts[key]
-	if !ok {
-		s = a.in.NewSet()
-		a.res.spts[key] = s
+// heapCtx returns the policy's heap context for context id ctx.
+func (a *analyzer) heapCtx(ctx int32) string {
+	for int(ctx) >= len(a.heap) {
+		a.heap = append(a.heap, heapCtx{})
 	}
-	return s
+	h := &a.heap[ctx]
+	if !h.ok {
+		*h = heapCtx{s: a.cfg.Policy.HeapCtx(a.res.ctx.ctxs[ctx]), ok: true}
+	}
+	return h.s
 }
 
 // hasCopy reports whether dst ⊆ src is already recorded. Source lists
 // are short (a destination's fan-in), so a scan beats a nested map.
-func (a *analyzer) hasCopy(dst, src VarKey) bool {
-	e := a.edgeOf[dst]
+func (a *analyzer) hasCopy(dst, src local) bool {
+	e := a.varState(dst).edge
 	if e == nil {
 		return false
 	}
@@ -464,11 +587,12 @@ func (a *analyzer) hasCopy(dst, src VarKey) bool {
 
 // addCopy records dst ⊆ src, keeping the sorted iteration mirrors in
 // sync (no-op for an already-known edge).
-func (a *analyzer) addCopy(dst, src VarKey) {
-	e := a.edgeOf[dst]
+func (a *analyzer) addCopy(dst, src local) {
+	vs := a.varState(dst)
+	e := vs.edge
 	if e == nil {
 		e = a.insertCopyEdge(dst)
-		a.edgeOf[dst] = e
+		vs.edge = e
 	}
 	for i := range e.srcs {
 		if e.srcs[i].src == src {
@@ -477,14 +601,24 @@ func (a *analyzer) addCopy(dst, src VarKey) {
 	}
 	a.insertCopySrc(e, src)
 	if a.d != nil {
-		a.d.registerCopy(e, src)
+		a.d.registerCopy(a, e, src)
 	}
 }
 
+// localKey renders a local once, as the copy-edge sort key.
+func (a *analyzer) localKey(l local) string {
+	vs := a.varState(l)
+	if vs.key == "" {
+		vs.key = a.res.localName(l)
+	}
+	return vs.key
+}
+
 // insertCopyEdge places a new destination into sortedCopies at its
-// String()-ordered position, returning the fresh edge.
-func (a *analyzer) insertCopyEdge(dst VarKey) *copyEdge {
-	key := dst.String()
+// rendered-key position, returning the fresh edge. The order fixes the
+// copy sweep's order, and with it the pass count.
+func (a *analyzer) insertCopyEdge(dst local) *copyEdge {
+	key := a.localKey(dst)
 	i := sort.Search(len(a.sortedCopies), func(i int) bool {
 		return a.sortedCopies[i].key >= key
 	})
@@ -497,8 +631,8 @@ func (a *analyzer) insertCopyEdge(dst VarKey) *copyEdge {
 
 // insertCopySrc places a new source into the destination edge's sorted
 // source list.
-func (a *analyzer) insertCopySrc(e *copyEdge, src VarKey) {
-	skey := src.String()
+func (a *analyzer) insertCopySrc(e *copyEdge, src local) {
+	skey := a.localKey(src)
 	j := sort.Search(len(e.srcs), func(j int) bool {
 		return e.srcs[j].key >= skey
 	})
@@ -509,163 +643,168 @@ func (a *analyzer) insertCopySrc(e *copyEdge, src VarKey) {
 
 // processInstance applies all statement transfer functions of one method
 // instance, returning whether any points-to set grew.
-func (a *analyzer) processInstance(mk MKey) bool {
+func (a *analyzer) processInstance(id Inst) bool {
+	inst := a.res.insts[id]
 	changed := false
-	for bi, blk := range mk.M.Blocks {
-		for si, s := range blk.Stmts {
-			if a.transfer(mk, s, ir.Pos{Method: mk.M, Block: bi, Index: si}) {
+	k := 0
+	for _, blk := range inst.m.Blocks {
+		for _, s := range blk.Stmts {
+			if a.transfer(id, inst, s, &inst.info.stmts[k]) {
 				changed = true
 			}
+			k++
 		}
 	}
 	return changed
 }
 
-// transfer applies s, the statement at pos, in instance mk.
-func (a *analyzer) transfer(mk MKey, s ir.Stmt, pos ir.Pos) bool {
-	key := func(v string) VarKey { return VarKey{M: mk.M, Ctx: mk.Ctx, Var: v} }
-	switch st := s.(type) {
+// transfer applies statement s, laid out as st, in instance id.
+func (a *analyzer) transfer(id Inst, inst *instance, s ir.Stmt, st *stmtInfo) bool {
+	switch s := s.(type) {
 	case *ir.New:
-		o := Obj{Site: st.Site, Ctx: a.cfg.Policy.HeapCtx(mk.Ctx), Class: st.Class}
-		return a.pts(key(st.Dst)).Add(o)
+		o := Obj{Site: s.Site, Ctx: a.heapCtx(inst.ctx), Class: s.Class}
+		return a.pts(local{id, st.a}).Add(o)
 	case *ir.Move:
-		return a.pts(key(st.Dst)).AddAll(a.pts(key(st.Src)))
+		return a.pts(local{id, st.a}).AddAll(a.pts(local{id, st.b}))
 	case *ir.Load:
 		changed := false
-		for _, o := range a.pts(key(st.Obj)).Slice() {
-			if a.pts(key(st.Dst)).AddAll(a.fpts(FieldKey{Obj: o, Field: st.Field})) {
+		// Snapshot the bases: when dst is the base ("x = x.f") objects
+		// added below wait for the next pass.
+		for _, o := range a.pts(local{id, st.b}).AppendIDs(nil) {
+			if _, fs := a.fieldSet(uint32(o), st.c); a.pts(local{id, st.a}).AddAll(fs) {
 				changed = true
 			}
 		}
 		return changed
 	case *ir.Store:
 		changed := false
-		src := a.pts(key(st.Src))
-		for _, o := range a.pts(key(st.Obj)).Slice() {
-			if a.fpts(FieldKey{Obj: o, Field: st.Field}).AddAll(src) {
+		src := a.pts(local{id, st.b})
+		for _, o := range a.pts(local{id, st.a}).AppendIDs(nil) {
+			if _, fs := a.fieldSet(uint32(o), st.c); fs.AddAll(src) {
 				changed = true
 			}
 		}
 		return changed
 	case *ir.StaticLoad:
-		return a.pts(key(st.Dst)).AddAll(a.spts(st.Class, st.Field))
+		return a.pts(local{id, st.a}).AddAll(a.staticSet(st.c))
 	case *ir.StaticStore:
-		return a.spts(st.Class, st.Field).AddAll(a.pts(key(st.Src)))
+		return a.staticSet(st.c).AddAll(a.pts(local{id, st.b}))
 	case *ir.Return:
-		if st.Src == "" {
+		if st.b < 0 {
 			return false
 		}
-		return a.pts(key(retVar)).AddAll(a.pts(key(st.Src)))
+		return a.pts(local{id, st.a}).AddAll(a.pts(local{id, st.b}))
 	case *ir.Invoke:
-		return a.invoke(mk, st, pos)
+		return a.invoke(id, inst, &inst.info.calls[st.a])
 	default:
 		return false
 	}
 }
 
 // invoke handles dispatch, special framework semantics, and call-edge
-// recording for the call inv at pos.
-func (a *analyzer) invoke(mk MKey, inv *ir.Invoke, pos ir.Pos) bool {
-	key := func(v string) VarKey { return VarKey{M: mk.M, Ctx: mk.Ctx, Var: v} }
+// recording for call site ci of instance id.
+func (a *analyzer) invoke(id Inst, inst *instance, ci *callInfo) bool {
 	changed := false
-
-	if api, ok := frontend.Recognize(a.cfg.Prog, inv); ok {
-		switch api.Kind {
-		case frontend.APIFindViewByID:
-			if inv.Dst != "" {
-				for _, o := range a.viewObjs(mk.M, inv.Args[0]) {
-					if a.pts(key(inv.Dst)).Add(o) {
-						changed = true
-					}
+	if ci.recognized {
+		// Spawning and registration APIs are framework stubs whose
+		// effects the OnEvent hook reifies; no body to dispatch into.
+		if ci.api.Kind == frontend.APIFindViewByID && ci.dst >= 0 {
+			for _, o := range a.viewObjs(inst.m, ci.inv.Args[0]) {
+				if a.pts(local{id, ci.dst}).Add(o) {
+					changed = true
 				}
 			}
-			return changed
-		default:
-			// Spawning and registration APIs are framework stubs whose
-			// effects the OnEvent hook reifies; no body to dispatch into.
-			return false
 		}
+		return changed
 	}
 	// Looper accessors return the main looper singleton (background
 	// loopers are modelled per-thread by the actions layer).
-	if inv.Class == frontend.LooperClass &&
-		(inv.Method == frontend.GetMainLooper || inv.Method == frontend.MyLooper) {
-		if inv.Dst != "" {
-			return a.pts(key(inv.Dst)).Add(MainLooperObj(frontend.LooperClass))
+	if ci.looper {
+		if ci.dst >= 0 {
+			return a.pts(local{id, ci.dst}).Add(MainLooperObj(frontend.LooperClass))
 		}
 		return false
 	}
-
-	site := fmt.Sprintf("%s@%d.%d", mk.M.QualifiedName(), pos.Block, pos.Index)
-	switch inv.Kind {
-	case ir.InvokeStatic:
-		target := a.cfg.Prog.ResolveMethod(inv.Class, inv.Method)
-		ctx := a.cfg.Policy.CalleeContext(mk.Ctx, site, inv.Kind, Obj{}, false)
-		ctx = a.maybeEnterAction(ctx, pos)
-		if a.bindCall(mk, inv, pos, target, ctx, nil) {
+	if ci.inv.Kind == ir.InvokeStatic {
+		return a.bindCall(id, ci, a.callee(inst, ci, -1), -1)
+	}
+	recvs := a.pts(local{id, ci.recv}).AppendIDs(nil)
+	sortIDs(recvs, a.in.snapshot())
+	for _, o := range recvs {
+		if a.bindCall(id, ci, a.callee(inst, ci, int32(o)), int32(o)) {
 			changed = true
-		}
-	case ir.InvokeSpecial:
-		target := a.cfg.Prog.ResolveMethod(inv.Class, inv.Method)
-		for _, o := range a.pts(key(inv.Recv)).Slice() {
-			o := o
-			ctx := a.cfg.Policy.CalleeContext(mk.Ctx, site, inv.Kind, o, true)
-			ctx = a.maybeEnterAction(ctx, pos)
-			if a.bindCall(mk, inv, pos, target, ctx, &o) {
-				changed = true
-			}
-		}
-	default: // virtual
-		for _, o := range a.pts(key(inv.Recv)).Slice() {
-			o := o
-			target := a.cfg.Prog.ResolveMethod(o.Class, inv.Method)
-			ctx := a.cfg.Policy.CalleeContext(mk.Ctx, site, inv.Kind, o, true)
-			ctx = a.maybeEnterAction(ctx, pos)
-			if a.bindCall(mk, inv, pos, target, ctx, &o) {
-				changed = true
-			}
 		}
 	}
 	return changed
 }
 
+// sortIDs sorts object ids into the canonical lessObj order of their
+// objects.
+func sortIDs(ids []int, objs []Obj) {
+	slices.SortFunc(ids, func(x, y int) int {
+		switch {
+		case x == y:
+			return 0
+		case lessObj(objs[x], objs[y]):
+			return -1
+		}
+		return 1
+	})
+}
+
+// callee returns the callee context and dispatch target of call site ci
+// in inst for receiver object recv (-1 without one), consulting the
+// policy only on the first visit of the key.
+func (a *analyzer) callee(inst *instance, ci *callInfo, recv int32) calleeVal {
+	k := calleeKey{inst.ctx, ci.site, recv}
+	if v, ok := a.callees[k]; ok {
+		return v
+	}
+	inv := ci.inv
+	var o Obj
+	if recv >= 0 {
+		o = a.in.snapshot()[recv]
+	}
+	var target *ir.Method
+	if inv.Kind == ir.InvokeStatic || inv.Kind == ir.InvokeSpecial {
+		target = a.cfg.Prog.ResolveMethod(inv.Class, inv.Method)
+	} else {
+		target = a.cfg.Prog.ResolveMethod(o.Class, inv.Method)
+	}
+	ctx := a.cfg.Policy.CalleeContext(a.res.ctx.ctxs[inst.ctx], inst.info.siteName(ci), inv.Kind, o, recv >= 0)
+	ctx = a.maybeEnterAction(ctx, ci.pos)
+	v := calleeVal{ctx: a.res.ctx.intern(ctx), target: target}
+	a.callees[k] = v
+	return v
+}
+
 // bindCall wires one resolved dispatch target into the call graph: it
 // installs the callee instance, records the call edge, flows the
-// receiver into the callee's this, and adds the parameter/return copy
-// constraints. Reports whether anything new was learned (new instance or
-// receiver growth). Shared by both solvers so discovery order and edge
-// order are identical.
-func (a *analyzer) bindCall(mk MKey, inv *ir.Invoke, pos ir.Pos, target *ir.Method, ctx Context, recv *Obj) bool {
-	if target == nil {
+// receiver object recv (-1 for none) into the callee's this, and adds
+// the parameter/return copy constraints. Reports whether anything new
+// was learned (new instance or receiver growth). Shared by both solvers
+// so discovery order and edge order are identical.
+func (a *analyzer) bindCall(caller Inst, ci *callInfo, cv calleeVal, recv int32) bool {
+	if cv.target == nil {
 		return false
 	}
 	a.stats.chaTargets++
-	changed := false
-	calleeKey := MKey{M: target, Ctx: ctx}
-	if a.newInstance(calleeKey, false) {
-		changed = true
-	}
-	a.recordEdge(siteKey{Caller: mk, Pos: pos}, calleeKey)
-	if recv != nil {
-		thisKey := VarKey{M: target, Ctx: ctx, Var: "this"}
-		if a.pts(thisKey).Add(*recv) {
+	callee, changed := a.newInstance(cv.target, cv.ctx, false)
+	a.recordEdge(caller, ci, callee)
+	cmi := a.res.insts[callee].info
+	if recv >= 0 {
+		this := local{callee, cmi.this}
+		if a.pts(this).addID(uint32(recv)) {
 			changed = true
-			a.touchVar(thisKey)
+			a.touchVar(this)
 		}
 	}
-	n := len(inv.Args)
-	if len(target.Params) < n {
-		n = len(target.Params)
-	}
+	n := min(len(ci.args), len(cmi.params))
 	for i := 0; i < n; i++ {
-		a.addCopy(
-			VarKey{M: target, Ctx: ctx, Var: target.Params[i]},
-			VarKey{M: mk.M, Ctx: mk.Ctx, Var: inv.Args[i]})
+		a.addCopy(local{callee, cmi.params[i]}, local{caller, ci.args[i]})
 	}
-	if inv.Dst != "" {
-		a.addCopy(
-			VarKey{M: mk.M, Ctx: mk.Ctx, Var: inv.Dst},
-			VarKey{M: target, Ctx: ctx, Var: retVar})
+	if ci.dst >= 0 {
+		a.addCopy(local{caller, ci.dst}, local{callee, cmi.ret})
 	}
 	return changed
 }
@@ -720,18 +859,31 @@ func sortedViewObjs(views map[int]string) []Obj {
 	return out
 }
 
-func (a *analyzer) recordEdge(sk siteKey, callee MKey) {
-	e := calleeEdge{sk: sk, callee: callee}
-	if a.calleeSeen[e] {
-		return
+// recordEdge appends callee to the callee list of call site ci of
+// caller, once.
+func (a *analyzer) recordEdge(caller Inst, ci *callInfo, callee Inst) {
+	inst := a.res.insts[caller]
+	if int(ci.ord) >= len(inst.calls) {
+		calls := make([][]Inst, len(inst.info.calls))
+		copy(calls, inst.calls)
+		inst.calls = calls
 	}
-	a.calleeSeen[e] = true
-	a.res.callees[sk] = append(a.res.callees[sk], callee)
+	list := inst.calls[ci.ord]
+	for _, c := range list {
+		if c == callee {
+			return
+		}
+	}
+	if list == nil {
+		// Most sites bind one callee.
+		list = carve(&a.instIDs, 1)[:0]
+	}
+	inst.calls[ci.ord] = append(list, callee)
 }
 
 // applyCopies propagates all persistent copy constraints once, in the
-// stable String() order sortedCopies maintains (word-parallel unions;
-// no per-sweep sorting or key rendering).
+// rendered-key order sortedCopies maintains (word-parallel unions; no
+// per-sweep sorting or key rendering).
 func (a *analyzer) applyCopies() bool {
 	changed := false
 	for _, e := range a.sortedCopies {
@@ -746,24 +898,26 @@ func (a *analyzer) applyCopies() bool {
 }
 
 // applySeeds propagates the cross-context seeds once (over the
-// per-method instance index, not the full order).
+// per-method instance index, not the full table).
 func (a *analyzer) applySeeds() bool {
 	changed := false
 	for i := range a.cfg.Seeds {
-		if a.applySeed(&a.cfg.Seeds[i]) {
+		if a.applySeed(i) {
 			changed = true
 		}
 	}
 	return changed
 }
 
-// applySeed propagates one seed: the union of the source variable across
+// applySeed propagates seed si: the union of the source variable across
 // every instance of the source method flows into the destination
 // variable of every instance of the destination method.
-func (a *analyzer) applySeed(seed *Seed) bool {
+func (a *analyzer) applySeed(si int) bool {
+	seed := &a.cfg.Seeds[si]
+	slots := a.seedSlots[si]
 	var union ObjSet
-	for _, mk := range a.res.byMethod[seed.SrcMethod] {
-		src := a.res.pts[VarKey{M: mk.M, Ctx: mk.Ctx, Var: seed.SrcVar}]
+	for _, id := range a.res.byMethod[seed.SrcMethod] {
+		src := a.res.insts[id].varSet(slots[0])
 		if src.Len() == 0 {
 			continue
 		}
@@ -776,11 +930,11 @@ func (a *analyzer) applySeed(seed *Seed) bool {
 		return false
 	}
 	changed := false
-	for _, mk := range a.res.byMethod[seed.DstMethod] {
-		k := VarKey{M: mk.M, Ctx: mk.Ctx, Var: seed.DstVar}
-		if a.pts(k).AddAll(union) {
+	for _, id := range a.res.byMethod[seed.DstMethod] {
+		l := local{id, slots[1]}
+		if a.pts(l).AddAll(union) {
 			changed = true
-			a.touchVar(k)
+			a.touchVar(l)
 		}
 	}
 	return changed
@@ -793,38 +947,45 @@ func (a *analyzer) fireEvents() bool {
 		return false
 	}
 	changed := false
-	for i := 0; i < len(a.order); i++ {
-		mk := a.order[i]
-		for bi, blk := range mk.M.Blocks {
-			for si, s := range blk.Stmts {
-				inv, ok := s.(*ir.Invoke)
-				if !ok {
-					continue
-				}
-				api, ok := frontend.Recognize(a.cfg.Prog, inv)
-				if !ok || api.Kind == frontend.APIFindViewByID || api.Kind == frontend.APISetListener {
-					continue
-				}
-				ev := Event{
-					Caller: mk, Pos: ir.Pos{Method: mk.M, Block: bi, Index: si}, Inv: inv, API: api,
-					FieldObjs: func(o Obj, field string) []Obj {
-						return a.fpts(FieldKey{Obj: o, Field: field}).Slice()
-					},
-				}
-				if inv.Recv != "" {
-					ev.Recv = a.pts(VarKey{M: mk.M, Ctx: mk.Ctx, Var: inv.Recv}).Slice()
-				}
-				for _, arg := range inv.Args {
-					ev.Args = append(ev.Args, a.pts(VarKey{M: mk.M, Ctx: mk.Ctx, Var: arg}).Slice())
-				}
-				a.stats.eventsFired++
-				for _, e := range a.cfg.OnEvent(ev) {
-					if a.install(e, true) {
-						changed = true
-					}
+	for i := 0; i < len(a.res.insts); i++ {
+		inst := a.res.insts[i]
+		for _, ord := range inst.info.events {
+			ev := a.event(Inst(i), &inst.info.calls[ord], nil)
+			a.stats.eventsFired++
+			for _, e := range a.cfg.OnEvent(ev) {
+				if a.install(e, true) {
+					changed = true
 				}
 			}
 		}
 	}
 	return changed
+}
+
+// event builds the Event of call site ci in instance id with current
+// points-to facts. onField, when set, sees the index of every field
+// set a FieldObjs call reads.
+func (a *analyzer) event(id Inst, ci *callInfo, onField func(fi int32)) Event {
+	inst := a.res.insts[id]
+	ev := Event{
+		Caller: MKey{M: inst.m, Ctx: a.res.ctx.ctxs[inst.ctx]}, Pos: ci.pos, Inv: ci.inv, API: ci.api,
+		FieldObjs: func(o Obj, field string) []Obj {
+			oid, ok := a.in.lookup(o)
+			if !ok {
+				return nil
+			}
+			fi, fs := a.fieldSet(oid, a.res.fieldID(field))
+			if onField != nil {
+				onField(fi)
+			}
+			return fs.Slice()
+		},
+	}
+	if ci.inv.Recv != "" {
+		ev.Recv = a.pts(local{id, ci.recv}).Slice()
+	}
+	for _, s := range ci.args {
+		ev.Args = append(ev.Args, a.pts(local{id, s}).Slice())
+	}
+	return ev
 }

@@ -34,7 +34,8 @@ func TestBasicFlow(t *testing.T) {
 
 	res := Analyze(Config{Prog: p, Policy: Insensitive{}, Entries: []Entry{entry(m)}})
 	for _, v := range []string{"a", "b", "c"} {
-		pts := res.PointsTo(m, EmptyContext, v)
+		id, _ := res.Lookup(MKey{M: m, Ctx: EmptyContext})
+		pts := res.LocalPointsTo(id, v)
 		if pts.Len() != 1 {
 			t.Fatalf("pts(%s) = %v, want one object", v, pts)
 		}
@@ -66,11 +67,11 @@ func TestCallBindingAndReturn(t *testing.T) {
 		t.Fatalf("return flow broken: pts(x) = %v", got)
 	}
 	// Receiver binding: make's this is the self object.
-	made := res.InstancesOf(c.Methods["make"])
+	made := res.MethodInstances(c.Methods["make"])
 	if len(made) != 1 {
 		t.Fatalf("make instances = %v", made)
 	}
-	if got := res.PointsTo(c.Methods["make"], made[0].Ctx, "this"); got.Len() != 1 {
+	if got := res.LocalPointsTo(made[0], "this"); got.Len() != 1 {
 		t.Fatalf("this binding broken: %v", got)
 	}
 }
@@ -103,10 +104,10 @@ func TestVirtualDispatchPerReceiverClass(t *testing.T) {
 	p := prog(base, sub1, sub2, main)
 	res := Analyze(Config{Prog: p, Policy: Hybrid{K: 2}, Entries: []Entry{entry(main.Methods["main"])}})
 
-	if got := res.InstancesOf(sub2.Methods["get"]); len(got) != 0 {
+	if got := res.MethodInstances(sub2.Methods["get"]); len(got) != 0 {
 		t.Errorf("Sub2.get should be unreachable, got %v", got)
 	}
-	if got := res.InstancesOf(sub1.Methods["get"]); len(got) != 1 {
+	if got := res.MethodInstances(sub1.Methods["get"]); len(got) != 1 {
 		t.Errorf("Sub1.get instances = %v, want 1", got)
 	}
 	x := res.PointsToAll(main.Methods["main"], "x")
@@ -318,15 +319,15 @@ func TestOnEventSpawnsEntries(t *testing.T) {
 	if len(spawned) == 0 {
 		t.Fatal("post event never fired")
 	}
-	runs := res.InstancesOf(task.Methods[frontend.Run])
+	runs := res.MethodInstances(task.Methods[frontend.Run])
 	if len(runs) != 1 {
 		t.Fatalf("run instances = %v", runs)
 	}
-	if runs[0].Ctx.Action != 42 {
-		t.Errorf("spawned ctx = %v, want action 42", runs[0].Ctx)
+	if ctx := res.Key(runs[0]).Ctx; ctx.Action != 42 {
+		t.Errorf("spawned ctx = %v, want action 42", ctx)
 	}
 	// The store in run() must have landed on the Task object.
-	thisSet := res.PointsTo(task.Methods[frontend.Run], runs[0].Ctx, "this")
+	thisSet := res.LocalPointsTo(runs[0], "this")
 	if thisSet.Len() != 1 {
 		t.Fatalf("run this = %v", thisSet)
 	}
@@ -362,11 +363,10 @@ func TestReachableFromFollowsCallEdges(t *testing.T) {
 	p := prog(a)
 
 	res := Analyze(Config{Prog: p, Policy: Hybrid{K: 2}, Entries: []Entry{entry(a.Methods["top"])}})
-	roots := res.InstancesOf(a.Methods["top"])
-	reach := res.ReachableFrom(roots...)
+	reach := res.ReachableFrom(res.MethodInstances(a.Methods["top"])...)
 	var names []string
-	for mk := range reach {
-		names = append(names, mk.M.Name)
+	for _, id := range reach {
+		names = append(names, res.Method(id).Name)
 	}
 	has := func(n string) bool {
 		for _, x := range names {

@@ -11,19 +11,19 @@ package pointer
 //
 //   - Each (instance, statement) pair gets a dense id and a dirty bit.
 //     A statement re-runs only when marked dirty by a growth of one of
-//     its inputs (tracked through a dependency index from VarKey /
-//     FieldKey / static-key to consuming statements).
+//     its inputs (tracked through consumer lists on every local, field
+//     set and static set).
 //   - Load/Store are delta-aware inside a single visit too: new base
 //     objects (bitset.TakeDelta against a per-statement prev set) are
 //     expanded against full field sets, and previously-seen field sets
 //     are re-unioned only when their version counter moved.
 //   - Virtual/special dispatch resolves targets only for newly-seen
 //     receiver objects, sorted into the same canonical object order the
-//     exhaustive Slice() walk uses so call edges append identically.
+//     exhaustive walk uses so call edges append identically.
 //   - Copy edges carry a dirty flag set when a source grows; seeds are
-//     indexed by source (method, var) and by method so only affected
-//     seeds re-apply; event sites re-fire only when their receiver,
-//     arguments, or previously-read field sets grew.
+//     indexed by source local and by method so only affected seeds
+//     re-apply; event sites re-fire only when their receiver, arguments,
+//     or previously-read field sets grew.
 //
 // Because a skipped unit of work is exactly one the exhaustive solver
 // would have executed as a no-op (monotone transfer functions with
@@ -33,25 +33,29 @@ package pointer
 // solver_parity_test.go and the metrics golden test pin this.
 
 import (
-	"fmt"
-
 	"sierra/internal/bitset"
 	"sierra/internal/frontend"
 	"sierra/internal/ir"
 )
 
-// consumers lists the dense statement ids and event-site ids that read a
-// points-to key.
-type consumers struct {
-	stmts  []int
-	events []int
+// A consumer list is a chain through deltaState.links, its head the
+// newest link's index plus one (0: empty). Chains cost no allocation
+// per set: every list of the analysis shares the one growing slice.
+type link struct {
+	next int32 // the next link's index plus one; 0 ends the chain
+	to   int32 // a statement id, or ^id of an event site
+}
+
+// copyLink chains the copy edges a local sources, like link.
+type copyLink struct {
+	next int32
+	e    *copyEdge
 }
 
 // stmtState is the per-(instance, statement) delta bookkeeping.
 type stmtState struct {
-	// inst is the index (into analyzer.order) of the instance owning
-	// the slot.
-	inst int
+	// inst is the instance owning the slot.
+	inst Inst
 	// init marks that one-time work ran: dependency registration, and
 	// for one-shot statements (New, static invoke, findViewById, looper
 	// accessors, recognized framework stubs) the whole transfer.
@@ -59,55 +63,32 @@ type stmtState struct {
 	// prev holds the base/receiver ids already expanded (Load, Store,
 	// Invoke dispatch).
 	prev bitset.Set
-	// fields / fvers track, for Load, each seen base's field key and the
-	// field set version last unioned into the destination.
-	fields []FieldKey
+	// fields / fvers track, for Load, each seen base's field set index
+	// and the field set version last unioned into the destination.
+	fields []int32
 	fvers  []uint32
 	// srcVer is, for Store, the source-set version last written through
 	// to every base.
 	srcVer uint32
 }
 
-// evSite is a recognized event-firing API call inside a method body.
-type evSite struct {
-	inv *ir.Invoke
-	pos ir.Pos
-	api frontend.APICall
-}
-
 // evInstance is one event site instantiated in a method instance.
 type evInstance struct {
-	inst int // index into analyzer.order
-	site evSite
+	inst Inst
+	call int32 // the site's ordinal in the instance's methodInfo.calls
 	// dead marks a site orphaned by a warm re-slot (warm.go): its
-	// instance was re-registered with fresh sites, but stale dependency
-	// consumer lists can still re-dirty the old id, so the firing loop
-	// must skip-and-clear it forever.
+	// instance was re-registered with fresh sites, but stale consumer
+	// lists can still re-dirty the old id, so the firing loop must
+	// skip-and-clear it forever.
 	dead bool
 }
 
-// seedVar keys the seed-source index: any growth of (method, var) under
-// any context re-dirties the seeds reading it.
-type seedVar struct {
-	M *ir.Method
-	V string
-}
-
-// evFieldDep dedups dynamic FieldObjs dependency registration.
-type evFieldDep struct {
-	fk FieldKey
-	ev int
-}
-
 type deltaState struct {
-	// eventsOf caches each method's recognized event sites.
-	eventsOf map[*ir.Method][]evSite
-
 	// Dense statement ids: instance i's statements, in block order,
 	// occupy [instBase[i], instBase[i]+instLen[i]), where instLen[i] is
-	// the statement count of order[i].M at slotting time. instLen must be
-	// tracked explicitly: after a warm re-slot (warm.go) instBase is no
-	// longer monotone and the method body may already be patched, so
+	// the statement count of its method at slotting time. instLen must
+	// be tracked explicitly: after a warm re-slot (warm.go) instBase is
+	// no longer monotone and the method body may already be patched, so
 	// neither neighbors nor a fresh NumStmts recovers the old slot
 	// extent.
 	instBase []int
@@ -121,22 +102,24 @@ type deltaState struct {
 
 	// Flattened event-site instances, appended at install time so the
 	// event phase's forward cursor reaches sites of instances installed
-	// mid-phase (matching the exhaustive re-read of the growing order).
+	// mid-phase (matching the exhaustive re-read of the growing table).
 	evSites []evInstance
 
 	dirtyStmt bitset.Set
 	dirtyInst bitset.Set
 	dirtyEv   bitset.Set
 
-	// The dependency index: key -> consumers.
-	varDeps     map[VarKey]*consumers
-	fieldDeps   map[FieldKey]*consumers
-	staticDeps  map[string]*consumers
-	copyIndex   map[VarKey][]*copyEdge
-	evFieldSeen map[evFieldDep]bool
+	// links and copyLinks hold every consumer chain. The heads of field
+	// sets' chains (by field set index) and static sets' (by static id)
+	// live here, a local's in its varState.
+	links      []link
+	copyLinks  []copyLink
+	fieldDeps  []int32
+	staticDeps []int32
+	// evFieldSeen dedups FieldObjs dependencies: field set index << 32
+	// | event id.
+	evFieldSeen map[uint64]bool
 
-	seedSrc   map[seedVar][]int
-	seedByM   map[*ir.Method][]int
 	seedDirty []bool
 
 	dirtyCopies int // count of dirty copy edges
@@ -152,28 +135,14 @@ type deltaState struct {
 
 func newDeltaState(a *analyzer) *deltaState {
 	d := &deltaState{
-		eventsOf:    make(map[*ir.Method][]evSite),
-		varDeps:     make(map[VarKey]*consumers),
-		fieldDeps:   make(map[FieldKey]*consumers),
-		staticDeps:  make(map[string]*consumers),
-		copyIndex:   make(map[VarKey][]*copyEdge),
-		evFieldSeen: make(map[evFieldDep]bool),
-		seedSrc:     make(map[seedVar][]int, len(a.cfg.Seeds)),
-		seedByM:     make(map[*ir.Method][]int, len(a.cfg.Seeds)),
+		evFieldSeen: make(map[uint64]bool),
 		seedDirty:   make([]bool, len(a.cfg.Seeds)),
 	}
+	// All seeds start dirty: the exhaustive solver applies each one on
+	// every pass, so the first delta pass must apply them all.
 	for i := range a.cfg.Seeds {
-		s := &a.cfg.Seeds[i]
-		// All seeds start dirty: the exhaustive solver applies each one
-		// on every pass, so the first delta pass must apply them all.
 		d.seedDirty[i] = true
 		d.dirtySeeds++
-		sv := seedVar{M: s.SrcMethod, V: s.SrcVar}
-		d.seedSrc[sv] = append(d.seedSrc[sv], i)
-		d.seedByM[s.SrcMethod] = append(d.seedByM[s.SrcMethod], i)
-		if s.DstMethod != s.SrcMethod {
-			d.seedByM[s.DstMethod] = append(d.seedByM[s.DstMethod], i)
-		}
 		d.nDeps += 2
 	}
 	return d
@@ -192,90 +161,72 @@ func (d *deltaState) stmt(sid int) *stmtState {
 // depEdges reports how many dependency edges the solver registered.
 func (d *deltaState) depEdges() int { return d.nDeps }
 
-// methodEvents returns m's event-firing API sites (cached): recognized
-// calls other than findViewById and listener registration, exactly the
-// filter the exhaustive fireEvents applies.
-func (d *deltaState) methodEvents(a *analyzer, m *ir.Method) []evSite {
-	if s, ok := d.eventsOf[m]; ok {
-		return s
-	}
-	var out []evSite
-	for bi, blk := range m.Blocks {
-		for si, s := range blk.Stmts {
-			inv, ok := s.(*ir.Invoke)
-			if !ok {
-				continue
-			}
-			api, ok := frontend.Recognize(a.cfg.Prog, inv)
-			if !ok || api.Kind == frontend.APIFindViewByID || api.Kind == frontend.APISetListener {
-				continue
-			}
-			out = append(out, evSite{inv: inv, pos: ir.Pos{Method: m, Block: bi, Index: si}, api: api})
-		}
-	}
-	d.eventsOf[m] = out
-	return out
-}
-
 // registerInstance wires a newly-installed method instance into the
 // delta bookkeeping: dense statement ids (all dirty — a new instance
 // must run every statement once, as the exhaustive sweep would), event
 // sites with their receiver/argument dependencies, and any seeds
 // touching the method.
-func (d *deltaState) registerInstance(a *analyzer, idx int, mk MKey) {
+func (d *deltaState) registerInstance(a *analyzer, id Inst) {
 	d.instBase = append(d.instBase, 0)
 	d.instLen = append(d.instLen, 0)
-	d.slotInstance(a, idx, mk)
+	d.slotInstance(a, id)
 }
 
-// slotInstance (re)assigns instance idx a fresh all-dirty statement-slot
+// slotInstance (re)assigns instance id a fresh all-dirty statement-slot
 // range at the end of the dense arrays and wires event sites and seeds.
 // Shared by install-time registration and the warm re-slot (warm.go),
 // which overwrites the instance's old range pointers and leaves the old
 // slots orphaned (never scanned: no instBase entry covers them).
-func (d *deltaState) slotInstance(a *analyzer, idx int, mk MKey) {
+func (d *deltaState) slotInstance(a *analyzer, id Inst) {
 	d.changed = true
-	n := mk.M.NumStmts()
+	inst := a.res.insts[id]
+	n := len(inst.info.stmts)
 	base := d.nStmts
-	d.instBase[idx] = base
-	d.instLen[idx] = n
+	d.instBase[id] = base
+	d.instLen[id] = n
 	for sid := base; sid < base+n; sid++ {
 		if sid%stmtChunk == 0 {
 			d.stmts = append(d.stmts, make([]stmtState, stmtChunk))
 		}
-		d.stmt(sid).inst = idx
+		d.stmt(sid).inst = id
 		d.dirtyStmt.Add(sid)
 	}
 	d.nStmts += n
 	if n > 0 {
-		d.dirtyInst.Add(idx)
+		d.dirtyInst.Add(int(id))
 	}
-	if a.cfg.OnEvent != nil {
-		for _, es := range d.methodEvents(a, mk.M) {
-			eid := len(d.evSites)
-			d.evSites = append(d.evSites, evInstance{inst: idx, site: es})
-			d.dirtyEv.Add(eid)
-			if es.inv.Recv != "" {
-				d.dependVarEvent(VarKey{M: mk.M, Ctx: mk.Ctx, Var: es.inv.Recv}, eid)
-			}
-			for _, arg := range es.inv.Args {
-				d.dependVarEvent(VarKey{M: mk.M, Ctx: mk.Ctx, Var: arg}, eid)
-			}
+	for _, ord := range inst.info.events {
+		eid := len(d.evSites)
+		d.evSites = append(d.evSites, evInstance{inst: id, call: ord})
+		d.dirtyEv.Add(eid)
+		ci := &inst.info.calls[ord]
+		if ci.inv.Recv != "" {
+			d.dependVarEvent(a, local{id, ci.recv}, eid)
+		}
+		for _, s := range ci.args {
+			d.dependVarEvent(a, local{id, s}, eid)
 		}
 	}
-	for _, si := range d.seedByM[mk.M] {
-		if !d.seedDirty[si] {
-			d.seedDirty[si] = true
-			d.dirtySeeds++
-		}
+	for _, si := range inst.info.seedTouch {
+		d.dirtySeed(si)
+	}
+}
+
+// dirtySeed marks seed si for re-application.
+func (d *deltaState) dirtySeed(si int32) {
+	if !d.seedDirty[si] {
+		d.seedDirty[si] = true
+		d.dirtySeeds++
 	}
 }
 
 // registerCopy indexes a new copy edge by its source and marks the edge
 // dirty so it applies during this pass's copy phase (the exhaustive
 // solver applies new edges the same pass they appear).
-func (d *deltaState) registerCopy(e *copyEdge, src VarKey) {
-	d.copyIndex[src] = append(d.copyIndex[src], e)
+func (d *deltaState) registerCopy(a *analyzer, e *copyEdge, src local) {
+	vs := a.varState(src)
+	d.copyLinks = append(d.copyLinks, copyLink{next: vs.copies, e: e})
+	vs.copies = int32(len(d.copyLinks))
 	d.nDeps++
 	if !e.dirty {
 		e.dirty = true
@@ -283,119 +234,95 @@ func (d *deltaState) registerCopy(e *copyEdge, src VarKey) {
 	}
 }
 
-func (d *deltaState) varCons(k VarKey) *consumers {
-	c := d.varDeps[k]
-	if c == nil {
-		c = &consumers{}
-		d.varDeps[k] = c
+// depend prepends consumer to to the chain at *head.
+func (d *deltaState) depend(head *int32, to int32) {
+	d.links = append(d.links, link{next: *head, to: to})
+	*head = int32(len(d.links))
+	d.nDeps++
+}
+
+// headAt returns the chain head at index i of heads, growing it.
+func headAt(heads *[]int32, i int32) *int32 {
+	for int(i) >= len(*heads) {
+		*heads = append(*heads, 0)
 	}
-	return c
+	return &(*heads)[i]
 }
 
-func (d *deltaState) fieldCons(k FieldKey) *consumers {
-	c := d.fieldDeps[k]
-	if c == nil {
-		c = &consumers{}
-		d.fieldDeps[k] = c
-	}
-	return c
+func (d *deltaState) dependVar(a *analyzer, l local, sid int) {
+	d.depend(&a.varState(l).deps, int32(sid))
 }
 
-func (d *deltaState) staticCons(key string) *consumers {
-	c := d.staticDeps[key]
-	if c == nil {
-		c = &consumers{}
-		d.staticDeps[key] = c
-	}
-	return c
+func (d *deltaState) dependField(fi int32, sid int) {
+	d.depend(headAt(&d.fieldDeps, fi), int32(sid))
 }
 
-func (d *deltaState) dependVar(k VarKey, sid int) {
-	c := d.varCons(k)
-	c.stmts = append(c.stmts, sid)
-	d.nDeps++
+func (d *deltaState) dependStatic(si int32, sid int) {
+	d.depend(headAt(&d.staticDeps, si), int32(sid))
 }
 
-func (d *deltaState) dependField(k FieldKey, sid int) {
-	c := d.fieldCons(k)
-	c.stmts = append(c.stmts, sid)
-	d.nDeps++
-}
-
-func (d *deltaState) dependStatic(key string, sid int) {
-	c := d.staticCons(key)
-	c.stmts = append(c.stmts, sid)
-	d.nDeps++
-}
-
-func (d *deltaState) dependVarEvent(k VarKey, eid int) {
-	c := d.varCons(k)
-	c.events = append(c.events, eid)
-	d.nDeps++
+func (d *deltaState) dependVarEvent(a *analyzer, l local, eid int) {
+	d.depend(&a.varState(l).deps, ^int32(eid))
 }
 
 // dependFieldEvent registers a FieldObjs read discovered while firing an
 // event (deduped: the same site re-reads the same fields every firing).
-func (d *deltaState) dependFieldEvent(fk FieldKey, eid int) {
-	dep := evFieldDep{fk: fk, ev: eid}
-	if d.evFieldSeen[dep] {
+func (d *deltaState) dependFieldEvent(fi int32, eid int) {
+	k := uint64(fi)<<32 | uint64(eid)
+	if d.evFieldSeen[k] {
 		return
 	}
-	d.evFieldSeen[dep] = true
-	c := d.fieldCons(fk)
-	c.events = append(c.events, eid)
-	d.nDeps++
+	d.evFieldSeen[k] = true
+	d.depend(headAt(&d.fieldDeps, fi), ^int32(eid))
 }
 
 // markConsumers dirties every statement (and its instance) and event
-// site reading a grown key.
-func (d *deltaState) markConsumers(c *consumers) {
-	for _, sid := range c.stmts {
-		d.dirtyStmt.Add(sid)
-		d.dirtyInst.Add(d.stmt(sid).inst)
-	}
-	for _, eid := range c.events {
-		d.dirtyEv.Add(eid)
+// site on the chain at head.
+func (d *deltaState) markConsumers(head int32) {
+	for i := head; i != 0; i = d.links[i-1].next {
+		if to := d.links[i-1].to; to >= 0 {
+			d.dirtyStmt.Add(int(to))
+			d.dirtyInst.Add(int(d.stmt(int(to)).inst))
+		} else {
+			d.dirtyEv.Add(int(^to))
+		}
 	}
 }
 
-// touchVar records that a variable's points-to set grew: consumers go
-// dirty, copy edges sourced from it go dirty, and seeds reading it
-// re-apply.
-func (d *deltaState) touchVar(k VarKey) {
+// touchVar records that a local's points-to set grew: consumers go
+// dirty, copy edges sourced from it go dirty, and seeds reading it (in
+// any context of its method) re-apply.
+func (d *deltaState) touchVar(a *analyzer, l local) {
 	d.changed = true
-	if c := d.varDeps[k]; c != nil {
-		d.markConsumers(c)
-	}
-	for _, e := range d.copyIndex[k] {
-		if !e.dirty {
-			e.dirty = true
-			d.dirtyCopies++
+	if vs := a.vs[l.inst]; int(l.slot) < len(vs) {
+		d.markConsumers(vs[l.slot].deps)
+		for i := vs[l.slot].copies; i != 0; i = d.copyLinks[i-1].next {
+			if e := d.copyLinks[i-1].e; !e.dirty {
+				e.dirty = true
+				d.dirtyCopies++
+			}
 		}
 	}
-	if idxs := d.seedSrc[seedVar{M: k.M, V: k.Var}]; len(idxs) > 0 {
-		for _, si := range idxs {
-			if !d.seedDirty[si] {
-				d.seedDirty[si] = true
-				d.dirtySeeds++
-			}
+	if seeds := a.res.insts[l.inst].info.seedSrc; int(l.slot) < len(seeds) {
+		for _, si := range seeds[l.slot] {
+			d.dirtySeed(si)
 		}
 	}
 }
 
 // touchField records that an object field's points-to set grew.
-func (d *deltaState) touchField(k FieldKey) {
+func (d *deltaState) touchField(fi int32) {
 	d.changed = true
-	if c := d.fieldDeps[k]; c != nil {
-		d.markConsumers(c)
+	if int(fi) < len(d.fieldDeps) {
+		d.markConsumers(d.fieldDeps[fi])
 	}
 }
 
 // touchStatic records that a static field's points-to set grew.
-func (d *deltaState) touchStatic(key string) {
+func (d *deltaState) touchStatic(si int32) {
 	d.changed = true
-	if c := d.staticDeps[key]; c != nil {
-		d.markConsumers(c)
+	if int(si) < len(d.staticDeps) {
+		d.markConsumers(d.staticDeps[si])
 	}
 }
 
@@ -413,7 +340,7 @@ func (a *analyzer) runDelta() {
 		}
 		a.res.passes = pass + 1
 		d.changed = false
-		for i := 0; i < len(a.order); i++ {
+		for i := 0; i < len(a.res.insts); i++ {
 			if i%ctxStride == ctxStride-1 && ctxDone(cfg.Ctx) {
 				a.res.Interrupted = true
 				break
@@ -428,7 +355,7 @@ func (a *analyzer) runDelta() {
 			}
 			d.dirtyInst.Clear(i)
 			a.stats.dirtyInstances++
-			a.processInstanceDelta(i)
+			a.processInstanceDelta(Inst(i))
 		}
 		if a.res.Interrupted {
 			break
@@ -444,267 +371,216 @@ func (a *analyzer) runDelta() {
 
 // processInstanceDelta re-runs the dirty statements of one instance, in
 // statement order.
-func (a *analyzer) processInstanceDelta(idx int) {
+func (a *analyzer) processInstanceDelta(id Inst) {
 	d := a.d
-	mk := a.order[idx]
-	sid := d.instBase[idx]
-	for bi, blk := range mk.M.Blocks {
-		for si, s := range blk.Stmts {
+	inst := a.res.insts[id]
+	sid := d.instBase[id]
+	k := 0
+	for _, blk := range inst.m.Blocks {
+		for _, s := range blk.Stmts {
 			if d.dirtyStmt.Has(sid) {
 				d.dirtyStmt.Clear(sid)
 				a.stats.deltaProps++
-				a.transferDelta(mk, s, ir.Pos{Method: mk.M, Block: bi, Index: si}, sid)
+				a.transferDelta(id, inst, s, &inst.info.stmts[k], sid)
 			}
 			sid++
+			k++
 		}
 	}
 }
 
-// transferDelta is the delta-aware transfer function for s, the
-// statement at pos, in statement slot sid.
-func (a *analyzer) transferDelta(mk MKey, s ir.Stmt, pos ir.Pos, sid int) {
+// transferDelta is the delta-aware transfer function for statement s,
+// laid out as st, in statement slot sid of instance id.
+func (a *analyzer) transferDelta(id Inst, inst *instance, s ir.Stmt, st *stmtInfo, sid int) {
 	d := a.d
-	key := func(v string) VarKey { return VarKey{M: mk.M, Ctx: mk.Ctx, Var: v} }
-	switch stm := s.(type) {
+	switch s := s.(type) {
 	case *ir.New:
-		st := d.stmt(sid)
-		if st.init {
+		ss := d.stmt(sid)
+		if ss.init {
 			return
 		}
-		st.init = true
-		k := key(stm.Dst)
-		o := Obj{Site: stm.Site, Ctx: a.cfg.Policy.HeapCtx(mk.Ctx), Class: stm.Class}
-		if a.pts(k).Add(o) {
-			a.touchVar(k)
+		ss.init = true
+		dst := local{id, st.a}
+		o := Obj{Site: s.Site, Ctx: a.heapCtx(inst.ctx), Class: s.Class}
+		if a.pts(dst).Add(o) {
+			a.touchVar(dst)
 		}
 	case *ir.Move:
-		st := d.stmt(sid)
-		sk := key(stm.Src)
-		if !st.init {
-			st.init = true
-			d.dependVar(sk, sid)
-		}
-		dk := key(stm.Dst)
-		if a.pts(dk).AddAll(a.pts(sk)) {
-			a.touchVar(dk)
-		}
+		a.copyDelta(local{id, st.a}, local{id, st.b}, sid)
 	case *ir.Load:
-		a.loadDelta(mk, stm, sid)
+		a.loadDelta(id, st, sid)
 	case *ir.Store:
-		a.storeDelta(mk, stm, sid)
+		a.storeDelta(id, st, sid)
 	case *ir.StaticLoad:
-		st := d.stmt(sid)
-		if !st.init {
-			st.init = true
-			d.dependStatic(stm.Class+"."+stm.Field, sid)
+		ss := d.stmt(sid)
+		if !ss.init {
+			ss.init = true
+			d.dependStatic(st.c, sid)
 		}
-		dk := key(stm.Dst)
-		if a.pts(dk).AddAll(a.spts(stm.Class, stm.Field)) {
-			a.touchVar(dk)
+		dst := local{id, st.a}
+		if a.pts(dst).AddAll(a.staticSet(st.c)) {
+			a.touchVar(dst)
 		}
 	case *ir.StaticStore:
-		st := d.stmt(sid)
-		sk := key(stm.Src)
-		if !st.init {
-			st.init = true
-			d.dependVar(sk, sid)
+		ss := d.stmt(sid)
+		src := local{id, st.b}
+		if !ss.init {
+			ss.init = true
+			d.dependVar(a, src, sid)
 		}
-		if a.spts(stm.Class, stm.Field).AddAll(a.pts(sk)) {
-			a.touchStatic(stm.Class + "." + stm.Field)
+		if a.staticSet(st.c).AddAll(a.pts(src)) {
+			a.touchStatic(st.c)
 		}
 	case *ir.Return:
-		if stm.Src == "" {
-			return
-		}
-		st := d.stmt(sid)
-		sk := key(stm.Src)
-		if !st.init {
-			st.init = true
-			d.dependVar(sk, sid)
-		}
-		dk := key(retVar)
-		if a.pts(dk).AddAll(a.pts(sk)) {
-			a.touchVar(dk)
+		if st.b >= 0 {
+			a.copyDelta(local{id, st.a}, local{id, st.b}, sid)
 		}
 	case *ir.Invoke:
-		a.invokeDelta(mk, stm, pos, sid)
+		a.invokeDelta(id, inst, &inst.info.calls[st.a], sid)
+	}
+}
+
+// copyDelta: dst ⊇ src (Move, Return).
+func (a *analyzer) copyDelta(dst, src local, sid int) {
+	ss := a.d.stmt(sid)
+	if !ss.init {
+		ss.init = true
+		a.d.dependVar(a, src, sid)
+	}
+	if a.pts(dst).AddAll(a.pts(src)) {
+		a.touchVar(dst)
 	}
 }
 
 // loadDelta: dst ⊇ base.field for every base object. New bases are
 // expanded against their full field sets; already-seen field sets are
 // re-unioned only when their version moved.
-func (a *analyzer) loadDelta(mk MKey, stm *ir.Load, sid int) {
+func (a *analyzer) loadDelta(id Inst, st *stmtInfo, sid int) {
 	d := a.d
-	st := d.stmt(sid)
-	bk := VarKey{M: mk.M, Ctx: mk.Ctx, Var: stm.Obj}
-	dk := VarKey{M: mk.M, Ctx: mk.Ctx, Var: stm.Dst}
-	if !st.init {
-		st.init = true
-		d.dependVar(bk, sid)
+	ss := d.stmt(sid)
+	base, dst := local{id, st.b}, local{id, st.a}
+	if !ss.init {
+		ss.init = true
+		d.dependVar(a, base, sid)
 	}
 	// Snapshot the base delta before any union: when dst aliases base
 	// ("x = x.f"), ids added below must wait for the next visit, exactly
-	// as the exhaustive Slice() snapshot defers them a pass.
-	d.scratch = a.pts(bk).takeDelta(&st.prev, d.scratch[:0])
-	if len(st.fields) == 0 && len(d.scratch) == 0 {
+	// as the exhaustive snapshot defers them a pass.
+	d.scratch = a.pts(base).takeDelta(&ss.prev, d.scratch[:0])
+	if len(ss.fields) == 0 && len(d.scratch) == 0 {
 		// No bases at all yet: the exhaustive loop body would not run,
-		// so don't even materialize dst (keeps res.pts keys identical).
+		// so don't even materialize dst (keeps the set of materialized
+		// locals identical).
 		return
 	}
-	dst := a.pts(dk)
+	dset := a.pts(dst)
 	grew := false
-	for i, fk := range st.fields {
-		fs := a.fpts(fk)
-		if v := fs.version(); v != st.fvers[i] {
-			st.fvers[i] = v
-			if dst.AddAll(fs) {
+	for i, fi := range ss.fields {
+		fs := a.res.fsets[fi].set
+		if v := fs.version(); v != ss.fvers[i] {
+			ss.fvers[i] = v
+			if dset.AddAll(fs) {
 				grew = true
 			}
 		}
 	}
-	if len(d.scratch) > 0 {
-		objs := a.in.snapshot()
-		for _, id := range d.scratch {
-			fk := FieldKey{Obj: objs[id], Field: stm.Field}
-			fs := a.fpts(fk)
-			if dst.AddAll(fs) {
-				grew = true
-			}
-			st.fields = append(st.fields, fk)
-			st.fvers = append(st.fvers, fs.version())
-			d.dependField(fk, sid)
+	for _, o := range d.scratch {
+		fi, fs := a.fieldSet(uint32(o), st.c)
+		if dset.AddAll(fs) {
+			grew = true
 		}
+		ss.fields = append(ss.fields, fi)
+		ss.fvers = append(ss.fvers, fs.version())
+		d.dependField(fi, sid)
 	}
 	if grew {
-		a.touchVar(dk)
+		a.touchVar(dst)
 	}
 }
 
 // storeDelta: base.field ⊇ src for every base object. When src grew the
 // full source re-stores into every base; otherwise only new bases need
 // the union.
-func (a *analyzer) storeDelta(mk MKey, stm *ir.Store, sid int) {
+func (a *analyzer) storeDelta(id Inst, st *stmtInfo, sid int) {
 	d := a.d
-	st := d.stmt(sid)
-	bk := VarKey{M: mk.M, Ctx: mk.Ctx, Var: stm.Obj}
-	sk := VarKey{M: mk.M, Ctx: mk.Ctx, Var: stm.Src}
-	first := !st.init
+	ss := d.stmt(sid)
+	base, src := local{id, st.a}, local{id, st.b}
+	first := !ss.init
 	if first {
-		st.init = true
-		d.dependVar(bk, sid)
-		d.dependVar(sk, sid)
+		ss.init = true
+		d.dependVar(a, base, sid)
+		d.dependVar(a, src, sid)
 	}
-	src := a.pts(sk)
-	base := a.pts(bk)
-	srcChanged := first || src.version() != st.srcVer
-	st.srcVer = src.version()
+	sset := a.pts(src)
+	bset := a.pts(base)
+	srcChanged := first || sset.version() != ss.srcVer
+	ss.srcVer = sset.version()
 	if srcChanged {
-		d.scratch = base.bits().AppendBits(d.scratch[:0])
-		st.prev.CopyFrom(base.bits())
+		d.scratch = bset.bits().AppendBits(d.scratch[:0])
+		ss.prev.CopyFrom(bset.bits())
 	} else {
-		d.scratch = base.takeDelta(&st.prev, d.scratch[:0])
+		d.scratch = bset.takeDelta(&ss.prev, d.scratch[:0])
 	}
-	if len(d.scratch) == 0 {
-		return
-	}
-	objs := a.in.snapshot()
-	for _, id := range d.scratch {
-		fk := FieldKey{Obj: objs[id], Field: stm.Field}
-		if a.fpts(fk).AddAll(src) {
-			a.touchField(fk)
+	for _, o := range d.scratch {
+		if fi, fs := a.fieldSet(uint32(o), st.c); fs.AddAll(sset) {
+			a.touchField(fi)
 		}
 	}
 }
 
-// invokeDelta handles dispatch and framework semantics for the call inv
-// at pos, binding targets only for newly-seen receivers.
-func (a *analyzer) invokeDelta(mk MKey, inv *ir.Invoke, pos ir.Pos, sid int) {
+// invokeDelta handles dispatch and framework semantics for call site ci
+// of instance id, binding targets only for newly-seen receivers.
+func (a *analyzer) invokeDelta(id Inst, inst *instance, ci *callInfo, sid int) {
 	d := a.d
-	key := func(v string) VarKey { return VarKey{M: mk.M, Ctx: mk.Ctx, Var: v} }
-
-	if api, ok := frontend.Recognize(a.cfg.Prog, inv); ok {
-		// Framework stubs: findViewById's effect is a one-shot constant
-		// (view map and constant args are static); other recognized APIs
-		// have no transfer effect (events are handled by the event
-		// phase).
-		st := d.stmt(sid)
-		if st.init {
+	ss := d.stmt(sid)
+	if ci.recognized || ci.looper || ci.inv.Kind == ir.InvokeStatic {
+		// One-shot: findViewById's effect is a constant (view map and
+		// constant args are static), other recognized APIs have no
+		// transfer effect (events are handled by the event phase), the
+		// looper accessors return a singleton, and a static call's
+		// target and callee context are fixed (bindCall is idempotent).
+		if ss.init {
 			return
 		}
-		st.init = true
-		if api.Kind == frontend.APIFindViewByID && inv.Dst != "" {
-			dk := key(inv.Dst)
-			for _, o := range a.viewObjs(mk.M, inv.Args[0]) {
-				if a.pts(dk).Add(o) {
-					a.touchVar(dk)
+		ss.init = true
+		switch {
+		case ci.recognized:
+			if ci.api.Kind == frontend.APIFindViewByID && ci.dst >= 0 {
+				dst := local{id, ci.dst}
+				for _, o := range a.viewObjs(inst.m, ci.inv.Args[0]) {
+					if a.pts(dst).Add(o) {
+						a.touchVar(dst)
+					}
 				}
 			}
-		}
-		return
-	}
-	if inv.Class == frontend.LooperClass &&
-		(inv.Method == frontend.GetMainLooper || inv.Method == frontend.MyLooper) {
-		st := d.stmt(sid)
-		if st.init {
-			return
-		}
-		st.init = true
-		if inv.Dst != "" {
-			dk := key(inv.Dst)
-			if a.pts(dk).Add(MainLooperObj(frontend.LooperClass)) {
-				a.touchVar(dk)
+		case ci.looper:
+			if ci.dst >= 0 {
+				dst := local{id, ci.dst}
+				if a.pts(dst).Add(MainLooperObj(frontend.LooperClass)) {
+					a.touchVar(dst)
+				}
 			}
+		default:
+			a.bindCall(id, ci, a.callee(inst, ci, -1), -1)
 		}
-		return
-	}
-
-	site := fmt.Sprintf("%s@%d.%d", mk.M.QualifiedName(), pos.Block, pos.Index)
-	if inv.Kind == ir.InvokeStatic {
-		// One-shot: the target and callee context are static, and
-		// bindCall is idempotent.
-		st := d.stmt(sid)
-		if st.init {
-			return
-		}
-		st.init = true
-		target := a.cfg.Prog.ResolveMethod(inv.Class, inv.Method)
-		ctx := a.cfg.Policy.CalleeContext(mk.Ctx, site, inv.Kind, Obj{}, false)
-		ctx = a.maybeEnterAction(ctx, pos)
-		a.bindCall(mk, inv, pos, target, ctx, nil)
 		return
 	}
 
 	// Virtual / special dispatch over newly-seen receivers only, sorted
 	// into the canonical object order so callee edges append in the same
 	// sequence the exhaustive sorted full-set walk produces.
-	st := d.stmt(sid)
-	rk := key(inv.Recv)
-	if !st.init {
-		st.init = true
-		d.dependVar(rk, sid)
+	recv := local{id, ci.recv}
+	if !ss.init {
+		ss.init = true
+		d.dependVar(a, recv, sid)
 	}
-	d.scratch = a.pts(rk).takeDelta(&st.prev, d.scratch[:0])
+	d.scratch = a.pts(recv).takeDelta(&ss.prev, d.scratch[:0])
 	if len(d.scratch) == 0 {
 		return
 	}
-	objs := a.in.snapshot()
-	recvs := make([]Obj, 0, len(d.scratch))
-	for _, id := range d.scratch {
-		recvs = append(recvs, objs[id])
-	}
-	sortObjs(recvs)
-	for i := range recvs {
-		o := recvs[i]
-		var target *ir.Method
-		if inv.Kind == ir.InvokeSpecial {
-			target = a.cfg.Prog.ResolveMethod(inv.Class, inv.Method)
-		} else {
-			target = a.cfg.Prog.ResolveMethod(o.Class, inv.Method)
-		}
-		ctx := a.cfg.Policy.CalleeContext(mk.Ctx, site, inv.Kind, o, true)
-		ctx = a.maybeEnterAction(ctx, pos)
-		a.bindCall(mk, inv, pos, target, ctx, &o)
+	sortIDs(d.scratch, a.in.snapshot())
+	for _, o := range d.scratch {
+		a.bindCall(id, ci, a.callee(inst, ci, int32(o)), int32(o))
 	}
 }
 
@@ -745,14 +621,14 @@ func (a *analyzer) applySeedsDelta() {
 		}
 		d.seedDirty[i] = false
 		d.dirtySeeds--
-		a.applySeed(&a.cfg.Seeds[i])
+		a.applySeed(i)
 	}
 }
 
 // fireEventsDelta re-fires only the dirty event sites. The forward
 // cursor re-reads the growing site list so sites of instances installed
 // by earlier firings fire within the same phase, exactly like the
-// exhaustive loop re-reading len(a.order).
+// exhaustive loop re-reading the growing instance table.
 func (a *analyzer) fireEventsDelta() {
 	if a.cfg.OnEvent == nil {
 		return
@@ -763,39 +639,20 @@ func (a *analyzer) fireEventsDelta() {
 			continue
 		}
 		d.dirtyEv.Clear(eid)
-		if d.evSites[eid].dead {
+		ei := d.evSites[eid]
+		if ei.dead {
 			continue // orphaned by a warm re-slot; see evInstance.dead
 		}
-		a.fireEventDelta(eid)
-	}
-}
-
-// fireEventDelta fires one event site with current points-to facts and
-// installs any returned entries. FieldObjs reads register (deduped)
-// field→event dependencies so field growth re-fires the site later.
-func (a *analyzer) fireEventDelta(eid int) {
-	d := a.d
-	ei := d.evSites[eid]
-	mk := a.order[ei.inst]
-	inv := ei.site.inv
-	ev := Event{
-		Caller: mk, Pos: ei.site.pos, Inv: inv, API: ei.site.api,
-		FieldObjs: func(o Obj, field string) []Obj {
-			fk := FieldKey{Obj: o, Field: field}
-			d.dependFieldEvent(fk, eid)
-			return a.fpts(fk).Slice()
-		},
-	}
-	if inv.Recv != "" {
-		ev.Recv = a.pts(VarKey{M: mk.M, Ctx: mk.Ctx, Var: inv.Recv}).Slice()
-	}
-	for _, arg := range inv.Args {
-		ev.Args = append(ev.Args, a.pts(VarKey{M: mk.M, Ctx: mk.Ctx, Var: arg}).Slice())
-	}
-	a.stats.eventsFired++
-	for _, e := range a.cfg.OnEvent(ev) {
-		if a.install(e, true) {
-			d.changed = true
+		// FieldObjs reads register (deduped) field→event dependencies so
+		// field growth re-fires the site later.
+		ev := a.event(ei.inst, &a.res.insts[ei.inst].info.calls[ei.call], func(fi int32) {
+			d.dependFieldEvent(fi, eid)
+		})
+		a.stats.eventsFired++
+		for _, e := range a.cfg.OnEvent(ev) {
+			if a.install(e, true) {
+				d.changed = true
+			}
 		}
 	}
 }

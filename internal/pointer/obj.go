@@ -159,6 +159,16 @@ func (s ObjSet) Add(o Obj) bool {
 	return false
 }
 
+// addID inserts the object with interned id, reporting whether it was
+// new.
+func (s ObjSet) addID(id uint32) bool {
+	if s.d.bits.Add(int(id)) {
+		s.d.ver++
+		return true
+	}
+	return false
+}
+
 // AddAll inserts all of other, reporting whether anything was new. When
 // both sets share an id space (always, within one analysis) this is a
 // word-parallel union with no hashing.
@@ -348,10 +358,6 @@ type VarKey struct {
 	Var string
 }
 
-func (k VarKey) String() string {
-	return k.M.QualifiedName() + "<" + k.Ctx.String() + ">:" + k.Var
-}
-
 // MKey identifies a method instance (a call-graph node).
 type MKey struct {
 	M   *ir.Method
@@ -360,12 +366,6 @@ type MKey struct {
 
 func (k MKey) String() string {
 	return k.M.QualifiedName() + "<" + k.Ctx.String() + ">"
-}
-
-// FieldKey identifies an abstract object's field.
-type FieldKey struct {
-	Obj   Obj
-	Field string
 }
 
 // retVar is the synthetic local holding a method's return value.

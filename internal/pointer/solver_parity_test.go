@@ -3,6 +3,7 @@ package pointer
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -326,97 +327,22 @@ func runSolver(cfg parityConfig, solver Solver) *Result {
 }
 
 // requireIdenticalResults asserts full observable equality of two
-// results: pass count, instance set, entry order, per-site callee edge
-// order, and the exact contents (and key sets) of pts/fpts/spts.
+// results: pass count, instance discovery order, entry order, per-site
+// callee edge order, the exact contents of every var, field and static
+// set, and the interner's object order (see dumpResult).
 func requireIdenticalResults(t *testing.T, want, got *Result) {
 	t.Helper()
-	if want.passes != got.passes {
-		t.Fatalf("passes: exhaustive=%d delta=%d", want.passes, got.passes)
-	}
-	if want.Interrupted != got.Interrupted {
-		t.Fatalf("interrupted: exhaustive=%v delta=%v", want.Interrupted, got.Interrupted)
-	}
-	wantInst, gotInst := want.Instances(), got.Instances()
-	if len(wantInst) != len(gotInst) {
-		t.Fatalf("instance count: exhaustive=%d delta=%d", len(wantInst), len(gotInst))
-	}
-	for i := range wantInst {
-		if wantInst[i].String() != gotInst[i].String() {
-			t.Fatalf("instance[%d]: exhaustive=%s delta=%s", i, wantInst[i], gotInst[i])
+	w, g := strings.Split(dumpResult(want, nil), "\n"), strings.Split(dumpResult(got, nil), "\n")
+	for i := 0; i < len(w) || i < len(g); i++ {
+		var wl, gl string
+		if i < len(w) {
+			wl = w[i]
 		}
-	}
-	wantE, gotE := want.Entries(), got.Entries()
-	if len(wantE) != len(gotE) {
-		t.Fatalf("entry count: exhaustive=%d delta=%d", len(wantE), len(gotE))
-	}
-	for i := range wantE {
-		if wantE[i].String() != gotE[i].String() {
-			t.Fatalf("entry[%d] order: exhaustive=%s delta=%s", i, wantE[i], gotE[i])
+		if i < len(g) {
+			gl = g[i]
 		}
-	}
-	if len(want.callees) != len(got.callees) {
-		t.Fatalf("call sites: exhaustive=%d delta=%d", len(want.callees), len(got.callees))
-	}
-	for sk, wantCallees := range want.callees {
-		gotCallees, ok := got.callees[sk]
-		if !ok {
-			t.Fatalf("call site %v@%v missing under delta", sk.Caller, sk.Pos)
-		}
-		if len(wantCallees) != len(gotCallees) {
-			t.Fatalf("callees at %v@%v: exhaustive=%v delta=%v", sk.Caller, sk.Pos, wantCallees, gotCallees)
-		}
-		for i := range wantCallees {
-			if wantCallees[i].String() != gotCallees[i].String() {
-				t.Fatalf("callee order at %v@%v[%d]: exhaustive=%s delta=%s",
-					sk.Caller, sk.Pos, i, wantCallees[i], gotCallees[i])
-			}
-		}
-	}
-	if len(want.pts) != len(got.pts) {
-		t.Fatalf("pts keys: exhaustive=%d delta=%d", len(want.pts), len(got.pts))
-	}
-	for k, ws := range want.pts {
-		gs, ok := got.pts[k]
-		if !ok {
-			t.Fatalf("pts key %v missing under delta", k)
-		}
-		if ws.String() != gs.String() {
-			t.Fatalf("pts[%v]: exhaustive=%v delta=%v", k, ws, gs)
-		}
-	}
-	if len(want.fpts) != len(got.fpts) {
-		t.Fatalf("fpts keys: exhaustive=%d delta=%d", len(want.fpts), len(got.fpts))
-	}
-	for k, ws := range want.fpts {
-		gs, ok := got.fpts[k]
-		if !ok {
-			t.Fatalf("fpts key %v missing under delta", k)
-		}
-		if ws.String() != gs.String() {
-			t.Fatalf("fpts[%v]: exhaustive=%v delta=%v", k, ws, gs)
-		}
-	}
-	if len(want.spts) != len(got.spts) {
-		t.Fatalf("spts keys: exhaustive=%d delta=%d", len(want.spts), len(got.spts))
-	}
-	for k, ws := range want.spts {
-		gs, ok := got.spts[k]
-		if !ok {
-			t.Fatalf("spts key %q missing under delta", k)
-		}
-		if ws.String() != gs.String() {
-			t.Fatalf("spts[%q]: exhaustive=%v delta=%v", k, ws, gs)
-		}
-	}
-	// Same interner id assignment order — the strongest determinism
-	// statement: both solvers discovered objects in the same sequence.
-	wantObjs, gotObjs := want.in.snapshot(), got.in.snapshot()
-	if len(wantObjs) != len(gotObjs) {
-		t.Fatalf("interned objs: exhaustive=%d delta=%d", len(wantObjs), len(gotObjs))
-	}
-	for i := range wantObjs {
-		if wantObjs[i] != gotObjs[i] {
-			t.Fatalf("interner id %d: exhaustive=%v delta=%v", i, wantObjs[i], gotObjs[i])
+		if wl != gl {
+			t.Fatalf("results differ at dump line %d:\n  exhaustive: %s\n  delta:      %s", i, wl, gl)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package pointer
 
 import (
 	"fmt"
+	"sort"
 
 	"sierra/internal/ir"
 	"sierra/internal/obs"
@@ -10,10 +11,10 @@ import (
 // Warm is a live handle on a solved delta analyzer, kept after the
 // initial fixpoint so a skeleton-visible edit can be re-solved
 // incrementally instead of from scratch. ReSolve retracts the changed
-// methods' statement constraints (their dense slots are orphaned and
-// their event sites dead-marked), re-seeds fresh all-dirty slots from
-// the patched bodies, and re-drains the difference-propagation worklist
-// from that frontier.
+// methods' statement constraints (their per-position layout is rebuilt,
+// their dense slots are orphaned and their event sites dead-marked),
+// re-seeds fresh all-dirty slots from the patched bodies, and re-drains
+// the difference-propagation worklist from that frontier.
 //
 // The handle does not make retraction sound in general — removing a
 // constraint from a monotone solver cannot shrink already-derived
@@ -49,47 +50,62 @@ func AnalyzeWarm(cfg Config) (*Result, *Warm) {
 // Result returns the result the handle re-solves in place.
 func (w *Warm) Result() *Result { return w.a.res }
 
-// versionSnap records every points-to key's growth version before a
-// warm re-solve; comparing after the re-drain detects any growth of
-// already-solved keys (new keys are fine — they belong to the edit).
+// versionSnap records the growth version of every set materialized
+// before a warm re-solve, in table order; comparing after the re-drain
+// detects any growth of already-solved sets (sets materialized by the
+// re-drain are fine — they belong to the edit). -1 marks a local no
+// transfer had materialized.
 type versionSnap struct {
-	pts  map[VarKey]uint32
-	fpts map[FieldKey]uint32
-	spts map[string]uint32
+	vars   [][]int64
+	fields []uint32
+	stats  []int64
 }
 
 func snapshotVersions(r *Result) versionSnap {
 	s := versionSnap{
-		pts:  make(map[VarKey]uint32, len(r.pts)),
-		fpts: make(map[FieldKey]uint32, len(r.fpts)),
-		spts: make(map[string]uint32, len(r.spts)),
+		vars:   make([][]int64, len(r.insts)),
+		fields: make([]uint32, len(r.fsets)),
+		stats:  make([]int64, len(r.ssets)),
 	}
-	for k, v := range r.pts {
-		s.pts[k] = v.version()
+	for i, inst := range r.insts {
+		s.vars[i] = make([]int64, len(inst.vars))
+		for slot, set := range inst.vars {
+			s.vars[i][slot] = snapVersion(set)
+		}
 	}
-	for k, v := range r.fpts {
-		s.fpts[k] = v.version()
+	for i, f := range r.fsets {
+		s.fields[i] = f.set.version()
 	}
-	for k, v := range r.spts {
-		s.spts[k] = v.version()
+	for i, st := range r.ssets {
+		s.stats[i] = snapVersion(st.set)
 	}
 	return s
 }
 
+func snapVersion(s ObjSet) int64 {
+	if s.d == nil {
+		return -1
+	}
+	return int64(s.version())
+}
+
 func (s versionSnap) verify(r *Result) error {
-	for k, ver := range s.pts {
-		if r.pts[k].version() != ver {
-			return fmt.Errorf("pointer: warm re-solve grew var set %s.%s", k.M.QualifiedName(), k.Var)
+	for i, vers := range s.vars {
+		inst := r.insts[i]
+		for slot, ver := range vers {
+			if ver >= 0 && int64(inst.vars[slot].version()) != ver {
+				return fmt.Errorf("pointer: warm re-solve grew var set %s.%s", inst.info.qname, inst.info.names[slot])
+			}
 		}
 	}
-	for k, ver := range s.fpts {
-		if r.fpts[k].version() != ver {
-			return fmt.Errorf("pointer: warm re-solve grew field set %s", k.Field)
+	for i, ver := range s.fields {
+		if r.fsets[i].set.version() != ver {
+			return fmt.Errorf("pointer: warm re-solve grew field set %s", r.fieldName(r.fsets[i].field))
 		}
 	}
-	for k, ver := range s.spts {
-		if r.spts[k].version() != ver {
-			return fmt.Errorf("pointer: warm re-solve grew static set %s", k)
+	for i, ver := range s.stats {
+		if ver >= 0 && int64(r.ssets[i].set.version()) != ver {
+			return fmt.Errorf("pointer: warm re-solve grew static set %s", r.ssets[i].key)
 		}
 	}
 	return nil
@@ -115,36 +131,53 @@ func (w *Warm) ReSolve(changed []*ir.Method, tr *obs.Trace) error {
 		return fmt.Errorf("pointer: warm baseline is interrupted")
 	}
 
-	chSet := make(map[*ir.Method]bool, len(changed))
-	for _, m := range changed {
-		chSet[m] = true
-		// Invalidate the event-site cache: the body is already patched,
-		// so the next methodEvents read sees the new stmts.
-		delete(d.eventsOf, m)
-	}
-
 	snap := snapshotVersions(a.res)
-	nInst, nEntries := len(a.order), len(a.res.entryKeys)
+	nInst, nEntries := len(a.res.insts), len(a.res.entries)
+
+	// Re-lay out each changed body (its per-position operands, call and
+	// event sites; slots only grow, so every existing local keeps its
+	// set). Calls may not move: edges are recorded per call site.
+	for _, m := range changed {
+		mi := a.infos[m]
+		if mi == nil {
+			continue // never reached: nothing to retract
+		}
+		old := mi.calls
+		a.layout(m, mi)
+		if len(old) != len(mi.calls) {
+			w.spent = true
+			return fmt.Errorf("pointer: warm re-solve changed %s's call count (%d -> %d)", mi.qname, len(old), len(mi.calls))
+		}
+		for i := range old {
+			if old[i].pos != mi.calls[i].pos {
+				w.spent = true
+				return fmt.Errorf("pointer: warm re-solve moved call %v of %s", old[i].pos, mi.qname)
+			}
+		}
+	}
 
 	// Dead-mark the affected instances' event sites before re-slotting:
 	// stale consumer lists can re-dirty the old ids forever.
-	affected := make([]int, 0, 8)
-	isAffected := make(map[int]bool, 8)
-	for i, mk := range a.order {
-		if chSet[mk.M] {
-			affected = append(affected, i)
-			isAffected[i] = true
+	isAffected := make(map[Inst]bool, 8)
+	var affected []Inst
+	for _, m := range changed {
+		for _, id := range a.res.byMethod[m] {
+			if !isAffected[id] {
+				isAffected[id] = true
+				affected = append(affected, id)
+			}
 		}
 	}
+	sort.Slice(affected, func(i, j int) bool { return affected[i] < affected[j] })
 	for eid := range d.evSites {
 		if isAffected[d.evSites[eid].inst] {
 			d.evSites[eid].dead = true
 		}
 	}
 	retracted := 0
-	for _, i := range affected {
-		retracted += d.instLen[i]
-		d.slotInstance(a, i, a.order[i])
+	for _, id := range affected {
+		retracted += d.instLen[id]
+		d.slotInstance(a, id)
 	}
 
 	// The re-drain is uncancellable: a mid-drain cancellation would
@@ -165,10 +198,10 @@ func (w *Warm) ReSolve(changed []*ir.Method, tr *obs.Trace) error {
 		w.spent = true
 		return fmt.Errorf("pointer: warm re-solve hit the pass bound before converging")
 	}
-	if len(a.order) != nInst || len(a.res.entryKeys) != nEntries {
+	if len(a.res.insts) != nInst || len(a.res.entries) != nEntries {
 		w.spent = true
 		return fmt.Errorf("pointer: warm re-solve discovered new instances (%d -> %d) or entries (%d -> %d)",
-			nInst, len(a.order), nEntries, len(a.res.entryKeys))
+			nInst, len(a.res.insts), nEntries, len(a.res.entries))
 	}
 	if err := snap.verify(a.res); err != nil {
 		w.spent = true

@@ -1,8 +1,6 @@
 package race
 
 import (
-	"sort"
-
 	"sierra/internal/actions"
 	"sierra/internal/ir"
 	"sierra/internal/obs"
@@ -31,20 +29,15 @@ import (
 // access set in the same total order).
 func CollectAccessesDelta(reg *actions.Registry, res *pointer.Result, prev []Access, edited map[*ir.Method]bool, storedFields map[string]bool, tr *obs.Trace) []Access {
 	insts := reg.ActionInstances(res)
-	sub := map[int][]pointer.MKey{}
-	aids := make([]int, 0, 4)
-	for aid, mks := range insts {
-		for _, mk := range mks {
-			if edited[mk.M] {
-				if len(sub[aid]) == 0 {
-					aids = append(aids, aid)
-				}
-				sub[aid] = append(sub[aid], mk)
+	sub := make([][]pointer.Inst, len(insts))
+	for aid, ids := range insts {
+		for _, id := range ids {
+			if edited[res.Method(id)] {
+				sub[aid] = append(sub[aid], id)
 			}
 		}
 	}
-	sort.Ints(aids)
-	fresh := collectForActions(res, sub, aids)
+	fresh := collectForActions(res, sub)
 	sortAccesses(fresh)
 
 	retained := make([]Access, 0, len(prev))

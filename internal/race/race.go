@@ -95,77 +95,73 @@ func CollectAccesses(reg *actions.Registry, res *pointer.Result) []Access {
 // CollectAccessesTraced is CollectAccesses with observability: it counts
 // the merged accesses into race.accesses (nil Trace = no-op).
 func CollectAccessesTraced(reg *actions.Registry, res *pointer.Result, tr *obs.Trace) []Access {
-	insts := reg.ActionInstances(res)
-	aids := make([]int, 0, len(insts))
-	for aid := range insts {
-		aids = append(aids, aid)
-	}
-	sort.Ints(aids)
-	out := collectForActions(res, insts, aids)
+	out := collectForActions(res, reg.ActionInstances(res))
 	sortAccesses(out)
 	tr.Count("race.accesses", int64(len(out)))
 	return out
 }
 
-// collectForActions gathers and merges the given actions' accesses
-// (unsorted), resolving IsRef against the current field points-to
-// state. Shared by the cold collector and the incremental delta
-// re-collection.
-func collectForActions(res *pointer.Result, insts map[int][]pointer.MKey, aids []int) []Access {
+// collectForActions gathers and merges the accesses of the instances
+// insts attributes to each action id (unsorted), resolving IsRef
+// against the current field points-to state. Shared by the cold
+// collector and the incremental delta re-collection.
+func collectForActions(res *pointer.Result, insts [][]pointer.Inst) []Access {
 	type key struct {
 		action int
 		pos    ir.Pos
 		kind   AccessKind
 	}
-	merged := map[key]*Access{}
+	merged := map[key]int{}
+	var out []Access
 
-	record := func(aid int, mk pointer.MKey, pos ir.Pos, kind AccessKind, field, baseVar string, static bool, cls string) {
+	record := func(aid int, id pointer.Inst, pos ir.Pos, kind AccessKind, field, baseVar string, static bool, cls string) {
 		k := key{action: aid, pos: pos, kind: kind}
-		acc := merged[k]
-		if acc == nil {
-			acc = &Access{
+		i, ok := merged[k]
+		if !ok {
+			m := pos.Method
+			i = len(out)
+			merged[k] = i
+			out = append(out, Access{
 				Action: aid, Pos: pos, Kind: kind, Field: field,
 				Static: static, Class: cls, BaseVar: baseVar,
-				InFramework: mk.M.Class != nil && mk.M.Class.Framework,
-				InLibrary:   mk.M.Class != nil && mk.M.Class.Library,
-			}
+				InFramework: m.Class != nil && m.Class.Framework,
+				InLibrary:   m.Class != nil && m.Class.Library,
+			})
 			if !static {
-				acc.Objs = res.NewObjSet()
+				out[i].Objs = res.NewObjSet()
 			}
-			merged[k] = acc
 		}
 		if !static {
-			acc.Objs.AddAll(res.PointsTo(mk.M, mk.Ctx, baseVar))
+			out[i].Objs.AddAll(res.LocalPointsTo(id, baseVar))
 		}
 	}
 
-	for _, aid := range aids {
-		for _, mk := range insts[aid] {
-			if mk.M.Class != nil && harness.IsSynthetic(mk.M.Class.Name) {
+	for aid, ids := range insts {
+		for _, id := range ids {
+			m := res.Method(id)
+			if m.Class != nil && harness.IsSynthetic(m.Class.Name) {
 				continue
 			}
-			for bi, blk := range mk.M.Blocks {
+			for bi, blk := range m.Blocks {
 				for si, s := range blk.Stmts {
-					pos := ir.Pos{Method: mk.M, Block: bi, Index: si}
+					pos := ir.Pos{Method: m, Block: bi, Index: si}
 					switch st := s.(type) {
 					case *ir.Load:
-						record(aid, mk, pos, Read, st.Field, st.Obj, false, "")
+						record(aid, id, pos, Read, st.Field, st.Obj, false, "")
 					case *ir.Store:
-						record(aid, mk, pos, Write, st.Field, st.Obj, false, "")
+						record(aid, id, pos, Write, st.Field, st.Obj, false, "")
 					case *ir.StaticLoad:
-						record(aid, mk, pos, Read, st.Field, "", true, st.Class)
+						record(aid, id, pos, Read, st.Field, "", true, st.Class)
 					case *ir.StaticStore:
-						record(aid, mk, pos, Write, st.Field, "", true, st.Class)
+						record(aid, id, pos, Write, st.Field, "", true, st.Class)
 					}
 				}
 			}
 		}
 	}
 
-	out := make([]Access, 0, len(merged))
-	for _, acc := range merged {
-		setIsRef(res, acc)
-		out = append(out, *acc)
+	for i := range out {
+		setIsRef(res, &out[i])
 	}
 	return out
 }

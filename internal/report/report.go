@@ -74,20 +74,40 @@ func Rank(prog *ir.Program, pairs []race.Pair, verdicts []symexec.Verdict) []Rep
 		r.Benign = guards[p.A.Field]
 		out = append(out, r)
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Category != b.Category {
-			return a.Category < b.Category
-		}
-		if a.RefRace != b.RefRace {
-			return a.RefRace
-		}
-		return a.Pair.Key() < b.Pair.Key()
-	})
+	// Decorate-sort: each pair's key is rendered once, not O(n log n)
+	// times inside the comparator.
+	keys := make([]string, len(out))
+	for i := range out {
+		keys[i] = out[i].Pair.Key()
+	}
+	sort.Stable(&byRank{reports: out, keys: keys})
 	for i := range out {
 		out[i].Rank = i + 1
 	}
 	return out
+}
+
+// byRank orders reports by category, reference races first, then pair
+// key, over pre-rendered keys kept aligned with the reports.
+type byRank struct {
+	reports []Report
+	keys    []string
+}
+
+func (s *byRank) Len() int { return len(s.reports) }
+func (s *byRank) Less(i, j int) bool {
+	a, b := &s.reports[i], &s.reports[j]
+	if a.Category != b.Category {
+		return a.Category < b.Category
+	}
+	if a.RefRace != b.RefRace {
+		return a.RefRace
+	}
+	return s.keys[i] < s.keys[j]
+}
+func (s *byRank) Swap(i, j int) {
+	s.reports[i], s.reports[j] = s.reports[j], s.reports[i]
+	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
 }
 
 func categorize(p race.Pair) Category {
@@ -103,30 +123,41 @@ func categorize(p race.Pair) Category {
 // guardFields finds fields used as guards: loaded into a variable that
 // an If in the same method tests. Races on such fields are real but
 // usually benign (§6.5) — the guard itself is unsynchronized, yet each
-// interleaving reads a consistent boolean.
+// interleaving reads a consistent boolean. The result is a set, so
+// classes and methods are visited in no particular order.
 func guardFields(prog *ir.Program) map[string]bool {
 	out := map[string]bool{}
-	for _, c := range prog.Classes() {
-		for _, m := range c.MethodsSorted() {
-			// Collect loads per destination var, then see which vars
-			// appear in If conditions.
-			loadedFrom := map[string][]string{}
+	// The current method's loads, chained per destination variable:
+	// head[v] is the index+1 of the newest load into v, and each load
+	// links to the one before it. Both are reused across methods.
+	type load struct {
+		field string
+		next  int
+	}
+	var loads []load
+	head := map[string]int{}
+	prog.EachClass(func(c *ir.Class) {
+		for _, m := range c.Methods {
+			loads = loads[:0]
+			clear(head)
 			for _, blk := range m.Blocks {
 				for _, s := range blk.Stmts {
 					switch st := s.(type) {
 					case *ir.Load:
-						loadedFrom[st.Dst] = append(loadedFrom[st.Dst], st.Field)
+						loads = append(loads, load{st.Field, head[st.Dst]})
+						head[st.Dst] = len(loads)
 					case *ir.StaticLoad:
-						loadedFrom[st.Dst] = append(loadedFrom[st.Dst], st.Field)
+						loads = append(loads, load{st.Field, head[st.Dst]})
+						head[st.Dst] = len(loads)
 					case *ir.If:
-						for _, f := range loadedFrom[st.A] {
-							out[f] = true
+						for i := head[st.A]; i != 0; i = loads[i-1].next {
+							out[loads[i-1].field] = true
 						}
 					}
 				}
 			}
 		}
-	}
+	})
 	return out
 }
 

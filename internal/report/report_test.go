@@ -1,12 +1,16 @@
 package report_test
 
 import (
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
 	"sierra/internal/core"
 	"sierra/internal/corpus"
+	"sierra/internal/race"
 	"sierra/internal/report"
+	"sierra/internal/symexec"
 )
 
 func TestExplainNarrative(t *testing.T) {
@@ -98,6 +102,58 @@ func TestDescribeFormatsRank(t *testing.T) {
 		}
 		if !strings.Contains(d, "vs") {
 			t.Errorf("describe missing pair: %s", d)
+		}
+	}
+}
+
+// TestRankMatchesComparator holds the decorated sort to the plain
+// comparator (category, reference races first, pair key) on shuffled
+// survivors of every paper app.
+func TestRankMatchesComparator(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, row := range corpus.PaperRows() {
+		app, _ := corpus.NamedApp(row)
+		res := core.Analyze(app, core.Options{})
+		pairs := make([]race.Pair, len(res.Reports))
+		verdicts := make([]symexec.Verdict, len(res.Reports))
+		for i, r := range res.Reports {
+			pairs[i], verdicts[i] = r.Pair, r.Verdict
+		}
+		rng.Shuffle(len(pairs), func(i, j int) {
+			pairs[i], pairs[j] = pairs[j], pairs[i]
+			verdicts[i], verdicts[j] = verdicts[j], verdicts[i]
+		})
+		got := report.Rank(app.Program, pairs, verdicts)
+		// The reference sorts the same reports, in shuffled input order,
+		// with the comparator.
+		byKey := map[string]report.Report{}
+		for _, r := range got {
+			byKey[r.Pair.Key()] = r
+		}
+		if len(byKey) != len(got) {
+			t.Fatalf("%s: pair keys are not unique", row.Name)
+		}
+		want := make([]report.Report, len(pairs))
+		for i, p := range pairs {
+			want[i] = byKey[p.Key()]
+		}
+		sort.SliceStable(want, func(i, j int) bool {
+			a, b := want[i], want[j]
+			if a.Category != b.Category {
+				return a.Category < b.Category
+			}
+			if a.RefRace != b.RefRace {
+				return a.RefRace
+			}
+			return a.Pair.Key() < b.Pair.Key()
+		})
+		if len(got) != len(pairs) {
+			t.Fatalf("%s: %d reports for %d pairs", row.Name, len(got), len(pairs))
+		}
+		for i := range got {
+			if got[i].Rank != i+1 || got[i].Pair.Key() != want[i].Pair.Key() {
+				t.Fatalf("%s: rank %d is %s (rank field %d), want %s", row.Name, i+1, got[i].Pair.Key(), got[i].Rank, want[i].Pair.Key())
+			}
 		}
 	}
 }

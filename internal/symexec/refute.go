@@ -111,7 +111,7 @@ type Refuter struct {
 	Cfg Config
 
 	callees func(ir.Pos) []*ir.Method
-	insts   map[int][]pointer.MKey
+	insts   [][]pointer.Inst
 	graphs  map[int][]*igraph
 	// igb is the refuter's persistent graph builder: scratch buffers and
 	// output slabs amortize across every action it inlines, and the
@@ -622,9 +622,9 @@ func (r *Refuter) resolvePts(aid int, f *frame, v string) pointer.ObjSet {
 	} else {
 		out = r.Res.NewObjSet()
 	}
-	for _, mk := range r.insts[aid] {
-		if mk.M == f.m {
-			out.AddAll(r.Res.PointsTo(mk.M, mk.Ctx, v))
+	for _, id := range r.insts[aid] {
+		if r.Res.Method(id) == f.m {
+			out.AddAll(r.Res.LocalPointsTo(id, v))
 		}
 	}
 	r.ptsMemo[k] = out
