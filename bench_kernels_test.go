@@ -145,24 +145,6 @@ func BenchmarkKernelPointerWorklist(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelPointerDelta compares the two points-to fixpoint
-// implementations head to head on the same workload: the exhaustive
-// reference solver against the difference-propagation worklist (the
-// default; see -pta-solver). Both produce bit-for-bit identical
-// results, so any gap is pure re-computation avoided. Layer: cgpa.
-func BenchmarkKernelPointerDelta(b *testing.B) {
-	app := synthLargeApp()
-	hs := harness.Generate(app)
-	for _, solver := range []pointer.Solver{pointer.SolverExhaustive, pointer.SolverDelta} {
-		b.Run("solver="+string(solver), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				actions.AnalyzeSolver(nil, app, hs, pointer.ActionSensitivePolicy{K: 2}, solver, 0, nil)
-			}
-		})
-	}
-}
-
 // BenchmarkKernelSHBGBuild measures full SHBG construction: rules 1–5
 // plus the rule-6/7 closure iteration. Layer: shbg.
 func BenchmarkKernelSHBGBuild(b *testing.B) {

@@ -40,7 +40,6 @@ import (
 	"sierra/internal/obs"
 	"sierra/internal/obs/eventlog"
 	"sierra/internal/obs/export"
-	"sierra/internal/pointer"
 )
 
 func main() {
@@ -54,7 +53,6 @@ func main() {
 		jobs       = flag.Int("jobs", runtime.GOMAXPROCS(0), "concurrent analysis workers")
 		jobTimeout = flag.Duration("job-timeout", 0, "per-app analysis deadline (0 = none); a timed-out app yields a partial row")
 		cacheDir   = flag.String("cache-dir", "", "cache analysis results in this directory, keyed by app digest + options")
-		ptaSolver  = flag.String("pta-solver", "delta", "points-to fixpoint solver: delta | exhaustive (identical tables; delta is faster)")
 		refPaths   = flag.Int("refute-max-paths", 5000, "refutation path budget per query (the paper's 5,000)")
 		refDepth   = flag.Int("refute-max-depth", 6, "refutation call-inlining depth bound (the paper's 6)")
 		benchJSON  = flag.String("bench-json", "", "write per-stage timings + effort counters for the 20-app dataset as JSON to this file and exit (e.g. BENCH_sierra.json)")
@@ -70,12 +68,6 @@ func main() {
 		pprofMem   = flag.String("pprof-mem", "", "write a heap profile after the evaluation to this file")
 	)
 	flag.Parse()
-
-	solver, err := pointer.ParseSolver(*ptaSolver)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "evaluate: -pta-solver:", err)
-		os.Exit(1)
-	}
 
 	if *pprofCPU != "" {
 		f, err := os.Create(*pprofCPU)
@@ -158,7 +150,6 @@ func main() {
 		rec.Emit(eventlog.Event{Type: "run_start", Fields: map[string]any{
 			"table":   *table,
 			"jobs":    *jobs,
-			"solver":  *ptaSolver,
 			"dynamic": *dynamic,
 			"cache":   *cacheDir != "",
 			"git_sha": gitSHA(),
@@ -171,7 +162,7 @@ func main() {
 	}
 
 	if *benchJSON != "" {
-		if err := writeBenchJSON(ctx, *benchJSON, *quiet, solver, bopts); err != nil {
+		if err := writeBenchJSON(ctx, *benchJSON, *quiet, bopts); err != nil {
 			fmt.Fprintln(os.Stderr, "evaluate:", err)
 			os.Exit(1)
 		}
@@ -190,7 +181,6 @@ func main() {
 	}
 	if *streamCfg != "" {
 		so := streamOpts{
-			solver:   solver,
 			refPaths: *refPaths,
 			refDepth: *refDepth,
 			jobs:     *jobs,
@@ -217,7 +207,6 @@ func main() {
 		WithDynamic:       *dynamic,
 		Schedules:         *schedules,
 		EventsPerSchedule: *events,
-		Solver:            solver,
 		RefuteMaxPaths:    *refPaths,
 		RefuteMaxDepth:    *refDepth,
 	}
@@ -261,7 +250,7 @@ func main() {
 			}
 		}
 		rows, sizes, _ := metrics.EvaluateFDroidBatch(ctx, *nFDroid,
-			metrics.Options{Solver: solver, RefuteMaxPaths: *refPaths, RefuteMaxDepth: *refDepth}, b)
+			metrics.Options{RefuteMaxPaths: *refPaths, RefuteMaxDepth: *refDepth}, b)
 		fmt.Println(metrics.FormatTable5(rows, sizes))
 	}
 }
@@ -307,7 +296,7 @@ func gitSHA() string {
 // writeBenchJSON measures the 20-app dataset (static pipeline only — no
 // dynamic baseline, so the artifact is deterministic and fast) and
 // writes the benchReport.
-func writeBenchJSON(ctx context.Context, path string, quiet bool, solver pointer.Solver, bopts metrics.BatchOptions) error {
+func writeBenchJSON(ctx context.Context, path string, quiet bool, bopts metrics.BatchOptions) error {
 	rows := corpus.PaperRows()
 	if bopts.Jobs <= 0 {
 		bopts.Jobs = runtime.GOMAXPROCS(0)
@@ -323,7 +312,7 @@ func writeBenchJSON(ctx context.Context, path string, quiet bool, solver pointer
 		}
 	}
 	start := time.Now()
-	measured, results := metrics.EvaluateNamedBatch(ctx, rows, metrics.Options{Solver: solver}, bopts)
+	measured, results := metrics.EvaluateNamedBatch(ctx, rows, metrics.Options{}, bopts)
 	sum := batch.Summarize(results, time.Since(start))
 
 	report := benchReport{

@@ -15,7 +15,6 @@ import (
 	"sierra/internal/batch"
 	"sierra/internal/core"
 	"sierra/internal/obs"
-	"sierra/internal/pointer"
 	"sierra/internal/stream"
 	"sierra/internal/symexec"
 )
@@ -28,7 +27,6 @@ const streamBenchTarget = 0.95
 // streamOpts bundles the analysis knobs the streaming lanes share with
 // the rest of evaluate.
 type streamOpts struct {
-	solver   pointer.Solver
 	refPaths int
 	refDepth int
 	jobs     int
@@ -38,8 +36,7 @@ type streamOpts struct {
 
 func (o streamOpts) coreOptions() core.Options {
 	return core.Options{
-		Refuter:   symexec.Config{MaxPaths: o.refPaths, MaxDepth: o.refDepth},
-		PTASolver: o.solver,
+		Refuter: symexec.Config{MaxPaths: o.refPaths, MaxDepth: o.refDepth},
 	}
 }
 

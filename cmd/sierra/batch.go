@@ -16,33 +16,38 @@ import (
 	"sierra/internal/obs"
 	"sierra/internal/obs/eventlog"
 	"sierra/internal/obs/export"
-	"sierra/internal/pointer"
 	"sierra/internal/stream"
-	"sierra/internal/symexec"
 )
 
 // batchConfig carries the flag values that shape a -batch or -stream
 // run. Exactly one of glob / streamCfg is set; everything else is
 // shared, which is what keeps the two modes' outputs comparable.
 type batchConfig struct {
-	glob       string
-	streamCfg  string // scenario config path (-stream)
-	genJobs    int    // generation workers (-stream)
-	jobs       int
-	timeout    time.Duration
-	cacheDir   string
-	policy     pointer.Policy
-	policyID   string
-	solver     pointer.Solver
-	compare    bool
-	noRefute   bool
-	maxPaths   int
-	maxDepth   int
-	refuteJobs int
-	stats      string
-	events     string
-	debugAddr  string
-	verdicts   string // TSV verdict artifact path
+	glob      string
+	streamCfg string // scenario config path (-stream)
+	genJobs   int    // generation workers (-stream)
+	jobs      int
+	timeout   time.Duration
+	cacheDir  string
+	policyID  string // the -policy flag value, as run_start reports it
+	opts      core.Options
+	stats     string
+	events    string
+	debugAddr string
+	verdicts  string // TSV verdict artifact path
+}
+
+// runFields is the run_start event's analysis configuration, shared by
+// the one-app and batch modes.
+func runFields(policyID string, opts core.Options) map[string]any {
+	return map[string]any{
+		"policy":      policyID,
+		"compare":     opts.CompareContexts,
+		"refute":      !opts.SkipRefutation,
+		"max_paths":   opts.Refuter.MaxPaths,
+		"max_depth":   opts.Refuter.MaxDepth,
+		"refute_jobs": opts.Refuter.Jobs,
+	}
 }
 
 // appSummary is the cached per-file verdict: the headline numbers a
@@ -87,39 +92,17 @@ func runBatch(cfg batchConfig) int {
 		absorb = tr
 	}
 
-	fingerprint := []string{
-		"report",
-		"policy=" + cfg.policyID,
-		"solver=" + string(cfg.solver),
-		fmt.Sprintf("compare=%t", cfg.compare),
-		fmt.Sprintf("refute=%t", !cfg.noRefute),
-		fmt.Sprintf("maxpaths=%d", cfg.maxPaths),
-		fmt.Sprintf("maxdepth=%d", cfg.maxDepth),
-	}
-	analyze := stream.Analyzer(core.Options{
-		Policy:          cfg.policy,
-		CompareContexts: cfg.compare,
-		SkipRefutation:  cfg.noRefute,
-		Refuter:         symexec.Config{MaxPaths: cfg.maxPaths, MaxDepth: cfg.maxDepth, Jobs: cfg.refuteJobs},
-		PTASolver:       cfg.solver,
-	}, absorb)
+	fingerprint := []string{"report", cfg.opts.Key()}
+	analyze := stream.Analyzer(cfg.opts, absorb)
 
 	// Build the job source: a sorted glob of file-backed jobs, or the
 	// fused generate→analyze stream.
 	var src batch.Source
 	total := -1
-	runFields := map[string]any{
-		"jobs":        cfg.jobs,
-		"job_timeout": cfg.timeout.String(),
-		"policy":      cfg.policyID,
-		"solver":      string(cfg.solver),
-		"compare":     cfg.compare,
-		"refute":      !cfg.noRefute,
-		"max_paths":   cfg.maxPaths,
-		"max_depth":   cfg.maxDepth,
-		"refute_jobs": cfg.refuteJobs,
-		"cache":       cfg.cacheDir != "",
-	}
+	fields := runFields(cfg.policyID, cfg.opts)
+	fields["jobs"] = cfg.jobs
+	fields["job_timeout"] = cfg.timeout.String()
+	fields["cache"] = cfg.cacheDir != ""
 	var streamSrc *stream.Source
 	if cfg.streamCfg != "" {
 		scfg, err := stream.LoadConfig(cfg.streamCfg)
@@ -133,12 +116,12 @@ func runBatch(cfg batchConfig) int {
 			Obs:         tr,
 		})
 		src = streamSrc
-		runFields["config"] = cfg.streamCfg
-		runFields["corpus"] = scfg.Name
-		runFields["mix"] = scfg.MixSummary()
-		runFields["gen_jobs"] = cfg.genJobs
-		runFields["apps_cap"] = scfg.Apps
-		runFields["tot_size"] = scfg.TotSize
+		fields["config"] = cfg.streamCfg
+		fields["corpus"] = scfg.Name
+		fields["mix"] = scfg.MixSummary()
+		fields["gen_jobs"] = cfg.genJobs
+		fields["apps_cap"] = scfg.Apps
+		fields["tot_size"] = scfg.TotSize
 	} else {
 		files, err := filepath.Glob(cfg.glob)
 		if err != nil {
@@ -173,8 +156,8 @@ func runBatch(cfg batchConfig) int {
 			}
 		}
 		src = batch.SliceSource(jobs)
-		runFields["glob"] = cfg.glob
-		runFields["files"] = len(files)
+		fields["glob"] = cfg.glob
+		fields["files"] = len(files)
 	}
 
 	// The run is cancellable so the signal handler can wind it down as a
@@ -201,7 +184,7 @@ func runBatch(cfg batchConfig) int {
 		fmt.Fprintf(os.Stderr, "sierra: debug server on http://%s\n", srv.Addr())
 	}
 
-	rec.Emit(eventlog.Event{Type: "run_start", Fields: runFields})
+	rec.Emit(eventlog.Event{Type: "run_start", Fields: fields})
 
 	var verdictResults []batch.Result
 	opts := batch.Options{

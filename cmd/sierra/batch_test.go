@@ -7,13 +7,16 @@ import (
 	"testing"
 
 	"sierra/internal/appfile"
+	"sierra/internal/core"
 	"sierra/internal/corpus"
-	"sierra/internal/pointer"
+	"sierra/internal/symexec"
 )
 
 // TestBatchKeyIgnoresRefuteJobs: the refutation worker count changes no
-// report, so two -refute-jobs values must share one cache key — the
-// second run is served from the cache the first one filled.
+// report, and neither does spelling the default budgets as 0, so two
+// -refute-jobs values and a run at -refute-max-paths 0
+// -refute-max-depth 0 must share one cache key — every run after the
+// first is served from the cache the first one filled.
 func TestBatchKeyIgnoresRefuteJobs(t *testing.T) {
 	dir := t.TempDir()
 	raw, err := appfile.Bytes(corpus.NewsApp())
@@ -28,22 +31,28 @@ func TestBatchKeyIgnoresRefuteJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	cacheDir := filepath.Join(dir, "cache")
-	for i, jobs := range []int{2, 3} {
+	for i, run := range []struct {
+		name                     string
+		maxPaths, maxDepth, jobs int
+	}{
+		{"-refute-jobs 2", 5000, 6, 2},
+		{"-refute-jobs 3", 5000, 6, 3},
+		{"-refute-max-paths 0 -refute-max-depth 0", 0, 0, 2},
+	} {
 		verdicts := filepath.Join(dir, "verdicts.tsv")
 		code := runBatch(batchConfig{
-			glob:       filepath.Join(dir, "*.app"),
-			jobs:       1,
-			cacheDir:   cacheDir,
-			policy:     pol,
-			policyID:   "as",
-			solver:     pointer.SolverDelta,
-			maxPaths:   5000,
-			maxDepth:   6,
-			refuteJobs: jobs,
-			verdicts:   verdicts,
+			glob:     filepath.Join(dir, "*.app"),
+			jobs:     1,
+			cacheDir: cacheDir,
+			policyID: "as",
+			opts: core.Options{
+				Policy:  pol,
+				Refuter: symexec.Config{MaxPaths: run.maxPaths, MaxDepth: run.maxDepth, Jobs: run.jobs},
+			},
+			verdicts: verdicts,
 		})
 		if code != 0 {
-			t.Fatalf("-refute-jobs %d: exit %d", jobs, code)
+			t.Fatalf("%s: exit %d", run.name, code)
 		}
 		tsv, err := os.ReadFile(verdicts)
 		if err != nil {
@@ -51,11 +60,14 @@ func TestBatchKeyIgnoresRefuteJobs(t *testing.T) {
 		}
 		rows := strings.Split(strings.TrimSpace(string(tsv)), "\n")
 		if len(rows) != 2 {
-			t.Fatalf("-refute-jobs %d: verdict table %q", jobs, tsv)
+			t.Fatalf("%s: verdict table %q", run.name, tsv)
 		}
-		want := []string{"ok", "cached"}[i]
+		want := "cached"
+		if i == 0 {
+			want = "ok"
+		}
 		if status := strings.Split(rows[1], "\t")[1]; status != want {
-			t.Errorf("-refute-jobs %d: status %q, want %q", jobs, status, want)
+			t.Errorf("%s: status %q, want %q", run.name, status, want)
 		}
 	}
 	entries, err := os.ReadDir(cacheDir)
@@ -63,6 +75,6 @@ func TestBatchKeyIgnoresRefuteJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(entries) != 1 {
-		t.Errorf("cache holds %d entries, want one key for both worker counts", len(entries))
+		t.Errorf("cache holds %d entries, want one key for every run", len(entries))
 	}
 }

@@ -80,7 +80,6 @@ func main() {
 		jobTimeout     = flag.Duration("job-timeout", 0, "per-file analysis deadline in batch mode (0 = none)")
 		cacheDir       = flag.String("cache-dir", "", "cache batch results in this directory, keyed by file digest + options")
 		policy         = flag.String("policy", "as", "context policy: as | hybrid | 2obj | 2cfa | insensitive")
-		ptaSolver      = flag.String("pta-solver", "delta", "points-to fixpoint solver: delta | exhaustive (identical results; delta is faster)")
 		compare        = flag.Bool("compare", false, "also report racy pairs without action sensitivity")
 		noRefute       = flag.Bool("no-refute", false, "skip symbolic refutation")
 		refuteMaxPaths = flag.Int("refute-max-paths", 5000, "refutation path budget per query (the paper's 5,000)")
@@ -134,34 +133,27 @@ func main() {
 		fmt.Fprintln(os.Stderr, "sierra:", err)
 		os.Exit(1)
 	}
-	solver, err := pointer.ParseSolver(*ptaSolver)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sierra: -pta-solver:", err)
-		os.Exit(1)
+	opts := core.Options{
+		Policy:          pol,
+		CompareContexts: *compare,
+		SkipRefutation:  *noRefute,
+		Refuter:         symexec.Config{MaxPaths: *refuteMaxPaths, MaxDepth: *refuteMaxDepth, Jobs: resolveJobs(*refuteJobs)},
 	}
-
-	*refuteJobs = resolveJobs(*refuteJobs)
 
 	if *batchGlob != "" || *streamCfg != "" {
 		code := runBatch(batchConfig{
-			glob:       *batchGlob,
-			streamCfg:  *streamCfg,
-			genJobs:    resolveJobs(*genJobs),
-			jobs:       *jobs,
-			timeout:    *jobTimeout,
-			cacheDir:   *cacheDir,
-			policy:     pol,
-			policyID:   *policy,
-			solver:     solver,
-			compare:    *compare,
-			noRefute:   *noRefute,
-			maxPaths:   *refuteMaxPaths,
-			maxDepth:   *refuteMaxDepth,
-			refuteJobs: *refuteJobs,
-			stats:      *stats,
-			events:     *events,
-			debugAddr:  *debugAddr,
-			verdicts:   *verdicts,
+			glob:      *batchGlob,
+			streamCfg: *streamCfg,
+			genJobs:   resolveJobs(*genJobs),
+			jobs:      *jobs,
+			timeout:   *jobTimeout,
+			cacheDir:  *cacheDir,
+			policyID:  *policy,
+			opts:      opts,
+			stats:     *stats,
+			events:    *events,
+			debugAddr: *debugAddr,
+			verdicts:  *verdicts,
 		})
 		os.Exit(code)
 	}
@@ -246,24 +238,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sierra: debug server on http://%s\n", srv.Addr())
 	}
 
-	rec.Emit(eventlog.Event{Type: "run_start", Job: app.Name, Fields: map[string]any{
-		"policy":      *policy,
-		"solver":      string(solver),
-		"compare":     *compare,
-		"refute":      !*noRefute,
-		"max_paths":   *refuteMaxPaths,
-		"max_depth":   *refuteMaxDepth,
-		"refute_jobs": *refuteJobs,
-	}})
+	rec.Emit(eventlog.Event{Type: "run_start", Job: app.Name, Fields: runFields(*policy, opts)})
 
-	res := core.AnalyzeContext(ctx, app, core.Options{
-		Policy:          pol,
-		CompareContexts: *compare,
-		SkipRefutation:  *noRefute,
-		Refuter:         symexec.Config{MaxPaths: *refuteMaxPaths, MaxDepth: *refuteMaxDepth, Jobs: *refuteJobs},
-		PTASolver:       solver,
-		Obs:             tr,
-	})
+	opts.Obs = tr
+	res := core.AnalyzeContext(ctx, app, opts)
 
 	if rec != nil {
 		for _, st := range []struct {

@@ -19,42 +19,29 @@ import (
 // reproduce the paper's with/without-action-sensitivity comparison; the
 // harnesses are shared.
 func Analyze(app *apk.App, hs []*harness.Harness, pol pointer.Policy) (*Registry, *pointer.Result) {
-	return AnalyzeTraced(app, hs, pol, nil)
+	reg, res, _ := AnalyzeSolverWarm(nil, app, hs, pol, pointer.SolverDelta, 0, nil)
+	return reg, res
 }
 
-// AnalyzeTraced is Analyze with observability: the trace is handed to
-// the pointer analysis (pointer.* counters) and receives the discovered
-// action count (actions.discovered). Nil Trace = no-op.
-func AnalyzeTraced(app *apk.App, hs []*harness.Harness, pol pointer.Policy, tr *obs.Trace) (*Registry, *pointer.Result) {
-	return AnalyzeContext(nil, app, hs, pol, tr)
-}
-
-// AnalyzeContext is AnalyzeTraced with cooperative cancellation: the
-// context (nil = never cancelled) is threaded into the pointer
-// analysis, whose fixpoint stops early once it is done (the returned
-// result is then marked Interrupted).
-func AnalyzeContext(ctx context.Context, app *apk.App, hs []*harness.Harness, pol pointer.Policy, tr *obs.Trace) (*Registry, *pointer.Result) {
-	return AnalyzeSolver(ctx, app, hs, pol, pointer.SolverDelta, 0, tr)
-}
-
-// AnalyzeSolver is AnalyzeContext with an explicit points-to solver
-// selection (the -pta-solver flag's plumbing). Both solvers produce
-// identical results; SolverExhaustive is the slow reference
-// implementation kept for parity testing. The ptaJobs parameter stays
-// for existing callers. Deprecated: ignored; the solver is sequential.
+// AnalyzeSolver is Analyze with cooperative cancellation and
+// observability: the context (nil = never cancelled) is threaded into
+// the pointer analysis, whose fixpoint stops early once it is done (the
+// result is then marked Interrupted), and the trace (nil = no-op)
+// receives the pointer.* counters and the discovered action count
+// (actions.discovered). The solver and ptaJobs parameters stay for
+// existing callers. Deprecated: both are ignored; the delta solver is
+// the only one, and it is sequential.
 func AnalyzeSolver(ctx context.Context, app *apk.App, hs []*harness.Harness, pol pointer.Policy, solver pointer.Solver, ptaJobs int, tr *obs.Trace) (*Registry, *pointer.Result) {
 	reg, res, _ := AnalyzeSolverWarm(ctx, app, hs, pol, solver, ptaJobs, tr)
 	return reg, res
 }
 
 // AnalyzeSolverWarm is AnalyzeSolver, but additionally returns the
-// pointer solver's warm re-solve handle (nil under the exhaustive
-// solver or when the fixpoint was interrupted). Incremental serve
-// baselines keep the handle to re-solve skeleton-visible edits without
-// a cold fixpoint; everyone else should call AnalyzeSolver and let the
-// solver state be collected. The ptaJobs parameter stays for existing
-// callers. Deprecated: ignored; the solver is sequential.
-func AnalyzeSolverWarm(ctx context.Context, app *apk.App, hs []*harness.Harness, pol pointer.Policy, solver pointer.Solver, ptaJobs int, tr *obs.Trace) (*Registry, *pointer.Result, *pointer.Warm) {
+// pointer solver's warm re-solve handle (nil when the fixpoint was
+// interrupted). Incremental serve baselines keep the handle to re-solve
+// skeleton-visible edits without a cold fixpoint; everyone else should
+// call AnalyzeSolver and let the solver state be collected.
+func AnalyzeSolverWarm(ctx context.Context, app *apk.App, hs []*harness.Harness, pol pointer.Policy, _ pointer.Solver, _ int, tr *obs.Trace) (*Registry, *pointer.Result, *pointer.Warm) {
 	reg := NewRegistry(app, hs, pol)
 
 	var seeds []pointer.Seed
@@ -88,7 +75,6 @@ func AnalyzeSolverWarm(ctx context.Context, app *apk.App, hs []*harness.Harness,
 		Views:    views,
 		OnEvent:  reg.OnEvent,
 		ActionAt: reg.ActionAt,
-		Solver:   solver,
 		Obs:      tr,
 		Ctx:      ctx,
 	})

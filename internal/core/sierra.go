@@ -7,6 +7,8 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"sort"
 	"time"
 
 	"sierra/internal/actions"
@@ -35,9 +37,9 @@ type Options struct {
 	Refuter symexec.Config
 	// SHBG tunes happens-before construction (rule ablation).
 	SHBG shbg.Options
-	// PTASolver selects the points-to fixpoint implementation
-	// (pointer.SolverDelta, the default, or pointer.SolverExhaustive —
-	// the -pta-solver flag). Both produce identical results.
+	// PTASolver is kept for existing callers.
+	//
+	// Deprecated: ignored; the delta solver is the only one.
 	PTASolver pointer.Solver
 	// PTAJobs is kept for existing callers.
 	//
@@ -53,6 +55,38 @@ type Options struct {
 	// effort counters for the whole pipeline (see README.md
 	// "Observability"). Nil disables observability at zero cost.
 	Obs *obs.Trace
+}
+
+// Key renders the options that can change an analysis's output, at
+// their effective values, as the canonical options part of every cache
+// key: the policy (nil means the default), the comparison rerun,
+// refutation on or off, the refutation budgets (symexec.Config's
+// Normalized), the refuter's memo switch (it changes each verdict's
+// path count, which sierra-report/1 renders) and the SHBG rule
+// ablations. Execution knobs — worker counts, PTASolver, PTAJobs,
+// KeepPTAWarm, traces and contexts — change no output and are left out,
+// so options that differ only in them share a key.
+func (o Options) Key() string {
+	rc := o.Refuter.Normalized()
+	var off []int
+	for r, ok := range o.SHBG.Disable {
+		if ok {
+			off = append(off, int(r))
+		}
+	}
+	sort.Ints(off)
+	return fmt.Sprintf("policy=%s|compare=%t|refute=%t|maxpaths=%d|maxdepth=%d|refutecache=%t|shbg-off=%v|gui-teardown=%t",
+		o.policy().Name(), o.CompareContexts, !o.SkipRefutation, rc.MaxPaths, rc.MaxDepth,
+		!rc.DisableCache, off, !o.SHBG.DisableGUITeardownOrder)
+}
+
+// policy is the effective context policy: the paper's action-sensitive
+// hybrid abstraction with k = 2 unless Policy sets one.
+func (o Options) policy() pointer.Policy {
+	if o.Policy == nil {
+		return pointer.ActionSensitivePolicy{K: 2}
+	}
+	return o.Policy
 }
 
 // Timing records per-stage wall-clock durations (Table 4's columns).
@@ -80,8 +114,8 @@ type Result struct {
 	Registry  *actions.Registry
 	PTA       *pointer.Result
 	// PTAWarm is the delta solver's warm re-solve handle, populated only
-	// under Options.KeepPTAWarm (nil otherwise, and nil whenever the
-	// solver cannot re-solve — exhaustive solver or interrupted run).
+	// under Options.KeepPTAWarm (nil otherwise, and nil when the
+	// fixpoint was interrupted).
 	PTAWarm  *pointer.Warm
 	Graph    *shbg.Graph
 	Accesses []race.Access
@@ -139,12 +173,7 @@ func Analyze(app *apk.App, opts Options) *Result {
 // a cancelled context makes each one cheap rather than skipped, keeping
 // the Result's shape invariants (non-nil Registry/Graph) intact.
 func AnalyzeContext(ctx context.Context, app *apk.App, opts Options) *Result {
-	if opts.Policy == nil {
-		opts.Policy = pointer.ActionSensitivePolicy{K: 2}
-	}
-	if opts.PTASolver == "" {
-		opts.PTASolver = pointer.SolverDelta
-	}
+	opts.Policy = opts.policy()
 	tr := opts.Obs
 	res := &Result{App: app}
 	// mark records the earliest stage at which the context was already
@@ -167,9 +196,9 @@ func AnalyzeContext(ctx context.Context, app *apk.App, opts Options) *Result {
 	var reg *actions.Registry
 	var pta *pointer.Result
 	if opts.KeepPTAWarm {
-		reg, pta, res.PTAWarm = actions.AnalyzeSolverWarm(ctx, app, res.Harnesses, opts.Policy, opts.PTASolver, 0, tr)
+		reg, pta, res.PTAWarm = actions.AnalyzeSolverWarm(ctx, app, res.Harnesses, opts.Policy, pointer.SolverDelta, 0, tr)
 	} else {
-		reg, pta = actions.AnalyzeSolver(ctx, app, res.Harnesses, opts.Policy, opts.PTASolver, 0, tr)
+		reg, pta = actions.AnalyzeSolver(ctx, app, res.Harnesses, opts.Policy, pointer.SolverDelta, 0, tr)
 	}
 	sCGPA.End()
 	res.Registry, res.PTA = reg, pta
@@ -204,7 +233,7 @@ func AnalyzeContext(ctx context.Context, app *apk.App, opts Options) *Result {
 		plainSHBG := opts.SHBG
 		plainSHBG.Obs = nil
 		plainSHBG.Ctx = ctx
-		regH, ptaH := actions.AnalyzeSolver(ctx, app, res.Harnesses, pointer.Hybrid{K: 2}, opts.PTASolver, 0, nil)
+		regH, ptaH := actions.AnalyzeSolver(ctx, app, res.Harnesses, pointer.Hybrid{K: 2}, pointer.SolverDelta, 0, nil)
 		gH := shbg.Build(regH, ptaH, plainSHBG)
 		pairsH := race.RacyPairs(regH, gH, race.CollectAccesses(regH, ptaH))
 		res.RacyPairsNoAS = len(pairsH)

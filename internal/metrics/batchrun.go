@@ -40,28 +40,14 @@ type BatchOptions struct {
 }
 
 // fingerprint lists every Options knob that influences a Row, for the
-// cache key. Policy knobs are fixed by EvaluateApp (action-sensitive
-// k=2 with the hybrid comparison rerun), so the corpus digest plus
-// these parts fully determine the result.
+// cache key: the dynamic baseline's knobs and the analysis options' Key.
 func fingerprint(opts Options) []string {
-	// Refuter knobs are keyed by their effective values (0 means the
-	// paper defaults), so explicit -refute-max-paths=5000 and the
-	// default share one cache entry.
-	maxPaths, maxDepth := opts.RefuteMaxPaths, opts.RefuteMaxDepth
-	if maxPaths == 0 {
-		maxPaths = 5000
-	}
-	if maxDepth == 0 {
-		maxDepth = 6
-	}
 	return []string{
 		"row",
 		fmt.Sprintf("dynamic=%t", opts.WithDynamic),
 		fmt.Sprintf("schedules=%d", opts.Schedules),
 		fmt.Sprintf("events=%d", opts.EventsPerSchedule),
-		"solver=" + string(opts.Solver),
-		fmt.Sprintf("refutepaths=%d", maxPaths),
-		fmt.Sprintf("refutedepth=%d", maxDepth),
+		opts.coreOptions().Key(),
 	}
 }
 

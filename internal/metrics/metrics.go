@@ -15,7 +15,6 @@ import (
 	"sierra/internal/corpus"
 	"sierra/internal/eventracer"
 	"sierra/internal/obs"
-	"sierra/internal/pointer"
 	"sierra/internal/symexec"
 )
 
@@ -53,10 +52,6 @@ type Options struct {
 	// Schedules / EventsPerSchedule configure the dynamic runs.
 	Schedules         int
 	EventsPerSchedule int
-	// Solver selects the points-to fixpoint implementation ("" =
-	// pointer.SolverDelta). Both solvers produce identical tables; the
-	// exhaustive one is the slow reference kept for parity checking.
-	Solver pointer.Solver
 	// RefuteMaxPaths / RefuteMaxDepth bound the refuter's backward
 	// exploration (0 = the paper's defaults, 5000 paths and depth 6).
 	RefuteMaxPaths int
@@ -82,12 +77,9 @@ func EvaluateApp(name string, factory func() (*apk.App, *corpus.GroundTruth), op
 func EvaluateAppContext(ctx context.Context, name string, factory func() (*apk.App, *corpus.GroundTruth), opts Options) Row {
 	app, gt := factory()
 	tr := obs.New(name)
-	res := core.AnalyzeContext(ctx, app, core.Options{
-		CompareContexts: true,
-		PTASolver:       opts.Solver,
-		Refuter:         symexec.Config{MaxPaths: opts.RefuteMaxPaths, MaxDepth: opts.RefuteMaxDepth},
-		Obs:             tr,
-	})
+	copts := opts.coreOptions()
+	copts.Obs = tr
+	res := core.AnalyzeContext(ctx, app, copts)
 
 	row := Row{
 		Name:       name,
@@ -137,6 +129,16 @@ func EvaluateAppContext(ctx context.Context, name string, factory func() (*apk.A
 	}
 	opts.Obs.Absorb(tr.Snapshot())
 	return row
+}
+
+// coreOptions is the analysis configuration every measured app runs
+// under: the default action-sensitive policy with the plain-hybrid
+// comparison rerun, and the configured refutation budgets.
+func (o Options) coreOptions() core.Options {
+	return core.Options{
+		CompareContexts: true,
+		Refuter:         symexec.Config{MaxPaths: o.RefuteMaxPaths, MaxDepth: o.RefuteMaxDepth},
+	}
 }
 
 // EvaluateNamed measures one named-dataset app.

@@ -2,7 +2,6 @@ package pointer
 
 import (
 	"context"
-	"fmt"
 	"slices"
 	"sort"
 
@@ -55,44 +54,22 @@ type Event struct {
 	FieldObjs func(Obj, string) []Obj
 }
 
-// Solver selects the fixpoint strategy. Both solvers compute the exact
-// same Result — same points-to sets, same instance/entry discovery
-// order, same call-edge order, same pass count — the difference is only
-// how much no-op work each pass re-does.
+// Solver names a points-to fixpoint strategy.
+//
+// Deprecated: the difference-propagation solver (delta.go) is the only
+// one; Solver and SolverDelta remain for existing callers and select
+// nothing.
 type Solver string
 
-const (
-	// SolverDelta is the difference-propagation worklist solver (the
-	// default): it tracks which points-to keys grew, maintains a
-	// dependency index from keys to the statements / copy edges / seeds /
-	// event sites that consume them, and only re-runs transfer functions
-	// whose inputs actually changed.
-	SolverDelta Solver = "delta"
-	// SolverExhaustive re-runs every statement of every instance each
-	// pass — the simple reference solver kept as an escape hatch and as
-	// the parity oracle for the delta solver's tests.
-	SolverExhaustive Solver = "exhaustive"
-)
-
-// ParseSolver validates a -pta-solver flag value ("" means the default,
-// delta).
-func ParseSolver(s string) (Solver, error) {
-	switch Solver(s) {
-	case "", SolverDelta:
-		return SolverDelta, nil
-	case SolverExhaustive:
-		return SolverExhaustive, nil
-	}
-	return "", fmt.Errorf("unknown points-to solver %q (want %q or %q)", s, SolverDelta, SolverExhaustive)
-}
+// SolverDelta names the difference-propagation worklist solver.
+//
+// Deprecated: see Solver.
+const SolverDelta Solver = "delta"
 
 // Config parameterizes Analyze.
 type Config struct {
 	Prog   *ir.Program
 	Policy Policy
-	// Solver picks the fixpoint strategy; the zero value means
-	// SolverDelta. Results are identical either way.
-	Solver Solver
 	// Entries are the initial roots (typically the harness mains).
 	Entries []Entry
 	// Seeds are cross-context copy constraints.
@@ -159,65 +136,22 @@ func newAnalyzer(cfg Config) *analyzer {
 		}
 	}
 	a.viewFallback = sortedViewObjs(cfg.Views)
-	if cfg.Solver != SolverExhaustive {
-		a.d = newDeltaState(a)
-	}
+	a.d = newDeltaState(a)
 	for _, e := range cfg.Entries {
 		a.install(e, true)
 	}
 	return a
 }
 
+// fixpoint drives a constructed analyzer to its initial fixpoint: the
+// delta solver. The package's tests swap in the exhaustive reference
+// (export_test.go) to compare the two through the callers' own hooks.
+var fixpoint = (*analyzer).runDelta
+
 // run drives the constructed analyzer to its initial fixpoint.
 func (a *analyzer) run() {
-	if a.d != nil {
-		a.runDelta()
-	} else {
-		a.runExhaustive()
-	}
+	fixpoint(a)
 	a.reportObs()
-}
-
-// runExhaustive is the reference fixpoint: every pass re-runs every
-// statement of every discovered instance, then all copy edges, seeds,
-// and events.
-func (a *analyzer) runExhaustive() {
-	cfg := a.cfg
-	for pass := 0; pass < cfg.MaxPasses; pass++ {
-		if ctxDone(cfg.Ctx) {
-			a.res.Interrupted = true
-			break
-		}
-		a.res.passes = pass + 1
-		changed := false
-		// Statements of every discovered instance (order-stable: the
-		// table only grows, and growth order is deterministic).
-		for i := 0; i < len(a.res.insts); i++ {
-			if i%ctxStride == ctxStride-1 && ctxDone(cfg.Ctx) {
-				a.res.Interrupted = true
-				break
-			}
-			a.stats.iterations++
-			if a.processInstance(Inst(i)) {
-				changed = true
-			}
-		}
-		if a.res.Interrupted {
-			break
-		}
-		if a.applyCopies() {
-			changed = true
-		}
-		if a.applySeeds() {
-			changed = true
-		}
-		if a.fireEvents() {
-			changed = true
-		}
-		if !changed {
-			break
-		}
-	}
 }
 
 // ctxStride is how many instances a pass processes between context
@@ -243,12 +177,10 @@ func (a *analyzer) reportObs() {
 	}
 	tr.Count("pointer.worklist_iterations", a.stats.iterations)
 	tr.Observe("pointer.solve_iterations", float64(a.stats.iterations))
-	if a.d != nil {
-		tr.Count("pointer.dirty_instances", a.stats.dirtyInstances)
-		tr.Count("pointer.transfer_skips", a.stats.transferSkips)
-		tr.Count("pointer.delta_props", a.stats.deltaProps)
-		tr.Count("pointer.dep_edges", int64(a.d.depEdges()))
-	}
+	tr.Count("pointer.dirty_instances", a.stats.dirtyInstances)
+	tr.Count("pointer.transfer_skips", a.stats.transferSkips)
+	tr.Count("pointer.delta_props", a.stats.deltaProps)
+	tr.Count("pointer.dep_edges", int64(a.d.nDeps))
 	tr.Count("pointer.instances", int64(len(r.insts)))
 	tr.Count("pointer.entries", int64(len(r.entries)))
 	tr.Count("pointer.cha_targets", a.stats.chaTargets)
@@ -329,17 +261,16 @@ type analyzer struct {
 	intChunk  []int32
 	vsChunk   []varState
 	instIDs   []Inst
-	// d holds the difference-propagation state; nil under the exhaustive
-	// solver.
+	// d holds the difference-propagation state.
 	d *deltaState
 	// stats feeds the pointer.* observability counters.
 	stats struct {
 		iterations     int64 // instance sweep slots visited, summed over passes
 		chaTargets     int64 // dispatch targets resolved at call sites
 		eventsFired    int64 // OnEvent hook invocations
-		dirtyInstances int64 // delta: instances actually processed
-		transferSkips  int64 // delta: sweep slots skipped (no input grew)
-		deltaProps     int64 // delta: dirty statement transfers re-run
+		dirtyInstances int64 // instances actually processed
+		transferSkips  int64 // sweep slots skipped (no input grew)
+		deltaProps     int64 // dirty statement transfers re-run
 	}
 }
 
@@ -366,7 +297,7 @@ type varState struct {
 	// key is the local's rendered name, once a copy edge needed it.
 	key string
 	// deps and copies head the local's consumer and copy-edge chains
-	// (delta solver only; see link).
+	// (see link).
 	deps, copies int32
 }
 
@@ -376,8 +307,8 @@ type copyEdge struct {
 	key  string
 	dst  local
 	srcs []copySrc
-	// dirty marks that some source grew since the delta solver last
-	// applied this edge (unused by the exhaustive solver).
+	// dirty marks that some source grew since the solver last applied
+	// this edge.
 	dirty bool
 }
 
@@ -434,9 +365,9 @@ func (a *analyzer) localOf(k VarKey) (local, bool) {
 }
 
 // newInstance registers a method instance on first sight — the instance
-// table, the per-method index, the entry list (for roots), and under
-// the delta solver the per-statement dirty bookkeeping — and returns
-// its id and whether it was new.
+// table, the per-method index, the entry list (for roots), and the
+// per-statement dirty bookkeeping — and returns its id and whether it
+// was new.
 func (a *analyzer) newInstance(m *ir.Method, ctx int32, isRoot bool) (Inst, bool) {
 	k := instKey{m, ctx}
 	if id, ok := a.res.instIdx[k]; ok {
@@ -453,30 +384,8 @@ func (a *analyzer) newInstance(m *ir.Method, ctx int32, isRoot bool) (Inst, bool
 		a.res.entries = append(a.res.entries, id)
 	}
 	a.vs = append(a.vs, nil)
-	if a.d != nil {
-		a.d.registerInstance(a, id)
-	}
+	a.d.registerInstance(a, id)
 	return id, true
-}
-
-// touchVar / touchField / touchStatic notify the delta solver that a
-// points-to set grew (no-ops under the exhaustive solver).
-func (a *analyzer) touchVar(l local) {
-	if a.d != nil {
-		a.d.touchVar(a, l)
-	}
-}
-
-func (a *analyzer) touchField(fi int32) {
-	if a.d != nil {
-		a.d.touchField(fi)
-	}
-}
-
-func (a *analyzer) touchStatic(si int32) {
-	if a.d != nil {
-		a.d.touchStatic(si)
-	}
 }
 
 // chunkLen is how many elements one chunk allocation holds.
@@ -600,9 +509,7 @@ func (a *analyzer) addCopy(dst, src local) {
 		}
 	}
 	a.insertCopySrc(e, src)
-	if a.d != nil {
-		a.d.registerCopy(a, e, src)
-	}
+	a.d.registerCopy(a, e, src)
 }
 
 // localKey renders a local once, as the copy-edge sort key.
@@ -639,103 +546,6 @@ func (a *analyzer) insertCopySrc(e *copyEdge, src local) {
 	e.srcs = append(e.srcs, copySrc{})
 	copy(e.srcs[j+1:], e.srcs[j:])
 	e.srcs[j] = copySrc{key: skey, src: src}
-}
-
-// processInstance applies all statement transfer functions of one method
-// instance, returning whether any points-to set grew.
-func (a *analyzer) processInstance(id Inst) bool {
-	inst := a.res.insts[id]
-	changed := false
-	k := 0
-	for _, blk := range inst.m.Blocks {
-		for _, s := range blk.Stmts {
-			if a.transfer(id, inst, s, &inst.info.stmts[k]) {
-				changed = true
-			}
-			k++
-		}
-	}
-	return changed
-}
-
-// transfer applies statement s, laid out as st, in instance id.
-func (a *analyzer) transfer(id Inst, inst *instance, s ir.Stmt, st *stmtInfo) bool {
-	switch s := s.(type) {
-	case *ir.New:
-		o := Obj{Site: s.Site, Ctx: a.heapCtx(inst.ctx), Class: s.Class}
-		return a.pts(local{id, st.a}).Add(o)
-	case *ir.Move:
-		return a.pts(local{id, st.a}).AddAll(a.pts(local{id, st.b}))
-	case *ir.Load:
-		changed := false
-		// Snapshot the bases: when dst is the base ("x = x.f") objects
-		// added below wait for the next pass.
-		for _, o := range a.pts(local{id, st.b}).AppendIDs(nil) {
-			if _, fs := a.fieldSet(uint32(o), st.c); a.pts(local{id, st.a}).AddAll(fs) {
-				changed = true
-			}
-		}
-		return changed
-	case *ir.Store:
-		changed := false
-		src := a.pts(local{id, st.b})
-		for _, o := range a.pts(local{id, st.a}).AppendIDs(nil) {
-			if _, fs := a.fieldSet(uint32(o), st.c); fs.AddAll(src) {
-				changed = true
-			}
-		}
-		return changed
-	case *ir.StaticLoad:
-		return a.pts(local{id, st.a}).AddAll(a.staticSet(st.c))
-	case *ir.StaticStore:
-		return a.staticSet(st.c).AddAll(a.pts(local{id, st.b}))
-	case *ir.Return:
-		if st.b < 0 {
-			return false
-		}
-		return a.pts(local{id, st.a}).AddAll(a.pts(local{id, st.b}))
-	case *ir.Invoke:
-		return a.invoke(id, inst, &inst.info.calls[st.a])
-	default:
-		return false
-	}
-}
-
-// invoke handles dispatch, special framework semantics, and call-edge
-// recording for call site ci of instance id.
-func (a *analyzer) invoke(id Inst, inst *instance, ci *callInfo) bool {
-	changed := false
-	if ci.recognized {
-		// Spawning and registration APIs are framework stubs whose
-		// effects the OnEvent hook reifies; no body to dispatch into.
-		if ci.api.Kind == frontend.APIFindViewByID && ci.dst >= 0 {
-			for _, o := range a.viewObjs(inst.m, ci.inv.Args[0]) {
-				if a.pts(local{id, ci.dst}).Add(o) {
-					changed = true
-				}
-			}
-		}
-		return changed
-	}
-	// Looper accessors return the main looper singleton (background
-	// loopers are modelled per-thread by the actions layer).
-	if ci.looper {
-		if ci.dst >= 0 {
-			return a.pts(local{id, ci.dst}).Add(MainLooperObj(frontend.LooperClass))
-		}
-		return false
-	}
-	if ci.inv.Kind == ir.InvokeStatic {
-		return a.bindCall(id, ci, a.callee(inst, ci, -1), -1)
-	}
-	recvs := a.pts(local{id, ci.recv}).AppendIDs(nil)
-	sortIDs(recvs, a.in.snapshot())
-	for _, o := range recvs {
-		if a.bindCall(id, ci, a.callee(inst, ci, int32(o)), int32(o)) {
-			changed = true
-		}
-	}
-	return changed
 }
 
 // sortIDs sorts object ids into the canonical lessObj order of their
@@ -782,8 +592,9 @@ func (a *analyzer) callee(inst *instance, ci *callInfo, recv int32) calleeVal {
 // installs the callee instance, records the call edge, flows the
 // receiver object recv (-1 for none) into the callee's this, and adds
 // the parameter/return copy constraints. Reports whether anything new
-// was learned (new instance or receiver growth). Shared by both solvers
-// so discovery order and edge order are identical.
+// was learned (new instance or receiver growth). Shared with the
+// exhaustive test reference so discovery order and edge order are
+// identical.
 func (a *analyzer) bindCall(caller Inst, ci *callInfo, cv calleeVal, recv int32) bool {
 	if cv.target == nil {
 		return false
@@ -881,34 +692,6 @@ func (a *analyzer) recordEdge(caller Inst, ci *callInfo, callee Inst) {
 	inst.calls[ci.ord] = append(list, callee)
 }
 
-// applyCopies propagates all persistent copy constraints once, in the
-// rendered-key order sortedCopies maintains (word-parallel unions; no
-// per-sweep sorting or key rendering).
-func (a *analyzer) applyCopies() bool {
-	changed := false
-	for _, e := range a.sortedCopies {
-		dst := a.pts(e.dst)
-		for _, s := range e.srcs {
-			if dst.AddAll(a.pts(s.src)) {
-				changed = true
-			}
-		}
-	}
-	return changed
-}
-
-// applySeeds propagates the cross-context seeds once (over the
-// per-method instance index, not the full table).
-func (a *analyzer) applySeeds() bool {
-	changed := false
-	for i := range a.cfg.Seeds {
-		if a.applySeed(i) {
-			changed = true
-		}
-	}
-	return changed
-}
-
 // applySeed propagates seed si: the union of the source variable across
 // every instance of the source method flows into the destination
 // variable of every instance of the destination method.
@@ -940,31 +723,9 @@ func (a *analyzer) applySeed(si int) bool {
 	return changed
 }
 
-// fireEvents re-runs the OnEvent hook over every recognized API call
-// site with current points-to information and installs returned entries.
-func (a *analyzer) fireEvents() bool {
-	if a.cfg.OnEvent == nil {
-		return false
-	}
-	changed := false
-	for i := 0; i < len(a.res.insts); i++ {
-		inst := a.res.insts[i]
-		for _, ord := range inst.info.events {
-			ev := a.event(Inst(i), &inst.info.calls[ord], nil)
-			a.stats.eventsFired++
-			for _, e := range a.cfg.OnEvent(ev) {
-				if a.install(e, true) {
-					changed = true
-				}
-			}
-		}
-	}
-	return changed
-}
-
 // event builds the Event of call site ci in instance id with current
-// points-to facts. onField, when set, sees the index of every field
-// set a FieldObjs call reads.
+// points-to facts. onField sees the index of every field set a
+// FieldObjs call reads.
 func (a *analyzer) event(id Inst, ci *callInfo, onField func(fi int32)) Event {
 	inst := a.res.insts[id]
 	ev := Event{
@@ -975,9 +736,7 @@ func (a *analyzer) event(id Inst, ci *callInfo, onField func(fi int32)) Event {
 				return nil
 			}
 			fi, fs := a.fieldSet(oid, a.res.fieldID(field))
-			if onField != nil {
-				onField(fi)
-			}
+			onField(fi)
 			return fs.Slice()
 		},
 	}

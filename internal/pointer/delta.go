@@ -1,13 +1,12 @@
 package pointer
 
-// The difference-propagation worklist solver (SolverDelta).
+// The difference-propagation worklist solver.
 //
-// The exhaustive solver re-runs every statement of every instance each
-// pass even when nothing the statement reads has changed; on large apps
-// almost all of that work is no-op set unions. This solver keeps the
-// exhaustive pass structure — instance sweep in discovery order, then
-// copy edges in sorted order, then seeds, then events — but skips every
-// unit of work whose inputs provably did not grow:
+// Its pass structure is that of the exhaustive reference fixpoint
+// (reference_test.go), which re-runs every statement of every instance
+// each pass: instance sweep in discovery order, then copy edges in
+// sorted order, then seeds, then events. This solver skips every unit
+// of work whose inputs provably did not grow:
 //
 //   - Each (instance, statement) pair gets a dense id and a dirty bit.
 //     A statement re-runs only when marked dirty by a growth of one of
@@ -19,18 +18,18 @@ package pointer
 //     are re-unioned only when their version counter moved.
 //   - Virtual/special dispatch resolves targets only for newly-seen
 //     receiver objects, sorted into the same canonical object order the
-//     exhaustive walk uses so call edges append identically.
+//     reference's full-set walk uses so call edges append identically.
 //   - Copy edges carry a dirty flag set when a source grows; seeds are
 //     indexed by source local and by method so only affected seeds
 //     re-apply; event sites re-fire only when their receiver, arguments,
 //     or previously-read field sets grew.
 //
-// Because a skipped unit of work is exactly one the exhaustive solver
-// would have executed as a no-op (monotone transfer functions with
-// unchanged inputs), every observable — points-to contents, instance /
-// entry discovery order, callee edge order, interner id assignment, and
-// the pass count — is bit-for-bit identical across the two solvers.
-// solver_parity_test.go and the metrics golden test pin this.
+// Because a skipped unit of work is exactly one the reference would
+// have executed as a no-op (monotone transfer functions with unchanged
+// inputs), every observable — points-to contents, instance / entry
+// discovery order, callee edge order, interner id assignment, and the
+// pass count — is bit-for-bit identical to the reference's.
+// solver_parity_test.go and solver_golden_test.go pin this.
 
 import (
 	"sierra/internal/bitset"
@@ -102,7 +101,7 @@ type deltaState struct {
 
 	// Flattened event-site instances, appended at install time so the
 	// event phase's forward cursor reaches sites of instances installed
-	// mid-phase (matching the exhaustive re-read of the growing table).
+	// mid-phase (matching the reference's re-read of the growing table).
 	evSites []evInstance
 
 	dirtyStmt bitset.Set
@@ -125,8 +124,8 @@ type deltaState struct {
 	dirtyCopies int // count of dirty copy edges
 	dirtySeeds  int // count of dirty seeds
 
-	// changed mirrors the exhaustive solver's per-pass changed flag: set
-	// on any set growth or new instance, reset at each pass start.
+	// changed mirrors the reference's per-pass changed flag: set on any
+	// set growth or new instance, reset at each pass start.
 	changed bool
 
 	scratch []int // reusable id buffer for TakeDelta/AppendBits
@@ -138,8 +137,8 @@ func newDeltaState(a *analyzer) *deltaState {
 		evFieldSeen: make(map[uint64]bool),
 		seedDirty:   make([]bool, len(a.cfg.Seeds)),
 	}
-	// All seeds start dirty: the exhaustive solver applies each one on
-	// every pass, so the first delta pass must apply them all.
+	// All seeds start dirty: the reference applies each one on every
+	// pass, so the first delta pass must apply them all.
 	for i := range a.cfg.Seeds {
 		d.seedDirty[i] = true
 		d.dirtySeeds++
@@ -158,12 +157,9 @@ func (d *deltaState) stmt(sid int) *stmtState {
 	return &d.stmts[uint(sid)/stmtChunk][uint(sid)%stmtChunk]
 }
 
-// depEdges reports how many dependency edges the solver registered.
-func (d *deltaState) depEdges() int { return d.nDeps }
-
 // registerInstance wires a newly-installed method instance into the
 // delta bookkeeping: dense statement ids (all dirty — a new instance
-// must run every statement once, as the exhaustive sweep would), event
+// must run every statement once, as the reference's sweep would), event
 // sites with their receiver/argument dependencies, and any seeds
 // touching the method.
 func (d *deltaState) registerInstance(a *analyzer, id Inst) {
@@ -221,8 +217,8 @@ func (d *deltaState) dirtySeed(si int32) {
 }
 
 // registerCopy indexes a new copy edge by its source and marks the edge
-// dirty so it applies during this pass's copy phase (the exhaustive
-// solver applies new edges the same pass they appear).
+// dirty so it applies during this pass's copy phase (the reference
+// applies new edges the same pass they appear).
 func (d *deltaState) registerCopy(a *analyzer, e *copyEdge, src local) {
 	vs := a.varState(src)
 	d.copyLinks = append(d.copyLinks, copyLink{next: vs.copies, e: e})
@@ -292,7 +288,8 @@ func (d *deltaState) markConsumers(head int32) {
 // touchVar records that a local's points-to set grew: consumers go
 // dirty, copy edges sourced from it go dirty, and seeds reading it (in
 // any context of its method) re-apply.
-func (d *deltaState) touchVar(a *analyzer, l local) {
+func (a *analyzer) touchVar(l local) {
+	d := a.d
 	d.changed = true
 	if vs := a.vs[l.inst]; int(l.slot) < len(vs) {
 		d.markConsumers(vs[l.slot].deps)
@@ -311,7 +308,8 @@ func (d *deltaState) touchVar(a *analyzer, l local) {
 }
 
 // touchField records that an object field's points-to set grew.
-func (d *deltaState) touchField(fi int32) {
+func (a *analyzer) touchField(fi int32) {
+	d := a.d
 	d.changed = true
 	if int(fi) < len(d.fieldDeps) {
 		d.markConsumers(d.fieldDeps[fi])
@@ -319,17 +317,18 @@ func (d *deltaState) touchField(fi int32) {
 }
 
 // touchStatic records that a static field's points-to set grew.
-func (d *deltaState) touchStatic(si int32) {
+func (a *analyzer) touchStatic(si int32) {
+	d := a.d
 	d.changed = true
 	if int(si) < len(d.staticDeps) {
 		d.markConsumers(d.staticDeps[si])
 	}
 }
 
-// runDelta is the difference-propagation fixpoint. It mirrors
-// runExhaustive's pass structure exactly — same phase order, same
-// context polling, same per-pass changed semantics — so pass counts and
-// all discovery orders match; only provably no-op work is skipped.
+// runDelta is the difference-propagation fixpoint. It mirrors the
+// reference's pass structure exactly — same phase order, same context
+// polling, same per-pass changed semantics — so pass counts and all
+// discovery orders match; only provably no-op work is skipped.
 func (a *analyzer) runDelta() {
 	cfg := a.cfg
 	d := a.d
@@ -465,10 +464,10 @@ func (a *analyzer) loadDelta(id Inst, st *stmtInfo, sid int) {
 	}
 	// Snapshot the base delta before any union: when dst aliases base
 	// ("x = x.f"), ids added below must wait for the next visit, exactly
-	// as the exhaustive snapshot defers them a pass.
+	// as the reference's snapshot defers them a pass.
 	d.scratch = a.pts(base).takeDelta(&ss.prev, d.scratch[:0])
 	if len(ss.fields) == 0 && len(d.scratch) == 0 {
-		// No bases at all yet: the exhaustive loop body would not run,
+		// No bases at all yet: the reference's loop body would not run,
 		// so don't even materialize dst (keeps the set of materialized
 		// locals identical).
 		return
@@ -568,7 +567,7 @@ func (a *analyzer) invokeDelta(id Inst, inst *instance, ci *callInfo, sid int) {
 
 	// Virtual / special dispatch over newly-seen receivers only, sorted
 	// into the canonical object order so callee edges append in the same
-	// sequence the exhaustive sorted full-set walk produces.
+	// sequence the reference's sorted full-set walk produces.
 	recv := local{id, ci.recv}
 	if !ss.init {
 		ss.init = true
@@ -585,9 +584,9 @@ func (a *analyzer) invokeDelta(id Inst, inst *instance, ci *callInfo, sid int) {
 }
 
 // applyCopiesDelta applies only the dirty copy edges, in the same
-// sorted order the exhaustive sweep uses. An edge dirtied behind the
+// sorted order the reference's sweep uses. An edge dirtied behind the
 // cursor (by a union during this sweep) stays dirty for the next pass —
-// the same one-sweep-per-pass semantics the exhaustive solver has.
+// the same one-sweep-per-pass semantics the reference has.
 func (a *analyzer) applyCopiesDelta() {
 	d := a.d
 	if d.dirtyCopies == 0 {
@@ -628,7 +627,7 @@ func (a *analyzer) applySeedsDelta() {
 // fireEventsDelta re-fires only the dirty event sites. The forward
 // cursor re-reads the growing site list so sites of instances installed
 // by earlier firings fire within the same phase, exactly like the
-// exhaustive loop re-reading the growing instance table.
+// reference's loop re-reading the growing instance table.
 func (a *analyzer) fireEventsDelta() {
 	if a.cfg.OnEvent == nil {
 		return

@@ -4,16 +4,29 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"testing"
 
 	"sierra/internal/obs"
 )
 
+// UseReferenceSolver makes every analysis until the test ends solve
+// with the exhaustive reference fixpoint (reference_test.go) — also the
+// ones the actions and core pipelines start — and then restores the
+// delta solver. Tests that call it must not run in parallel.
+func UseReferenceSolver(tb testing.TB) {
+	fixpoint = (*analyzer).runExhaustive
+	tb.Cleanup(func() { fixpoint = (*analyzer).runDelta })
+}
+
 // DumpWarm renders a solved analysis canonically (see dumpResult), its
 // copy edges in application order included, and appends every
-// pointer.* counter and gauge that tr received.
+// pointer.* counter and gauge that tr, when non-nil, received.
 func DumpWarm(w *Warm, tr *obs.Trace) string {
 	var b strings.Builder
 	b.WriteString(dumpResult(w.a.res, w.a.sortedCopies))
+	if tr == nil {
+		return b.String()
+	}
 	snap := tr.Snapshot()
 	var stats []string
 	for k, v := range snap.Counters {

@@ -323,8 +323,9 @@ func (s ObjSet) Slice() []Obj {
 }
 
 // lessObj is the canonical object order (site/view/ctx/class) that
-// Slice and the delta solver's new-receiver iteration share, so both
-// solvers bind dispatch targets in the same sequence.
+// Slice and the delta solver's new-receiver iteration share, so the
+// solver binds dispatch targets in the same sequence as the exhaustive
+// test reference.
 func lessObj(a, b Obj) bool {
 	if a.Site != b.Site {
 		return a.Site < b.Site

@@ -281,10 +281,11 @@ func randomPartitionedProgram(r *rand.Rand) parityConfig {
 	return cfg
 }
 
-// runSolver analyzes cfg under the given solver. The OnEvent hook
-// mirrors the actions registry's shape: deterministic, idempotent, and
-// reading both argument sets and object fields (via FieldObjs).
-func runSolver(cfg parityConfig, solver Solver) *Result {
+// runSolver analyzes cfg with the delta solver, or with the exhaustive
+// reference when ref is set. The OnEvent hook mirrors the actions
+// registry's shape: deterministic, idempotent, and reading both
+// argument sets and object fields (via FieldObjs).
+func runSolver(cfg parityConfig, ref bool) *Result {
 	var onEvent func(Event) []Entry
 	if cfg.eventField != "" {
 		p := cfg.prog
@@ -315,15 +316,20 @@ func runSolver(cfg parityConfig, solver Solver) *Result {
 			return out
 		}
 	}
-	return Analyze(Config{
+	c := Config{
 		Prog:    cfg.prog,
 		Policy:  cfg.policy,
-		Solver:  solver,
 		Entries: cfg.entries,
 		Seeds:   cfg.seeds,
 		Views:   cfg.views,
 		OnEvent: onEvent,
-	})
+	}
+	if !ref {
+		return Analyze(c)
+	}
+	a := newAnalyzer(c)
+	a.runExhaustive()
+	return a.res
 }
 
 // requireIdenticalResults asserts full observable equality of two
@@ -361,8 +367,8 @@ func TestSolverParityProperty(t *testing.T) {
 		t.Run(gen.name, func(t *testing.T) {
 			f := func(seed int64) bool {
 				cfg := gen.fn(rand.New(rand.NewSource(seed)))
-				want := runSolver(cfg, SolverExhaustive)
-				got := runSolver(cfg, SolverDelta)
+				want := runSolver(cfg, true)
+				got := runSolver(cfg, false)
 				requireIdenticalResults(t, want, got)
 				return true
 			}
@@ -385,28 +391,12 @@ func TestSolverParityLinearPrograms(t *testing.T) {
 			entries: []Entry{{Method: m, Ctx: EmptyContext}},
 			policy:  ActionSensitivePolicy{K: 2},
 		}
-		want := runSolver(cfg, SolverExhaustive)
-		got := runSolver(cfg, SolverDelta)
+		want := runSolver(cfg, true)
+		got := runSolver(cfg, false)
 		requireIdenticalResults(t, want, got)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestParseSolver(t *testing.T) {
-	for in, want := range map[string]Solver{
-		"":           SolverDelta,
-		"delta":      SolverDelta,
-		"exhaustive": SolverExhaustive,
-	} {
-		got, err := ParseSolver(in)
-		if err != nil || got != want {
-			t.Fatalf("ParseSolver(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	if _, err := ParseSolver("nope"); err == nil {
-		t.Fatal("ParseSolver must reject unknown solvers")
 	}
 }

@@ -28,20 +28,19 @@ import (
 // Result it wraps — must be discarded (fail closed to a cold run); the
 // partially re-propagated state is not rolled back.
 //
-// A Warm handle is not safe for concurrent use and is only produced by
-// the delta solver (AnalyzeWarm returns nil for the exhaustive solver).
+// A Warm handle is not safe for concurrent use.
 type Warm struct {
 	a     *analyzer
 	spent bool // a failed ReSolve leaves the state unusable
 }
 
 // AnalyzeWarm is Analyze, but additionally returns a Warm re-solve
-// handle when the configuration supports one (delta solver, completed
-// fixpoint). Callers that never re-solve should use Analyze.
+// handle when the fixpoint completed (nil when it was interrupted).
+// Callers that never re-solve should use Analyze.
 func AnalyzeWarm(cfg Config) (*Result, *Warm) {
 	a := newAnalyzer(cfg)
 	a.run()
-	if a.d == nil || a.res.Interrupted {
+	if a.res.Interrupted {
 		return a.res, nil
 	}
 	return a.res, &Warm{a: a}
@@ -119,7 +118,7 @@ func (s versionSnap) verify(r *Result) error {
 // run. tr, when non-nil, receives pointer.retracted_keys and
 // pointer.resolve_passes.
 func (w *Warm) ReSolve(changed []*ir.Method, tr *obs.Trace) error {
-	if w == nil || w.a == nil || w.a.d == nil {
+	if w == nil || w.a == nil {
 		return fmt.Errorf("pointer: no warm delta state")
 	}
 	if w.spent {

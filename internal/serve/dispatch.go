@@ -11,7 +11,6 @@ import (
 	"sierra/internal/batch"
 	"sierra/internal/core"
 	"sierra/internal/incremental"
-	"sierra/internal/shbg"
 )
 
 // doneJobsKept bounds the completed-job index a long-lived daemon
@@ -148,7 +147,7 @@ func (s *Server) analyze(ctx context.Context, js *jobState) ([]byte, error) {
 		base.Mu.Lock()
 		// Tier 1: skeleton-invisible edit — reuse every pre-refutation
 		// artifact, re-refute only touched pairs.
-		if _, ok := base.Apply(app, fp, js.digest, s.refuterConfig(), tr); ok {
+		if _, ok := base.Apply(app, fp, js.digest, s.opts.Refuter, tr); ok {
 			doc := RenderReport(js.digest, base.Res)
 			base.Mu.Unlock()
 			return doc, nil
@@ -158,7 +157,7 @@ func (s *Server) analyze(ctx context.Context, js *jobState) ([]byte, error) {
 		// baseline and the donor program untouched, so chaining is safe;
 		// a poisoned baseline falls straight through to the cold path.
 		if !base.Poisoned {
-			if _, ok := base.ApplyStages(app, fp, js.digest, s.refuterConfig(), shbg.Options{}, tr); ok {
+			if _, ok := base.ApplyStages(app, fp, js.digest, s.opts.Refuter, s.opts.SHBG, tr); ok {
 				doc := RenderReport(js.digest, base.Res)
 				base.Mu.Unlock()
 				return doc, nil
@@ -180,11 +179,7 @@ func (s *Server) analyze(ctx context.Context, js *jobState) ([]byte, error) {
 		}
 	}
 
-	res := core.AnalyzeContext(ctx, app, core.Options{
-		Refuter:     s.refuterConfig(),
-		KeepPTAWarm: true,
-		Obs:         tr,
-	})
+	res := core.AnalyzeContext(ctx, app, s.opts)
 	if res.Interrupted {
 		return nil, fmt.Errorf("analysis interrupted at stage %q", res.InterruptedStage)
 	}

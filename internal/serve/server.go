@@ -16,6 +16,7 @@ import (
 	"sierra/internal/apk"
 	"sierra/internal/appfile"
 	"sierra/internal/batch"
+	"sierra/internal/core"
 	"sierra/internal/incremental"
 	"sierra/internal/obs"
 	"sierra/internal/obs/eventlog"
@@ -38,8 +39,8 @@ type Config struct {
 	// RefuteJobs sizes the per-analysis refutation pool (0 =
 	// GOMAXPROCS). Reports do not depend on it.
 	RefuteJobs int
-	// MaxPaths/MaxDepth tune the refuter budget (0 = defaults). Part of
-	// the report cache fingerprint.
+	// MaxPaths/MaxDepth tune the refuter budget (0 = the paper's
+	// defaults). Part of the report key, at their effective values.
 	MaxPaths, MaxDepth int
 	// StoreDir roots the persistent sharded report store; empty keeps
 	// reports in memory only.
@@ -69,7 +70,11 @@ type Config struct {
 // Server is the running service: HTTP handlers feeding a dispatcher
 // goroutine that drains submissions through batch.Run.
 type Server struct {
-	cfg     Config
+	cfg Config
+	// opts is the daemon's one analysis configuration, built from cfg in
+	// New: cold runs, incremental applies and the report key all read
+	// it.
+	opts    core.Options
 	store   batch.Cache
 	dstore  *Store // non-nil when StoreDir-backed (swept after batches)
 	pool    *incremental.Pool
@@ -129,7 +134,12 @@ func New(cfg Config) (*Server, error) {
 	}
 	runCtx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:       cfg,
+		cfg: cfg,
+		opts: core.Options{
+			Refuter:     symexec.Config{MaxPaths: cfg.MaxPaths, MaxDepth: cfg.MaxDepth, Jobs: cfg.RefuteJobs},
+			KeepPTAWarm: true,
+			Obs:         cfg.Obs,
+		},
 		pool:      incremental.NewPool(cfg.Baselines, cfg.BaselineMaxBytes),
 		tracker:   &batch.Tracker{},
 		runCtx:    runCtx,
@@ -345,26 +355,10 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 }
 
 // reportKey is the store key for a revision's report: the content
-// digest plus the analysis-config fingerprint, so a daemon restarted
-// with different refutation budgets never serves stale documents.
+// digest plus the analysis options' key, so a daemon restarted with
+// different refutation budgets never serves stale documents.
 func (s *Server) reportKey(digest string) string {
-	return batch.Key(digest,
-		"serve-report",
-		"policy=action[k=2]",
-		"solver=delta",
-		fmt.Sprintf("maxpaths=%d", s.cfg.MaxPaths),
-		fmt.Sprintf("maxdepth=%d", s.cfg.MaxDepth),
-	)
-}
-
-// refuterConfig is the daemon's pinned refutation config; the budget
-// knobs are in the report key.
-func (s *Server) refuterConfig() symexec.Config {
-	return symexec.Config{
-		MaxPaths: s.cfg.MaxPaths,
-		MaxDepth: s.cfg.MaxDepth,
-		Jobs:     s.cfg.RefuteJobs,
-	}
+	return batch.Key(digest, "serve-report", s.opts.Key())
 }
 
 func httpError(w http.ResponseWriter, code int, msg string) {

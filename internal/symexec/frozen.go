@@ -179,20 +179,6 @@ func (fz *frozen) equalsStore(s *store) bool {
 	return true
 }
 
-// thaw materializes a fresh map-backed store (the clone-walker
-// reference path and tests use it; the hot path hydrates scratch stores
-// with resetToFrozen instead).
-func (fz *frozen) thaw() *store {
-	out := newStore()
-	for i := range fz.vars {
-		out.vars[fz.vars[i].name] = fz.vars[i].c
-	}
-	for i := range fz.locs {
-		out.locs[fz.locs[i].lk] = fz.locs[i].c
-	}
-	return out
-}
-
 // resetToFrozen overwrites s with fz's contents, reusing s's map
 // storage — the frozen twin of resetTo. Writes bypass the trail.
 func (s *store) resetToFrozen(fz *frozen) {

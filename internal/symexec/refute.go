@@ -28,10 +28,10 @@ type Verdict struct {
 
 // Config tunes the refuter.
 type Config struct {
-	// MaxPaths bounds backward path exploration per query (the paper
-	// uses 5,000).
+	// MaxPaths bounds backward path exploration per query (0 = the
+	// paper's 5,000; see Normalized).
 	MaxPaths int
-	// MaxDepth bounds call inlining depth (the paper uses 6).
+	// MaxDepth bounds call inlining depth (0 = the paper's 6).
 	MaxDepth int
 	// DisableCache turns off the A-walk and E-walk memos that queries
 	// within one pair share (for the ablation benchmark). Memos never
@@ -49,12 +49,6 @@ type Config struct {
 	// done the walk bails as if its path budget ran out, so interrupted
 	// pairs keep the paper's over-approximate "report anyway" verdict.
 	Ctx context.Context
-
-	// cloneWalker switches the walker to the clone-per-predecessor
-	// reference implementation retained for the parity property test.
-	// Unexported on purpose: only in-package tests drive it; shipped
-	// callers always get the allocation-free trail walker.
-	cloneWalker bool
 }
 
 // EntryStoreCap bounds the distinct constraint stores one A-walk may
@@ -174,14 +168,22 @@ type entryResult struct {
 	explored int
 }
 
+// Normalized returns c with the paper's budgets (5,000 paths, depth 6)
+// in place of a zero MaxPaths or MaxDepth: the values a refuter runs
+// under, and the ones a cache key names.
+func (c Config) Normalized() Config {
+	if c.MaxPaths == 0 {
+		c.MaxPaths = 5000
+	}
+	if c.MaxDepth == 0 {
+		c.MaxDepth = 6
+	}
+	return c
+}
+
 // NewRefuter builds a refuter for one analyzed app.
 func NewRefuter(reg *actions.Registry, res *pointer.Result, cfg Config) *Refuter {
-	if cfg.MaxPaths == 0 {
-		cfg.MaxPaths = 5000
-	}
-	if cfg.MaxDepth == 0 {
-		cfg.MaxDepth = 6
-	}
+	cfg = cfg.Normalized()
 	r := &Refuter{
 		Reg:         reg,
 		Res:         res,
@@ -439,21 +441,18 @@ func mergeStores(dst, src *store) bool {
 // their own scratch).
 func (r *Refuter) newWalker(g *igraph, aid, budget int) *walker {
 	w := &r.walkScratch
+	if len(r.walkVisits) < len(g.nodes) {
+		r.walkVisits = make([]uint8, len(g.nodes))
+	}
 	*w = walker{
 		g:         g,
 		ref:       r,
 		aid:       aid,
 		budget:    budget,
-		cloneRef:  r.Cfg.cloneWalker,
+		visits:    r.walkVisits,
+		tr:        &r.walkTrail,
+		scratch:   &r.walkStore,
 		cancelled: r.cancelled,
-	}
-	if !w.cloneRef {
-		if len(r.walkVisits) < len(g.nodes) {
-			r.walkVisits = make([]uint8, len(g.nodes))
-		}
-		w.visits = r.walkVisits
-		w.tr = &r.walkTrail
-		w.scratch = &r.walkStore
 	}
 	return w
 }

@@ -179,32 +179,15 @@ func (l locKey) String() string {
 }
 
 // store is a path-constraint store over variables (frame-qualified) and
-// heap locations. The trail-based walker mutates one shared store and
-// rolls its trail back when the DFS retreats; the clone-based reference
-// walker copies the store on branch instead (tr stays nil and every
-// mutation is final).
+// heap locations. The walker mutates one shared store and rolls its
+// trail back when the DFS retreats; the clone-walk reference copies the
+// store on branch instead (tr stays nil and every mutation is final).
 type store struct {
 	vars map[string]constraint
 	locs map[locKey]constraint
 	// tr, when non-nil, records the inverse of every mutation so
-	// rollback can restore the store to an earlier mark. Clones never
-	// inherit the trail.
+	// rollback can restore the store to an earlier mark.
 	tr *trail
-}
-
-func newStore() *store {
-	return &store{vars: map[string]constraint{}, locs: map[locKey]constraint{}}
-}
-
-func (s *store) clone() *store {
-	out := newStore()
-	for k, v := range s.vars {
-		out.vars[k] = v
-	}
-	for k, v := range s.locs {
-		out.locs[k] = v
-	}
-	return out
 }
 
 // resetTo overwrites s with init's contents, reusing s's map storage —

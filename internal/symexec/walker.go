@@ -6,21 +6,13 @@ import (
 
 // walker enumerates backward paths over an inlined action graph,
 // applying reverse transfer functions to a constraint store and pruning
-// contradictions.
-//
-// Two interchangeable walk strategies produce bit-for-bit identical
-// verdicts, path counts, and pruned tallies:
-//
-//   - the trail walker (the default) mutates one shared store and rolls
-//     a mutation trail back when the DFS retreats, so the enumeration
-//     spine allocates nothing per predecessor;
-//   - the clone walker (cloneRef, the reference the parity property
-//     test drives) copies the store per predecessor like the original
-//     implementation, with its original map-based visit counting.
-//
-// Both visit predecessors in the same order and apply identical
-// branch/transfer mutations, so the exploration — and therefore every
-// observable count — is the same by construction.
+// contradictions. It mutates one shared store and rolls a mutation
+// trail back when the DFS retreats, so the enumeration spine allocates
+// nothing per predecessor. The clone-per-predecessor walk it replaced
+// is the package tests' reference (clonewalk_test.go): it visits
+// predecessors in the same order and applies the same branch/transfer
+// mutations, and the TestWalkerParity* tests pin every verdict, path
+// count and pruned tally to it.
 type walker struct {
 	g *igraph
 	// ref/aid route Load/Store points-to resolution to the refuter's
@@ -39,15 +31,11 @@ type walker struct {
 	pruned int
 	// target, when set, is the access the path must execute (E-walk).
 	target ir.Pos
-	// cloneRef selects the clone-per-predecessor reference walk.
-	cloneRef bool
 	// visits tracks per-path node occurrences (loop unrolling bound),
 	// dense-indexed by igraph node id. Increments and decrements are
 	// balanced on every walk, so the slice returns to all-zero and is
 	// reused across walks without resetting.
 	visits []uint8
-	// visitsRef is the reference walker's original map-based counter.
-	visitsRef map[int]int
 	// sink receives each consistent entry store of an A-walk (nil on
 	// E-walks); a walker field rather than a parameter threaded through
 	// the DFS, so the recursion spine carries no closure.
@@ -56,17 +44,24 @@ type walker struct {
 	// executed the target access. It never stops a walk mid-path (only
 	// the exits loop checks it), matching the original enumeration.
 	found bool
-	// tr is the shared mutation trail (trail walk only); its backing
-	// array is reused across walks.
+	// tr is the shared mutation trail; its backing array is reused
+	// across walks.
 	tr *trail
-	// scratch is the trail walk's reusable walk store: beginWalk resets
-	// it to the initial constraints instead of cloning them, so a walk
-	// root allocates nothing in steady state.
+	// scratch is the reusable walk store: each walk root resets it to
+	// the initial constraints instead of cloning them, so a root
+	// allocates nothing in steady state.
 	scratch *store
 	// cancelled, when non-nil, is polled every ctxPollStride paths; a
 	// true return bails the walk through the budget-exhaustion path.
 	cancelled func() bool
 }
+
+// refRoot, when non-nil, runs every walk root in place of the trail
+// walk, from the root's own initial store: fz for an A-walk (which
+// starts at node's predecessors), init for an E-walk (which starts at
+// node). Only the package's tests set it, to the clone-walk reference;
+// it is read once per root, never per DFS node.
+var refRoot func(w *walker, node int, fz *frozen, init *store)
 
 // maxVisitsPerNode allows one loop unrolling per path.
 const maxVisitsPerNode = 2
@@ -80,11 +75,16 @@ const ctxPollStride = 64
 // own transfer skipped — the access is the query's sink) to the root
 // entry under an initial constraint store (e.g. the on-demand constant
 // propagation's message-code seed), reporting each consistent store via
-// sink. Trail walk: the store handed to sink is the shared mutable
-// store — sink must freeze/clone what it keeps.
+// sink. The store handed to sink is the shared mutable store — sink
+// must freeze/clone what it keeps.
 func (w *walker) collectEntryFrom(accessNode int, init *frozen, sink func(*store)) {
 	w.sink = sink
-	st := w.beginWalkFrozen(init)
+	if refRoot != nil {
+		refRoot(w, accessNode, init, nil)
+		return
+	}
+	st := w.beginWalk()
+	st.resetToFrozen(init)
 	w.walkPreds(accessNode, st, false)
 }
 
@@ -96,41 +96,26 @@ func (w *walker) findWitness(init *store) bool {
 		if w.found || w.budgetHit {
 			break
 		}
+		if refRoot != nil {
+			refRoot(w, exit, nil, init)
+			continue
+		}
 		// Process the exit node itself (a Return; no-op transfer) then
 		// walk its predecessors.
-		w.walk(exit, w.beginWalk(init), false)
+		st := w.beginWalk()
+		st.resetTo(init)
+		w.walk(exit, st, false)
 	}
 	return w.found
 }
 
-// beginWalk prepares one walk root: a private copy of init (both modes
-// mutate their store) with per-mode bookkeeping reset. The trail walk
-// reuses its scratch store across walks instead of cloning.
-func (w *walker) beginWalk(init *store) *store {
-	if w.cloneRef {
-		w.visitsRef = map[int]int{}
-		return init.clone()
-	}
-	st := w.scratch
-	st.resetTo(init)
+// beginWalk prepares one walk root: the reusable scratch store with an
+// empty trail, for the caller to reset to the initial constraints
+// (resets bypass the trail).
+func (w *walker) beginWalk() *store {
 	w.tr.ops = w.tr.ops[:0]
-	st.tr = w.tr
-	return st
-}
-
-// beginWalkFrozen is beginWalk for a frozen initial store: the trail
-// walk hydrates its scratch store straight from the flat entries, the
-// clone walk thaws a private map-backed copy.
-func (w *walker) beginWalkFrozen(init *frozen) *store {
-	if w.cloneRef {
-		w.visitsRef = map[int]int{}
-		return init.thaw()
-	}
-	st := w.scratch
-	st.resetToFrozen(init)
-	w.tr.ops = w.tr.ops[:0]
-	st.tr = w.tr
-	return st
+	w.scratch.tr = w.tr
+	return w.scratch
 }
 
 // walk processes node's reverse transfer then recurses into its
@@ -155,8 +140,8 @@ func (w *walker) walk(node int, st *store, saw bool) {
 	}
 	ok := w.transfer(n, st)
 	if !ok {
-		// Trail walk: partial mutations of the failed transfer are on
-		// the trail; the caller's per-predecessor rollback undoes them.
+		// Partial mutations of the failed transfer are on the trail;
+		// the caller's per-predecessor rollback undoes them.
 		w.prunePath()
 		return
 	}
@@ -179,23 +164,8 @@ func (w *walker) walkPreds(node int, st *store, saw bool) {
 		if w.budgetHit {
 			return
 		}
-		if w.visitCount(p.node) >= maxVisitsPerNode {
+		if w.visits[p.node] >= maxVisitsPerNode {
 			w.prunePath()
-			continue
-		}
-		if w.cloneRef {
-			branchSt := st.clone()
-			if p.br != branchNone {
-				pn := &w.g.nodes[p.node]
-				iff, okIf := pn.stmt.(*ir.If)
-				if okIf && !w.applyBranch(pn, iff, p.br == branchTrue, branchSt) {
-					w.prunePath()
-					continue
-				}
-			}
-			w.visitsRef[p.node]++
-			w.walk(p.node, branchSt, saw)
-			w.visitsRef[p.node]--
 			continue
 		}
 		mark := w.tr.mark()
@@ -213,14 +183,6 @@ func (w *walker) walkPreds(node int, st *store, saw bool) {
 		w.visits[p.node]--
 		st.rollback(mark)
 	}
-}
-
-// visitCount reads the per-path occurrence count of a node.
-func (w *walker) visitCount(node int) int {
-	if w.cloneRef {
-		return w.visitsRef[node]
-	}
-	return int(w.visits[node])
 }
 
 func (w *walker) endPath() {
@@ -275,8 +237,8 @@ func (w *walker) applyBranch(n *inode, iff *ir.If, taken bool, st *store) bool {
 
 // transfer applies the reverse transfer function of one node. Returns
 // false when the store becomes unsatisfiable. All mutations go through
-// the store's trail-aware helpers, so both walk strategies share one
-// transfer implementation verbatim.
+// the store's trail-aware helpers, so the clone-walk reference shares
+// this transfer implementation verbatim.
 func (w *walker) transfer(n *inode, st *store) bool {
 	if n.isEntry {
 		return true // non-root frame entry: no effect

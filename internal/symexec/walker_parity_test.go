@@ -23,10 +23,10 @@ func parityApps() map[string]func() *apk.App {
 	}
 }
 
-// checkParity refutes every pair with both walker implementations under
-// cfg and requires bit-for-bit identical verdicts (TruePositive,
-// RefutedOrders, Paths, BudgetExhausted) plus identical pruned-path and
-// capped-store tallies.
+// checkParity refutes every pair with the trail walker and the
+// clone-walk reference under cfg and requires bit-for-bit identical
+// verdicts (TruePositive, RefutedOrders, Paths, BudgetExhausted) plus
+// identical pruned-path and capped-store tallies.
 func checkParity(t *testing.T, name string, cfg Config, app *apk.App) {
 	t.Helper()
 	reg, res, pairs := analyzeForCheckAll(t, app)
@@ -34,16 +34,13 @@ func checkParity(t *testing.T, name string, cfg Config, app *apk.App) {
 		t.Fatalf("%s: fixture produced no pairs", name)
 	}
 
-	trailCfg := cfg
-	trailCfg.cloneWalker = false
-	cloneCfg := cfg
-	cloneCfg.cloneWalker = true
-	trailRef := NewRefuter(reg, res, trailCfg)
-	cloneRef := NewRefuter(reg, res, cloneCfg)
+	trailRef := NewRefuter(reg, res, cfg)
+	cloneRef := NewRefuter(reg, res, cfg)
 
 	for _, p := range pairs {
 		got := trailRef.Check(p)
-		want := cloneRef.Check(p)
+		var want Verdict
+		withCloneWalk(func() { want = cloneRef.Check(p) })
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s pair %s: trail verdict %+v, clone verdict %+v",
 				name, p.Key(), got, want)
@@ -95,7 +92,8 @@ func TestWalkerParityParallel(t *testing.T) {
 			trTrail := obs.New("trail")
 			trailV, _ := CheckAll(reg, res, Config{Jobs: jobs, Obs: trTrail}, pairs)
 			trClone := obs.New("clone")
-			cloneV, _ := CheckAll(reg, res, Config{Jobs: jobs, Obs: trClone, cloneWalker: true}, pairs)
+			var cloneV []Verdict
+			withCloneWalk(func() { cloneV, _ = CheckAll(reg, res, Config{Jobs: jobs, Obs: trClone}, pairs) })
 			if !reflect.DeepEqual(trailV, cloneV) {
 				t.Errorf("%s jobs=%d: verdicts diverge:\n%+v\nvs\n%+v", name, jobs, trailV, cloneV)
 			}
@@ -116,16 +114,18 @@ func TestRacePairVerdictsStable(t *testing.T) {
 		"Database": corpus.DatabaseApp, "SudokuTimer": corpus.SudokuTimerApp,
 	} {
 		reg, res, pairs := analyzeForCheckAll(t, mk())
-		for _, cw := range []bool{false, true} {
-			reused := NewRefuter(reg, res, Config{cloneWalker: cw})
+		check := func(walk string) {
+			reused := NewRefuter(reg, res, Config{})
 			for _, p := range pairs {
 				got := reused.Check(p)
-				want := NewRefuter(reg, res, Config{cloneWalker: cw}).Check(p)
+				want := NewRefuter(reg, res, Config{}).Check(p)
 				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s cloneWalker=%v pair %s: reused refuter %+v, fresh %+v",
-						name, cw, p.Key(), got, want)
+					t.Errorf("%s %s walk pair %s: reused refuter %+v, fresh %+v",
+						name, walk, p.Key(), got, want)
 				}
 			}
 		}
+		check("trail")
+		withCloneWalk(func() { check("clone") })
 	}
 }
