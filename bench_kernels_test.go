@@ -11,8 +11,8 @@
 //
 //	go test -bench 'BenchmarkKernel' -benchmem .
 //
-// BENCH_kernels.json records the before/after ns/op and allocs/op of
-// the map-set → bitset switch.
+// scripts/benchdiff.sh <ref> compares their medians with another
+// commit and appends them to BENCH_trajectory.json.
 package sierra
 
 import (

@@ -6,8 +6,9 @@
 //	evaluate -table 5          # 174-app dataset medians
 //	evaluate -table all        # everything
 //
-// Table 3's EventRacer column needs the dynamic baseline; pass -dynamic
-// to run it (a few schedules per app).
+// Table 3's EventRacer column needs the dynamic baseline, which runs
+// (a few schedules per app) whenever Table 3 is printed; -dynamic=false
+// skips it. Table 4 alone never runs it.
 //
 // Per-app measurements fan out across a bounded worker pool (-jobs,
 // default GOMAXPROCS); results are emitted in input order, so tables
@@ -23,7 +24,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -32,7 +32,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"time"
 
 	"sierra/internal/batch"
 	"sierra/internal/corpus"
@@ -55,13 +54,6 @@ func main() {
 		cacheDir   = flag.String("cache-dir", "", "cache analysis results in this directory, keyed by app digest + options")
 		refPaths   = flag.Int("refute-max-paths", 5000, "refutation path budget per query (the paper's 5,000)")
 		refDepth   = flag.Int("refute-max-depth", 6, "refutation call-inlining depth bound (the paper's 6)")
-		benchJSON  = flag.String("bench-json", "", "write per-stage timings + effort counters for the 20-app dataset as JSON to this file and exit (e.g. BENCH_sierra.json)")
-		incrBench  = flag.String("incr-bench", "", "write the incremental lane (cold vs warm one-method skeleton-visible edit) as JSON to this file and exit (e.g. BENCH_incremental.json)")
-		streamCfg  = flag.String("stream", "", "run the fused streaming pipeline over this scenario config and print its verdict table (see corpusgen -list-scenarios)")
-		streamOut  = flag.String("stream-bench", "", "with -stream CONFIG: measure fused vs materialized throughput and write sierra-stream-bench/v1 JSON to this file (e.g. BENCH_streaming.json)")
-		genJobs    = flag.Int("gen-jobs", 0, "generation workers for -stream (0 = GOMAXPROCS; the admitted stream is identical at any count)")
-		incrIters  = flag.Int("incr-iters", 5, "measurement iterations per side for -incr-bench")
-		incrGroups = flag.Int("incr-groups", 24, "listener-trio groups in the generated app -incr-bench edits")
 		eventsOut  = flag.String("events-out", "", "stream sierra-events/1 flight-recorder events as JSONL to this file (-events is taken by the dynamic baseline)")
 		debugAddr  = flag.String("debug-addr", "", "serve /metrics, /progress, /events, /healthz, and /debug/pprof on this address while the evaluation runs")
 		pprofCPU   = flag.String("pprof-cpu", "", "write a CPU profile of the evaluation to this file")
@@ -142,6 +134,10 @@ func main() {
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "evaluate: debug server on http://%s\n", srv.Addr())
 	}
+	want := func(t string) bool { return *table == "all" || *table == t }
+	// The dynamic baseline feeds only Table 3's EventRacer column.
+	withDynamic := *dynamic && want("3")
+
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	if rec != nil {
@@ -150,7 +146,7 @@ func main() {
 		rec.Emit(eventlog.Event{Type: "run_start", Fields: map[string]any{
 			"table":   *table,
 			"jobs":    *jobs,
-			"dynamic": *dynamic,
+			"dynamic": withDynamic,
 			"cache":   *cacheDir != "",
 			"git_sha": gitSHA(),
 		}})
@@ -161,50 +157,8 @@ func main() {
 		}()
 	}
 
-	if *benchJSON != "" {
-		if err := writeBenchJSON(ctx, *benchJSON, *quiet, bopts); err != nil {
-			fmt.Fprintln(os.Stderr, "evaluate:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *incrBench != "" {
-		if err := runIncrBench(*incrBench, *incrIters, *incrGroups, *quiet); err != nil {
-			fmt.Fprintln(os.Stderr, "evaluate:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *streamOut != "" && *streamCfg == "" {
-		fmt.Fprintln(os.Stderr, "evaluate: -stream-bench needs -stream CONFIG")
-		os.Exit(1)
-	}
-	if *streamCfg != "" {
-		so := streamOpts{
-			refPaths: *refPaths,
-			refDepth: *refDepth,
-			jobs:     *jobs,
-			genJobs:  *genJobs,
-			quiet:    *quiet,
-		}
-		if so.genJobs <= 0 {
-			so.genJobs = runtime.GOMAXPROCS(0)
-		}
-		var err error
-		if *streamOut != "" {
-			err = runStreamBench(ctx, *streamCfg, *streamOut, so)
-		} else {
-			err = runStreamEval(ctx, *streamCfg, so)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "evaluate:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	opts := metrics.Options{
-		WithDynamic:       *dynamic,
+		WithDynamic:       withDynamic,
 		Schedules:         *schedules,
 		EventsPerSchedule: *events,
 		RefuteMaxPaths:    *refPaths,
@@ -219,8 +173,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "[%2d/%d] %s (%s)\n", i+1, total, r.Name, r.Status)
 		}
 	}
-
-	want := func(t string) bool { return *table == "all" || *table == t }
 
 	if want("2") {
 		fmt.Println(metrics.FormatTable2())
@@ -255,81 +207,12 @@ func main() {
 	}
 }
 
-// benchReport is the -bench-json schema (sierra-bench/v1): one
-// static-pipeline measurement per 20-app-dataset member plus the
-// per-column median, batch wall-clock throughput, and cache
-// effectiveness. Rows carry the Table 3/4 columns and the observability
-// effort counters, so CI can track the perf trajectory from one
-// artifact.
-type benchReport struct {
-	Schema string `json:"schema"`
-	// GitSHA is the commit the binary was built from (empty when the
-	// working tree is not a git checkout), so a BENCH_*.json artifact
-	// and the trajectory entries benchdiff.sh appends are attributable
-	// to a revision.
-	GitSHA string        `json:"git_sha,omitempty"`
-	Apps   []metrics.Row `json:"apps"`
-	Median metrics.Row   `json:"median"`
-	// Jobs is the worker count the batch ran with.
-	Jobs int `json:"jobs"`
-	// WallSeconds / AppsPerSecond measure end-to-end batch throughput
-	// (unlike the per-row timings, these shrink as -jobs grows).
-	WallSeconds   float64 `json:"wall_seconds"`
-	AppsPerSecond float64 `json:"apps_per_second"`
-	// Cache effectiveness for the run (hits + misses == apps when a
-	// cache is configured; all zero otherwise).
-	CacheHits    int64   `json:"cache_hits"`
-	CacheMisses  int64   `json:"cache_misses"`
-	CacheHitRate float64 `json:"cache_hit_rate"`
-}
-
-// gitSHA resolves the checkout's HEAD commit, empty when git or the
-// repository is unavailable (the artifact is then simply unattributed).
+// gitSHA resolves the checkout's HEAD commit for run_start, empty when
+// git or the repository is unavailable.
 func gitSHA() string {
 	out, err := exec.Command("git", "rev-parse", "HEAD").Output()
 	if err != nil {
 		return ""
 	}
 	return strings.TrimSpace(string(out))
-}
-
-// writeBenchJSON measures the 20-app dataset (static pipeline only — no
-// dynamic baseline, so the artifact is deterministic and fast) and
-// writes the benchReport.
-func writeBenchJSON(ctx context.Context, path string, quiet bool, bopts metrics.BatchOptions) error {
-	rows := corpus.PaperRows()
-	if bopts.Jobs <= 0 {
-		bopts.Jobs = runtime.GOMAXPROCS(0)
-	}
-	// Keep an Obs wired by -debug-addr (the server holds the pointer);
-	// otherwise make one for the cache counters the report embeds.
-	if bopts.Obs == nil {
-		bopts.Obs = obs.New("bench")
-	}
-	if !quiet {
-		bopts.Progress = func(i int, r batch.Result) {
-			fmt.Fprintf(os.Stderr, "[%2d/%d] %s (%s)\n", i+1, len(rows), r.Name, r.Status)
-		}
-	}
-	start := time.Now()
-	measured, results := metrics.EvaluateNamedBatch(ctx, rows, metrics.Options{}, bopts)
-	sum := batch.Summarize(results, time.Since(start))
-
-	report := benchReport{
-		Schema:        "sierra-bench/v1",
-		GitSHA:        gitSHA(),
-		Apps:          measured,
-		Median:        metrics.MedianRow(measured),
-		Jobs:          bopts.Jobs,
-		WallSeconds:   sum.WallSecs,
-		AppsPerSecond: sum.JobsPerSec,
-		CacheHits:     bopts.Obs.Counter("batch.cache_hits"),
-		CacheMisses:   bopts.Obs.Counter("batch.cache_misses"),
-		CacheHitRate:  sum.CacheHitRate,
-	}
-	raw, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, raw, 0o644)
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"sierra/internal/appfile"
 	"sierra/internal/core"
 	"sierra/internal/corpus"
+	"sierra/internal/stream"
 	"sierra/internal/symexec"
 )
 
@@ -76,5 +78,60 @@ func TestBatchKeyIgnoresRefuteJobs(t *testing.T) {
 	}
 	if len(entries) != 1 {
 		t.Errorf("cache holds %d entries, want one key for every run", len(entries))
+	}
+}
+
+// TestStreamVerdictsMatchBatch: `sierra -stream CFG -verdicts F` must
+// write the same verdict table, byte for byte, as `sierra -batch` over
+// that config materialized to disk — streaming changes where the bytes
+// live, not what the analysis says.
+func TestStreamVerdictsMatchBatch(t *testing.T) {
+	dir := t.TempDir()
+	cfgPath := filepath.Join(dir, "smoke.cfg")
+	cfgText := "corpus smoke-stream\nseed 7\napps 6\n" +
+		"scenario async-storm\nscenario message-chain\nscenario service-lifecycle\n"
+	if err := os.WriteFile(cfgPath, []byte(cfgText), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	scfg, err := stream.LoadConfig(cfgPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corpusDir := filepath.Join(dir, "corpus")
+	if err := os.Mkdir(corpusDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := scfg.Stream(func(a stream.StreamApp) error {
+		return os.WriteFile(filepath.Join(corpusDir, a.Name+".app"), a.Raw, 0o644)
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	tables := map[string][]byte{}
+	for _, run := range []struct {
+		name string
+		cfg  batchConfig
+	}{
+		{"stream", batchConfig{streamCfg: cfgPath, genJobs: 2}},
+		{"batch", batchConfig{glob: filepath.Join(corpusDir, "*.app")}},
+	} {
+		cfg := run.cfg
+		cfg.jobs = 2
+		cfg.opts = core.Options{Refuter: symexec.Config{Jobs: 2}}
+		cfg.verdicts = filepath.Join(dir, run.name+".tsv")
+		if code := runBatch(cfg); code != 0 {
+			t.Fatalf("-%s: exit %d", run.name, code)
+		}
+		tsv, err := os.ReadFile(cfg.verdicts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tables[run.name] = tsv
+	}
+	if rows := strings.Count(string(tables["batch"]), "\n"); rows != 7 {
+		t.Fatalf("-batch verdict table has %d lines, want a header and 6 apps:\n%s", rows, tables["batch"])
+	}
+	if !bytes.Equal(tables["stream"], tables["batch"]) {
+		t.Errorf("verdict tables differ:\n-- stream --\n%s-- batch --\n%s", tables["stream"], tables["batch"])
 	}
 }

@@ -19,8 +19,10 @@ var citingDocs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/s
 // TestDocsCiteExistingNames fails when a citing document names a
 // Test/Benchmark/Fuzz function no _test.go file defines, a flag that
 // the cited command (sierra, sierra serve, evaluate, corpusgen) does not
-// register, or an exported name of an internal/ package that the
-// package no longer declares.
+// register, an exported name of an internal/ package that the
+// package no longer declares, or, in a code span or code block, a file
+// the tree lacks (a BENCH_*.json artifact or a path under scripts/,
+// cmd/, internal/ or perfbench/).
 func TestDocsCiteExistingNames(t *testing.T) {
 	tests := definedTests(t)
 	flags := registeredFlags(t)
@@ -48,6 +50,12 @@ var (
 	codeSpan      = regexp.MustCompile("`([^`\n]+)`")
 	qualified     = regexp.MustCompile(`(?:^|[^.\w])([a-z][a-z0-9]*)\.([A-Z]\w*)`)
 	shellSep      = regexp.MustCompile(`\|\||&&|[|;&()<>]`)
+	// citedFile matches a BENCH_*.json artifact or a path under one of
+	// the source trees, not as the tail of some other path.
+	citedFile = regexp.MustCompile(`(?:^|[^\w./-])(?:\./)?(BENCH_\w+\.json|(?:scripts|cmd|internal|perfbench)(?:/[\w.*-]+)*)`)
+	// pkgMember is the .Name tail of a package-qualified citation such
+	// as internal/core.Analyze.
+	pkgMember = regexp.MustCompile(`\.[A-Z]\w*$`)
 )
 
 // definedTests collects every Test/Benchmark/Fuzz/Example function name
@@ -170,6 +178,27 @@ func checkDoc(doc string, tests map[string]bool, flags, names map[string]map[str
 	}
 	for _, para := range paragraphs(doc) {
 		probs = append(probs, checkFlags(para, flags)...)
+		probs = append(probs, checkFiles(para)...)
+	}
+	return probs
+}
+
+// checkFiles returns one problem per file or directory that the code
+// of a paragraph cites and the tree lacks. A glob must match something.
+func checkFiles(p paragraph) []string {
+	var probs []string
+	for _, line := range p.commands {
+		for _, m := range citedFile.FindAllStringSubmatch(line, -1) {
+			path := pkgMember.ReplaceAllString(strings.TrimRight(m[1], "./"), "")
+			if strings.ContainsAny(path, "*?[") {
+				if matches, _ := filepath.Glob(path); len(matches) > 0 {
+					continue
+				}
+			} else if _, err := os.Stat(path); err == nil {
+				continue
+			}
+			probs = append(probs, "no file "+path)
+		}
 	}
 	return probs
 }
@@ -194,7 +223,14 @@ type paragraph struct {
 func paragraphs(doc string) []paragraph {
 	var out []paragraph
 	var cur paragraph
+	// A code span may wrap across the lines of a prose paragraph, so
+	// spans are found in the paragraph's lines joined.
+	var prose []string
 	flush := func() {
+		for _, m := range codeSpan.FindAllStringSubmatch(strings.Join(prose, " "), -1) {
+			cur.commands = append(cur.commands, m[1])
+		}
+		prose = nil
 		if len(cur.commands) > 0 {
 			out = append(out, cur)
 		}
@@ -224,9 +260,7 @@ func paragraphs(doc string) []paragraph {
 			cur.prose = true
 		default:
 			cur.prose = true
-			for _, m := range codeSpan.FindAllStringSubmatch(line, -1) {
-				cur.commands = append(cur.commands, m[1])
-			}
+			prose = append(prose, trimmed)
 		}
 	}
 	flush()

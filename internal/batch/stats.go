@@ -50,9 +50,8 @@ func recordRun(tr *obs.Trace, jobs int, wall time.Duration, workers int) {
 	}
 }
 
-// Summary aggregates one run's results for human- and machine-readable
-// reporting (the `sierra -batch` trailer, the bench-json throughput
-// fields).
+// Summary aggregates one run's results for the trailer and the
+// run_end event of `sierra -batch` and `sierra -stream`.
 type Summary struct {
 	Jobs     int     `json:"jobs"`
 	OK       int     `json:"ok"`

@@ -137,16 +137,25 @@ func TestEditClassParity(t *testing.T) {
 }
 
 // TestStageStatsAccounting pins the splice arithmetic on the canonical
-// sink-insert edit: every pair is either spliced or re-refuted, at
-// least one pair re-refutes (the edited listener's), the splice
-// fraction dominates, and both stages report reuse.
+// sink-insert edit of a 6-group app: every pair is either spliced or
+// re-refuted, at least one pair re-refutes (the edited listener's), the
+// splice fraction dominates, both stages report reuse, and the warm
+// report is byte-identical to a cold run of the edited revision.
 func TestStageStatsAccounting(t *testing.T) {
 	tr := obs.New("test")
+	edit := corpus.StageDemoEdit{ExtraStmt: "load w a f1_0"}
 	base := warmBaseline(t, 6, corpus.StageDemoEdit{})
-	editRaw, editApp := readStageDemo(t, 6, corpus.StageDemoEdit{ExtraStmt: "load w a f1_0"})
-	st, ok := base.ApplyStages(editApp, incremental.Compute(editApp), batch.RawDigest(editRaw), serveCfg(), shbg.Options{}, tr)
+	editRaw, editApp := readStageDemo(t, 6, edit)
+	editDigest := batch.RawDigest(editRaw)
+	st, ok := base.ApplyStages(editApp, incremental.Compute(editApp), editDigest, serveCfg(), shbg.Options{}, tr)
 	if !ok {
 		t.Fatalf("stage apply declined: %+v", st.Plan)
+	}
+	_, coldApp := readStageDemo(t, 6, edit)
+	warmDoc := serve.RenderReport(editDigest, base.Res)
+	coldDoc := serve.RenderReport(editDigest, fullAnalyze(t, coldApp))
+	if !bytes.Equal(warmDoc, coldDoc) {
+		t.Errorf("warm report not byte-identical to cold run:\n-- warm --\n%s\n-- cold --\n%s", warmDoc, coldDoc)
 	}
 	if !st.ReusedPTA || !st.ReusedSHBG {
 		t.Errorf("both stages must report reuse: %+v", st)

@@ -33,7 +33,9 @@ func snapshotStore(s *store) *store {
 }
 
 // trailOp is one randomized store mutation, decoded from fuzz bytes.
-func trailOp(s *store, opTag, nameTag, valTag uint8, i int64, b bool) {
+// It returns false only for a constrainVar* call that found the store
+// unsatisfiable.
+func trailOp(s *store, opTag, nameTag, valTag uint8, i int64, b bool) bool {
 	name := string('a' + rune(nameTag%5))
 	lk := locKey{field: name, static: true, class: "C"}
 	v := randValue(valTag, i, b)
@@ -47,10 +49,11 @@ func trailOp(s *store, opTag, nameTag, valTag uint8, i int64, b bool) {
 	case 3:
 		s.delLoc(lk)
 	case 4:
-		s.constrainVarEq(name, v)
+		return s.constrainVarEq(name, v)
 	case 5:
-		s.constrainVarNe(name, v)
+		return s.constrainVarNe(name, v)
 	}
+	return true
 }
 
 // TestTrailRollbackExactRestore property: any sequence of trail-logged
@@ -109,6 +112,38 @@ func TestTrailRollbackNestedMarks(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFailedConstrainWritesNothing property: a constrainVarEq or
+// constrainVarNe call that finds the store unsatisfiable leaves the
+// trail length and the store exactly as they were. walkPreds relies on
+// it to prune an infeasible branch without a rollback.
+func TestFailedConstrainWritesNothing(t *testing.T) {
+	failed := 0
+	f := func(ops []uint8, eq bool, nameTag, valTag uint8, i int64, b bool) bool {
+		s := newStore()
+		tr := &trail{}
+		s.tr = tr
+		for k := 0; k+3 < len(ops); k += 4 {
+			trailOp(s, ops[k], ops[k+1], ops[k+2], int64(ops[k+3])%9, b)
+		}
+		want, n := snapshotStore(s), len(tr.ops)
+		op := uint8(5)
+		if eq {
+			op = 4
+		}
+		if trailOp(s, op, nameTag, valTag, i%9, b) {
+			return true
+		}
+		failed++
+		return len(tr.ops) == n && storesEqual(s, want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+	if failed < 50 {
+		t.Fatalf("only %d of 2000 cases made a constrain call fail; the property is barely exercised", failed)
 	}
 }
 

@@ -173,7 +173,6 @@ func (w *walker) walkPreds(node int, st *store, saw bool) {
 			pn := &w.g.nodes[p.node]
 			iff, okIf := pn.stmt.(*ir.If)
 			if okIf && !w.applyBranch(pn, iff, p.br == branchTrue, st) {
-				st.rollback(mark)
 				w.prunePath()
 				continue
 			}
@@ -202,7 +201,10 @@ func (w *walker) prunePath() {
 }
 
 // applyBranch strengthens the store with an If condition taken in the
-// given polarity; false means the path is infeasible.
+// given polarity; false means the path is infeasible. A false return
+// leaves the store and its trail untouched (constrainVarEq and
+// constrainVarNe write only when satisfiable), so the caller has
+// nothing to roll back.
 func (w *walker) applyBranch(n *inode, iff *ir.If, taken bool, st *store) bool {
 	op := iff.Op
 	if !taken {

@@ -2,39 +2,24 @@
 # benchdiff.sh — run the kernel benchmarks (BenchmarkKernel*) and compare
 # HEAD against a baseline ref.
 #
-#   ./scripts/benchdiff.sh -smoke        one iteration of every kernel bench
-#                                        (the tier-1 clause: catches perf-path
-#                                        code that only compiles under -bench),
-#                                        plus one iteration of the parallel
-#                                        refutation bench at 2 workers under
-#                                        GOMAXPROCS=2
-#   ./scripts/benchdiff.sh -incr [N]     incremental lane: cold vs warm medians
-#                                        for the canonical one-method
-#                                        skeleton-visible edit on an N-group
-#                                        generated app (default 24), asserting
-#                                        byte-identical reports, written to
-#                                        BENCH_incremental.json
-#   ./scripts/benchdiff.sh -stream [cfg] streaming lane: fused generate+analyze
-#                                        vs the same corpus pre-materialized on
-#                                        disk (apps/sec both lanes, queue peak,
-#                                        heap high water, verdict parity),
-#                                        written to BENCH_streaming.json; cfg
-#                                        defaults to a built-in all-family mix
-#                                        of BENCH_STREAM_APPS (default 400) apps
-#   ./scripts/benchdiff.sh <ref>         bench HEAD and <ref> (extracted with
-#                                        `git archive` into a throwaway
-#                                        directory) and print a per-kernel
-#                                        ns/op + allocs/op delta as JSON in the
-#                                        BENCH_kernels.json before/after shape;
-#                                        the refutation pool's widths are the
-#                                        BenchmarkKernelRefutationParallel/jobs=N
-#                                        lanes
+#   ./scripts/benchdiff.sh -smoke   one iteration of every kernel bench
+#                                   (the tier-1 clause: catches perf-path
+#                                   code that only compiles under -bench),
+#                                   plus one iteration of the parallel
+#                                   refutation bench at 2 workers under
+#                                   GOMAXPROCS=2
+#   ./scripts/benchdiff.sh <ref>    bench HEAD and <ref> (extracted with
+#                                   `git archive` into a throwaway
+#                                   directory) and print a per-kernel
+#                                   ns/op + allocs/op before/after delta
+#                                   as JSON; the refutation pool's widths
+#                                   are the jobs=N lanes of
+#                                   BenchmarkKernelRefutationParallel
 #
 # Every comparison run also appends one entry — UTC date, HEAD SHA,
 # baseline ref/SHA, host CPU count, and the HEAD median of every kernel,
 # including kernels the baseline lacks — to a cumulative trajectory
-# file, so the kernels' perf history accretes alongside the BENCH_*.json
-# artifacts.
+# file, so the kernels' perf history accretes.
 #
 # Environment:
 #   BENCH_COUNT       -count for the comparison runs (default 3)
@@ -50,12 +35,15 @@ COUNT="${BENCH_COUNT:-3}"
 PAR_PATTERN='BenchmarkKernelRefutationParallel'
 
 usage() {
-    echo "usage: $0 -smoke | $0 -incr [groups] | $0 -stream [config] | $0 <git-ref>" >&2
+    echo "usage: $0 -smoke | $0 <git-ref>" >&2
     exit 2
 }
 
-[ $# -ge 1 ] && [ $# -le 2 ] || usage
-[ $# -eq 2 ] && [ "$1" != "-incr" ] && [ "$1" != "-stream" ] && usage
+[ $# -eq 1 ] || usage
+case "$1" in
+-smoke) ;;
+-*) usage ;;
+esac
 
 repo_root=$(git rev-parse --show-toplevel)
 cd "$repo_root"
@@ -66,67 +54,6 @@ if [ "$1" = "-smoke" ]; then
     # two procs, so multi-worker scheduling is exercised even when the
     # sequential pass ran at GOMAXPROCS=1.
     go test -run '^$' -bench "$PAR_PATTERN/jobs=2\$" -benchtime=1x -cpu 2 .
-    # One untimed iteration of the incremental lane: the cold/warm report
-    # byte-parity assertion runs even when nobody benches the -incr lane.
-    tmp=$(mktemp -d)
-    trap 'rm -rf "$tmp"' EXIT INT TERM
-    go run ./cmd/evaluate -incr-bench "$tmp/incr.json" -incr-iters 1 -incr-groups 6 -q
-    echo "benchdiff: incremental smoke ok (byte-identical warm report)" >&2
-    # One-iteration streaming smoke: a tiny fused generate+analyze run vs
-    # its materialized twin; -stream-bench exits non-zero unless the two
-    # lanes' verdict tables are byte-identical.
-    cat >"$tmp/stream.cfg" <<EOF
-corpus smoke-stream
-seed 7
-apps 6
-scenario async-storm
-scenario message-chain
-scenario service-lifecycle
-EOF
-    go run ./cmd/evaluate -stream "$tmp/stream.cfg" -stream-bench "$tmp/stream.json" -q
-    echo "benchdiff: streaming smoke ok (verdict parity stream vs disk)" >&2
-    exit 0
-fi
-
-if [ "$1" = "-stream" ]; then
-    OUT="${BENCH_STREAMING:-$repo_root/BENCH_streaming.json}"
-    tmp=$(mktemp -d)
-    trap 'rm -rf "$tmp"' EXIT INT TERM
-    CFG="${2:-}"
-    if [ -z "$CFG" ]; then
-        CFG="$tmp/stream.cfg"
-        cat >"$CFG" <<EOF
-# benchdiff -stream default mix: every scenario family at its default
-# weight except table2-x10, whose ~10x apps cost minutes each and
-# would dominate the lane; pass a config path to bench a custom
-# corpus (including table2-x10) instead.
-corpus benchdiff-stream
-seed 20180425
-apps ${BENCH_STREAM_APPS:-400}
-scenario paper-mix
-scenario async-storm
-scenario guarded-sync
-scenario service-lifecycle
-scenario message-chain
-scenario reflection-storm
-scenario alias-trap-deep
-EOF
-    fi
-    echo "benchdiff: streaming lane ($CFG)..." >&2
-    go run ./cmd/evaluate -stream "$CFG" -stream-bench "$OUT" -q
-    cat "$OUT"
-    echo "benchdiff: wrote $OUT" >&2
-    exit 0
-fi
-
-if [ "$1" = "-incr" ]; then
-    GROUPS="${2:-24}"
-    INCR_OUT="${BENCH_INCR:-$repo_root/BENCH_incremental.json}"
-    echo "benchdiff: incremental lane groups=$GROUPS iters=${BENCH_INCR_ITERS:-7}..." >&2
-    go run ./cmd/evaluate -incr-bench "$INCR_OUT" \
-        -incr-iters "${BENCH_INCR_ITERS:-7}" -incr-groups "$GROUPS"
-    cat "$INCR_OUT"
-    echo "benchdiff: wrote $INCR_OUT" >&2
     exit 0
 fi
 
