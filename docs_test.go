@@ -20,19 +20,22 @@ var citingDocs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/s
 // Test/Benchmark/Fuzz function no _test.go file defines, a flag that
 // the cited command (sierra, sierra serve, evaluate, corpusgen) does not
 // register, an exported name of an internal/ package that the
-// package no longer declares, or, in a code span or code block, a file
+// package no longer declares, a member (method, struct field or
+// interface method) that the cited type lacks — as the third segment of
+// pkg.Type.Member, or in a code span as Type.Member for a type some
+// internal/ package declares — or, in a code span or code block, a file
 // the tree lacks (a BENCH_*.json artifact or a path under scripts/,
 // cmd/, internal/ or perfbench/).
 func TestDocsCiteExistingNames(t *testing.T) {
 	tests := definedTests(t)
 	flags := registeredFlags(t)
-	names := exportedNames(t)
+	decl := declaredNames(t)
 	for _, doc := range citingDocs {
 		raw, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, p := range checkDoc(string(raw), tests, flags, names) {
+		for _, p := range checkDoc(string(raw), tests, flags, decl) {
 			t.Errorf("%s: %s", doc, p)
 		}
 	}
@@ -48,8 +51,13 @@ var (
 	flagDecl      = regexp.MustCompile(`\b(?:flag|fs)\.\w+\(\s*(?:&\w+,\s*)?"([a-z0-9-]+)"`)
 	flagWord      = regexp.MustCompile(`^--?([a-z][a-z0-9-]*)(?:=.*)?$`)
 	codeSpan      = regexp.MustCompile("`([^`\n]+)`")
-	qualified     = regexp.MustCompile(`(?:^|[^.\w])([a-z][a-z0-9]*)\.([A-Z]\w*)`)
-	shellSep      = regexp.MustCompile(`\|\||&&|[|;&()<>]`)
+	qualified     = regexp.MustCompile(`(?:^|[^.\w])([a-z][a-z0-9]*)\.([A-Z]\w*)(?:\.(\w+))?`)
+	// typeMember is a Type.Member citation of an exported member, not
+	// itself qualified by a package (that form is qualified's third
+	// segment). A lower-case tail is prose notation, such as a
+	// `Class.field` key.
+	typeMember = regexp.MustCompile(`(?:^|[^.\w])([A-Z]\w*)\.([A-Z]\w*)`)
+	shellSep   = regexp.MustCompile(`\|\||&&|[|;&()<>]`)
 	// citedFile matches a BENCH_*.json artifact or a path under one of
 	// the source trees, not as the tail of some other path.
 	citedFile = regexp.MustCompile(`(?:^|[^\w./-])(?:\./)?(BENCH_\w+\.json|(?:scripts|cmd|internal|perfbench)(?:/[\w.*-]+)*)`)
@@ -112,34 +120,105 @@ func registeredFlags(t *testing.T) map[string]map[string]bool {
 	return out
 }
 
-// exportedNames maps each internal/ package's name to the names its
-// non-test files declare at top level, methods included (the documents
-// cite a method as pkg.Method too).
-func exportedNames(t *testing.T) map[string]map[string]bool {
-	out := map[string]map[string]bool{}
+// declared is what the internal/ packages declare, keyed by package
+// name.
+type declared struct {
+	// names holds each package's top-level names, methods included
+	// (the documents cite a method as pkg.Method too).
+	names map[string]map[string]bool
+	// members holds each package's types, each with its methods,
+	// struct fields and interface methods, embedded ones included.
+	members map[string]map[string]map[string]bool
+}
+
+// declaredNames parses the non-test files of every internal/ package.
+func declaredNames(t *testing.T) declared {
+	d := declared{names: map[string]map[string]bool{}, members: map[string]map[string]map[string]bool{}}
+	type typeRef struct{ pkg, name string }
+	embeds := map[typeRef][]typeRef{}
+	typeOf := func(pkg string, x ast.Expr) (typeRef, bool) {
+		for {
+			switch e := x.(type) {
+			case *ast.StarExpr:
+				x = e.X
+			case *ast.IndexExpr:
+				x = e.X
+			case *ast.IndexListExpr:
+				x = e.X
+			case *ast.Ident:
+				return typeRef{pkg, e.Name}, true
+			case *ast.SelectorExpr:
+				if id, ok := e.X.(*ast.Ident); ok {
+					return typeRef{id.Name, e.Sel.Name}, true
+				}
+				return typeRef{}, false
+			default:
+				return typeRef{}, false
+			}
+		}
+	}
+	members := func(r typeRef) map[string]bool {
+		types := d.members[r.pkg]
+		if types == nil {
+			types = map[string]map[string]bool{}
+			d.members[r.pkg] = types
+		}
+		if types[r.name] == nil {
+			types[r.name] = map[string]bool{}
+		}
+		return types[r.name]
+	}
+	// fieldsOf records a struct's fields or an interface's methods.
+	fieldsOf := func(self typeRef, list *ast.FieldList) {
+		into := members(self)
+		for _, f := range list.List {
+			for _, n := range f.Names {
+				into[n.Name] = true
+			}
+			if len(f.Names) == 0 {
+				if r, ok := typeOf(self.pkg, f.Type); ok {
+					embeds[self] = append(embeds[self], r)
+				}
+			}
+		}
+	}
 	fset := token.NewFileSet()
-	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+	err := filepath.WalkDir("internal", func(path string, de fs.DirEntry, err error) error {
+		if err != nil || de.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return err
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
-		names := out[f.Name.Name]
+		pkg := f.Name.Name
+		names := d.names[pkg]
 		if names == nil {
 			names = map[string]bool{}
-			out[f.Name.Name] = names
+			d.names[pkg] = names
 		}
 		for _, decl := range f.Decls {
 			switch decl := decl.(type) {
 			case *ast.FuncDecl:
 				names[decl.Name.Name] = true
+				if decl.Recv != nil && len(decl.Recv.List) == 1 {
+					if r, ok := typeOf(pkg, decl.Recv.List[0].Type); ok {
+						members(r)[decl.Name.Name] = true
+					}
+				}
 			case *ast.GenDecl:
 				for _, spec := range decl.Specs {
 					switch spec := spec.(type) {
 					case *ast.TypeSpec:
 						names[spec.Name.Name] = true
+						self := typeRef{pkg, spec.Name.Name}
+						members(self)
+						switch ty := spec.Type.(type) {
+						case *ast.StructType:
+							fieldsOf(self, ty.Fields)
+						case *ast.InterfaceType:
+							fieldsOf(self, ty.Methods)
+						}
 					case *ast.ValueSpec:
 						for _, n := range spec.Names {
 							names[n.Name] = true
@@ -153,11 +232,38 @@ func exportedNames(t *testing.T) map[string]map[string]bool {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out
+	// Promote embedded members until nothing changes (embedding is
+	// acyclic, so this ends).
+	for grew := true; grew; {
+		grew = false
+		for self, inner := range embeds {
+			into := members(self)
+			for _, r := range inner {
+				for m := range d.members[r.pkg][r.name] {
+					if !into[m] {
+						into[m], grew = true, true
+					}
+				}
+			}
+		}
+	}
+	return d
+}
+
+// hasMember reports whether some internal/ package declares a type
+// named typ, and whether one of those types has member.
+func (d declared) hasMember(typ, member string) (declared, has bool) {
+	for _, types := range d.members {
+		if ms, ok := types[typ]; ok {
+			declared = true
+			has = has || ms[member]
+		}
+	}
+	return declared, has
 }
 
 // checkDoc returns one problem line per stale citation in doc.
-func checkDoc(doc string, tests map[string]bool, flags, names map[string]map[string]bool) []string {
+func checkDoc(doc string, tests map[string]bool, flags map[string]map[string]bool, decl declared) []string {
 	var probs []string
 	for _, loc := range citedTest.FindAllStringIndex(doc, -1) {
 		name := doc[loc[0]:loc[1]]
@@ -172,13 +278,38 @@ func checkDoc(doc string, tests map[string]bool, flags, names map[string]map[str
 		probs = append(probs, "no test function "+name)
 	}
 	for _, m := range qualified.FindAllStringSubmatch(doc, -1) {
-		if decl, ok := names[m[1]]; ok && !decl[m[2]] && !citedTest.MatchString(m[2]) {
+		names, ok := decl.names[m[1]]
+		switch {
+		case !ok || citedTest.MatchString(m[2]):
+		case !names[m[2]]:
 			probs = append(probs, "no exported name "+m[1]+"."+m[2])
+		case m[3] != "":
+			if ms, isType := decl.members[m[1]][m[2]]; isType && !ms[m[3]] {
+				probs = append(probs, "no member "+m[1]+"."+m[2]+"."+m[3])
+			}
 		}
 	}
 	for _, para := range paragraphs(doc) {
 		probs = append(probs, checkFlags(para, flags)...)
 		probs = append(probs, checkFiles(para)...)
+		if para.prose {
+			probs = append(probs, checkMembers(para, decl)...)
+		}
+	}
+	return probs
+}
+
+// checkMembers returns one problem per Type.Member that a prose
+// paragraph's code spans cite where some internal/ package declares
+// Type and none of its types so named has Member.
+func checkMembers(p paragraph, decl declared) []string {
+	var probs []string
+	for _, span := range p.commands {
+		for _, m := range typeMember.FindAllStringSubmatch(span, -1) {
+			if isType, has := decl.hasMember(m[1], m[2]); isType && !has {
+				probs = append(probs, "no member "+m[1]+"."+m[2])
+			}
+		}
 	}
 	return probs
 }

@@ -130,8 +130,9 @@ func countPositions(p *ir.Program) int {
 // sound: after construction nothing writes a statement except New.Site
 // (which no line shows and no two positions share). Every statement
 // object of a parsed paper app, and of each revision of a StageDemo
-// lineage, renders the same before and after full analysis, a tier-1
-// Apply and tier-2 ApplyStages, both of which transplant donor bodies.
+// lineage, renders the same before and after full analysis and
+// incremental applies that reuse and that patch the stages, both of
+// which transplant donor bodies.
 func TestAnalysisNeverWritesStatements(t *testing.T) {
 	app := read(t, paperAppBytes(t, "SuperGenPass"))
 	snap := stmtLines(app.Program)
@@ -156,34 +157,28 @@ func TestAnalysisNeverWritesStatements(t *testing.T) {
 		App: baseApp, Res: res, Warm: res.PTAWarm,
 	}
 	lineage := []struct {
-		ed   corpus.StageDemoEdit
-		tier string
+		ed    corpus.StageDemoEdit
+		patch bool
 	}{
-		{corpus.StageDemoEdit{IfLine: "if c == int 0"}, "tier1"},
-		{corpus.StageDemoEdit{IfLine: "if c == int 0", ExtraStmt: "new w Task1_0"}, "tier2"},
-		{corpus.StageDemoEdit{ExtraStmt: "new w Task1_0"}, "tier1"},
+		{corpus.StageDemoEdit{IfLine: "if c == int 0"}, false},
+		{corpus.StageDemoEdit{IfLine: "if c == int 0", ExtraStmt: "new w Task1_0"}, true},
+		{corpus.StageDemoEdit{ExtraStmt: "new w Task1_0"}, false},
 	}
 	for _, step := range lineage {
 		raw, next := rev(step.ed)
 		snap := stmtLines(base.App.Program, next.Program)
 		fp, digest := incremental.Compute(next), batch.RawDigest(raw)
-		var ok bool
-		var plan incremental.Plan
-		if step.tier == "tier1" {
-			var st incremental.Stats
-			st, ok = base.Apply(next, fp, digest, refute, nil)
-			plan = st.Plan
-		} else {
-			var st incremental.StageStats
-			st, ok = base.ApplyStages(next, fp, digest, refute, shbg.Options{}, nil)
-			plan = st.Plan
+		st, ok := base.ApplyStages(next, fp, digest, refute, shbg.Options{}, nil)
+		if !ok || (len(st.Plan.Visible) > 0) != step.patch {
+			t.Fatalf("%+v: want an apply with patch=%v, got ok=%v plan %+v", step.ed, step.patch, ok, st.Plan)
 		}
-		if !ok {
-			t.Fatalf("%+v: %s declined: %+v", step.ed, step.tier, plan)
+		name := "reusing apply"
+		if step.patch {
+			name = "patching apply"
 		}
-		checkUnchanged(t, step.tier+" apply", snap)
+		checkUnchanged(t, name, snap)
 		if err := irtest.CheckSites(base.App.Program); err != nil {
-			t.Errorf("%s apply: %v", step.tier, err)
+			t.Errorf("%s: %v", name, err)
 		}
 	}
 }

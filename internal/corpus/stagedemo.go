@@ -7,16 +7,18 @@ import (
 
 // StageDemoEdit selects a variant of the StageDemo app text. The zero
 // value is the baseline; each field is one of the edit classes the
-// partial-stage-reuse machinery is fuzzed against (all edits apply to
-// group 0's Click2 listener):
+// incremental apply is fuzzed against (all edits apply to group 0's
+// Click2 listener):
 type StageDemoEdit struct {
-	// IfLine overrides Click2_0.onClick's branch condition — an
-	// If-operand-only edit, absorbed by tier-1 whole-stage reuse.
+	// IfLine overrides Click2_0.onClick's branch condition. The default
+	// guard "if c == int 1" over "const c int 0" makes the guarded f1_0
+	// read infeasible (refuted); "if c == int 0" makes it reachable — an
+	// If-operand-only edit, absorbed with every stage reused.
 	IfLine string
 	// ExtraStmt inserts a statement into Click2_0.onClick's fallthrough
 	// block before its return — skeleton-visible. A dataflow sink (say
-	// "load w a f1_0") is absorbed by tier-2 partial stage reuse; an
-	// inserted call ("call v _ a Act0 helper") is a planned fallback.
+	// "load w a f1_0") is absorbed by patching the stages; an inserted
+	// call ("call v _ a Act0 helper") is a planned fallback.
 	ExtraStmt string
 	// WithCall includes a helper call in that same block; a revision
 	// pair {WithCall: true} → {} exercises the removed-call class
@@ -32,13 +34,15 @@ type StageDemoEdit struct {
 }
 
 // StageDemoText renders a generated corpus app of `groups` independent
-// listener trios, each the IncrDemo pattern: Click1_g spawns an
-// AsyncTask writing fields f1_g/f2_g from the background, Click2_g
-// reads f1_g behind a constant guard, Click3_g reads f2_g unguarded.
-// Groups share nothing but the activity, so an edit inside group 0
-// leaves every other group's racy pairs untouched — the splice fraction
-// of an incremental re-analysis grows with `groups`, which is what the
-// incremental benchmark lane scales on.
+// listener trios: Click1_g spawns an AsyncTask writing fields f1_g/f2_g
+// from the background, Click2_g reads f1_g behind a constant guard,
+// Click3_g reads f2_g unguarded. The Task-write/Click2-read and
+// Task-write/Click3-read pairs involve disjoint listener callbacks, so
+// an edit inside Click2_0.onClick re-refutes the f1_0 pair and splices
+// the f2_0 verdict. Groups share nothing but the activity, so an edit
+// inside group 0 leaves every other group's racy pairs untouched — the
+// splice fraction of an incremental re-analysis grows with `groups`,
+// which is what perfbench's serve-edit workload scales on.
 func StageDemoText(groups int, ed StageDemoEdit) []byte {
 	if groups < 1 {
 		groups = 1

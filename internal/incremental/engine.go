@@ -13,6 +13,7 @@ import (
 	"sierra/internal/pointer"
 	"sierra/internal/race"
 	"sierra/internal/report"
+	"sierra/internal/shbg"
 	"sierra/internal/symexec"
 )
 
@@ -22,8 +23,8 @@ import (
 // identity, so a new revision is absorbed by patching bodies into this
 // program (ir.Method.ReplaceBody), never by re-parsing into a new one.
 type Baseline struct {
-	// Mu serializes revisions against this baseline: Apply mutates the
-	// program and the result in place.
+	// Mu serializes revisions against this baseline: ApplyStages
+	// mutates the program and the result in place.
 	Mu sync.Mutex
 	// Name is the app name — the lineage key submissions match on.
 	Name string
@@ -37,7 +38,8 @@ type Baseline struct {
 	Res *core.Result
 	// Warm is the pointer solver's live re-solve handle (Res.PTAWarm,
 	// hoisted here so pool/serve code needn't reach into the result).
-	// Nil baselines still support tier-1 Apply; ApplyStages requires it.
+	// Without it the baseline absorbs only revisions that need no stage
+	// patch.
 	Warm *pointer.Warm
 	// Poisoned marks a baseline whose in-place patch failed midway; its
 	// artifacts may be inconsistent and it must not be reused.
@@ -74,16 +76,23 @@ func (b *Baseline) ApproxBytes() int64 {
 	return n
 }
 
-// Stats describes one Apply outcome.
+// Stats describes one apply outcome.
 type Stats struct {
-	// Plan is the planner's decision (Plan.OK false on fallback).
+	// Plan is the planner's decision (Plan.OK false on a decline or a
+	// poisoning, with Plan.Reason saying which).
 	Plan Plan
-	// PairsTotal is the baseline's racy-pair count.
+	// PairsTotal is the revision's racy-pair count (the new table).
 	PairsTotal int
-	// PairsRerefuted counts the pairs whose verdicts were recomputed;
-	// the rest were reused. Always < PairsTotal when any pair avoided
-	// the changed methods.
+	// PairsRerefuted counts pairs whose verdicts were recomputed:
+	// added pairs plus retained pairs touching a changed method.
 	PairsRerefuted int
+	// PairsSpliced counts retained pairs that reused their baseline
+	// verdict unchanged.
+	PairsSpliced int
+	// PairsAdded counts pairs with no baseline counterpart.
+	PairsAdded int
+	// PairsRemoved counts baseline pairs with no successor.
+	PairsRemoved int
 }
 
 // CanApply reports whether the baseline is a sound reuse source at all:
@@ -95,124 +104,241 @@ func (b *Baseline) CanApply() bool {
 		len(b.Res.AllVerdicts) == len(b.Res.RacyPairs)
 }
 
-// Apply absorbs the revision (next, nextFP, nextDigest) into the
-// baseline incrementally: it patches the changed method bodies into the
-// baseline program, reuses the registry/pointer/SHBG/pair artifacts
-// outright, re-refutes only the pairs whose action bodies (root methods
-// plus their callee closure) include a changed method, and re-ranks.
-// On success the baseline describes the new revision exactly as a cold
-// full run would — byte-identical reports — and Stats says how much
-// work was saved.
+// ApplyStages absorbs the revision (next, nextFP, nextDigest) into the
+// baseline incrementally. It patches the changed method bodies into the
+// baseline program and decides, for the pre-refutation stages as a
+// whole, between reuse and patch:
 //
-// Apply returns (stats, false) without mutating anything when the
-// planner declines; the caller then runs the full pipeline and replaces
-// the baseline. If the in-place patch itself fails (impossible while
-// skeleton equality implies shape equality; defended anyway), the
-// baseline is marked Poisoned and must be discarded.
+//   - when no changed method's skeleton changed (Plan.Visible empty),
+//     the registry, pointer result, SHBG and pair table are reused as
+//     they are, since no fixpoint stage reads what changed;
+//   - otherwise each visible edit must pass the static edit gate, and
+//     the stages are patched from the changed methods: the warm pointer
+//     state re-solves (pointer.Warm.ReSolve), the SHBG rows of the
+//     actions that reach a changed method are re-derived
+//     (shbg.Rebuild), and the pair table is regenerated from the
+//     changed accesses and diffed against the baseline's
+//     (race.RacyPairsDelta, race.MatchPairs). Patching needs a warm
+//     baseline (Warm non-nil, from core.Options.KeepPTAWarm).
+//
+// Either way it then re-refutes, with one CheckAll, the added pairs and
+// the pairs whose action bodies (root methods plus their callee closure)
+// include a changed method, splices every other verdict, and re-ranks.
+// On success the baseline describes the new revision exactly as a cold
+// full run would — byte-identical reports — and Stats says how much work
+// was saved.
+//
+// ApplyStages returns (stats, false) without mutating anything when
+// admission declines (an unusable baseline, the planner, or the edit
+// gate); the caller then runs the full pipeline and replaces the
+// baseline. Once mutation starts, any failure
+// (patch error, re-solve verification, action drift, SHBG base drift,
+// re-refutation interrupted by refCfg.Ctx) marks the baseline Poisoned;
+// the caller must drop it and run cold. Each decline counts one
+// incremental.fallbacks; a landing counts incremental.applies (stages
+// reused) or incremental.stage_applies (stages patched).
 //
 // Verdict-splicing is sound because symexec refutes every pair from
-// empty memos, so a verdict depends on nothing but its pair. cfg must
-// match the baseline's refutation budgets; `sierra serve` pins one
-// refutation config for the daemon's lifetime. If cfg.Ctx interrupts
-// the re-refutation, the baseline is poisoned and Apply declines.
-//
+// empty memos, so a verdict depends on nothing but its pair. refCfg and
+// shbgOpts must match the baseline's refutation budgets and SHBG rule
+// ablation; `sierra serve` pins one config for the daemon's lifetime.
 // The caller must hold b.Mu.
-func (b *Baseline) Apply(next *apk.App, nextFP *Fingerprint, nextDigest string, cfg symexec.Config, tr *obs.Trace) (Stats, bool) {
+func (b *Baseline) ApplyStages(next *apk.App, nextFP *Fingerprint, nextDigest string, refCfg symexec.Config, shbgOpts shbg.Options, tr *obs.Trace) (Stats, bool) {
 	st := Stats{PairsTotal: len(b.Res.RacyPairs)}
+	decline := func(reason string) (Stats, bool) {
+		st.Plan.OK, st.Plan.Reason = false, reason
+		tr.Count("incremental.fallbacks", 1)
+		return st, false
+	}
+
+	// Admission: declines here leave the baseline untouched.
 	if !b.CanApply() {
-		st.Plan = Plan{Reason: "baseline-partial"}
-		tr.Count("incremental.fallbacks", 1)
-		return st, false
+		return decline("baseline-partial")
 	}
-	st.Plan = PlanReuse(b.FP, nextFP)
+	st.Plan = PlanEdit(b.FP, nextFP)
 	if !st.Plan.OK {
-		tr.Count("incremental.fallbacks", 1)
-		return st, false
+		return decline(st.Plan.Reason)
 	}
+	patch := len(st.Plan.Visible) > 0
+	if patch && b.Warm == nil {
+		return decline("baseline-cold")
+	}
+	type edit struct {
+		old, donor *ir.Method
+	}
+	edits := make([]edit, 0, len(st.Plan.Changed))
+	for _, qn := range st.Plan.Changed {
+		old, donor, err := b.resolveEdit(next, qn)
+		if err == nil && patch {
+			err = stageGate(old, donor, b.Res.PTA)
+		}
+		if err != nil {
+			return decline("gate:" + qn + ": " + err.Error())
+		}
+		edits = append(edits, edit{old, donor})
+	}
+
 	t0 := time.Now()
 	span := tr.Start("incremental.apply")
 	defer span.End()
-
-	// Patch the changed bodies into the baseline program. Site ids
-	// transfer inside ReplaceBody.
-	changedSet := make(map[*ir.Method]bool, len(st.Plan.Changed))
-	for _, qn := range st.Plan.Changed {
-		old, donor, err := b.resolveEdit(next, qn)
-		if err == nil {
-			err = old.ReplaceBody(donor)
-		}
-		if err != nil {
-			b.Poisoned = true
-			st.Plan = Plan{Reason: "patch:" + err.Error()}
-			tr.Count("incremental.fallbacks", 1)
-			return st, false
-		}
-		changedSet[old] = true
-	}
-
-	// Re-refute exactly the pairs whose refutation walks can observe a
-	// changed body: the walker explores an action's root methods plus
-	// their inlined callees, so the callee closure over the pointer
-	// result's call edges (depth-unbounded — a superset of the walker's
-	// depth-bounded inlining) is a sound "touches changed code" test.
-	touched := b.touchedActions(changedSet)
-	verdicts := append([]symexec.Verdict(nil), b.Res.AllVerdicts...)
-	var redo []int
-	for i, p := range b.Res.RacyPairs {
-		if touched[p.A.Action] || touched[p.B.Action] {
-			redo = append(redo, i)
-		}
-	}
-	if !b.rerefute(redo, b.Res.RacyPairs, verdicts, cfg) {
+	poison := func(reason string) (Stats, bool) {
 		b.Poisoned = true
-		st.Plan = Plan{Reason: "refute-interrupted", Changed: st.Plan.Changed}
-		tr.Count("incremental.fallbacks", 1)
-		return st, false
+		return decline(reason)
+	}
+
+	// Mutation starts: transplant the bodies in place, then number the
+	// allocation sites an edit inserted.
+	changed := make([]*ir.Method, 0, len(edits))
+	changedSet := make(map[*ir.Method]bool, len(edits))
+	for _, e := range edits {
+		if err := e.old.ReplaceBody(e.donor); err != nil {
+			return poison("patch:" + err.Error())
+		}
+		changed = append(changed, e.old)
+		changedSet[e.old] = true
+	}
+	b.App.Program.Finalize()
+
+	// Reuse or patch the pre-refutation stages. match maps each pair to
+	// its baseline index (-1 for an added pair); nil means the pair
+	// table is the baseline's own.
+	accesses, pairs := b.Res.Accesses, b.Res.RacyPairs
+	var match []int
+	var touched map[int]bool
+	if !patch {
+		touched = b.touchedActions(changedSet)
+	} else {
+		nActions := b.Res.Registry.NumActions()
+		if err := b.Warm.ReSolve(changed, tr); err != nil {
+			return poison("resolve:" + err.Error())
+		}
+		if b.Res.Registry.NumActions() != nActions {
+			return poison("actions-drift")
+		}
+		// SHBG: re-derive only the rows owned by actions that can reach
+		// a changed method, and reuse the closed graph iff they match
+		// the recorded base edges.
+		touched = b.touchedActions(changedSet)
+		g, ok := shbg.Rebuild(b.Res.Graph, b.Res.Registry, b.Res.PTA, shbgOpts, touched, tr)
+		if !ok {
+			return poison("shbg-drift")
+		}
+		b.Res.Graph = g
+		// Pairs: re-collect only the changed methods' accesses and
+		// recompute only the combinations touching them (everything
+		// else splices from the baseline — see
+		// race.CollectAccessesDelta/RacyPairsDelta), then diff against
+		// the baseline table by canonical key.
+		accesses = race.CollectAccessesDelta(b.Res.Registry, b.Res.PTA, b.Res.Accesses, changedSet, storedFields(changed), tr)
+		pairs = race.RacyPairsDelta(b.Res.Registry, b.Res.Graph, accesses, b.Res.RacyPairs, changedSet, tr)
+		match, st.PairsRemoved = race.MatchPairs(b.Res.RacyPairs, pairs)
+	}
+	st.PairsTotal = len(pairs)
+
+	// Re-refute exactly the added pairs and the pairs whose refutation
+	// walks can observe a changed body: the walker explores an action's
+	// root methods plus their inlined callees, so the callee closure
+	// over the pointer result's call edges (depth-unbounded — a superset
+	// of the walker's depth-bounded inlining) is a sound "touches
+	// changed code" test. Every other verdict splices from the baseline.
+	verdicts := make([]symexec.Verdict, len(pairs))
+	var redo []int
+	for i, p := range pairs {
+		j := i
+		if match != nil {
+			j = match[i]
+		}
+		if j < 0 {
+			st.PairsAdded++
+		} else if !touched[p.A.Action] && !touched[p.B.Action] {
+			verdicts[i] = b.Res.AllVerdicts[j]
+			st.PairsSpliced++
+			continue
+		}
+		redo = append(redo, i)
+	}
+	sub := make([]race.Pair, len(redo))
+	for k, i := range redo {
+		sub[k] = pairs[i]
+	}
+	got, interrupted := symexec.CheckAll(b.Res.Registry, b.Res.PTA, refCfg, sub)
+	if interrupted {
+		return poison("refute-interrupted")
+	}
+	for k, i := range redo {
+		verdicts[i] = got[k]
 	}
 	st.PairsRerefuted = len(redo)
 
 	// Rebuild the surviving set and re-rank on the patched program
 	// (ranking reads guard fields from the live bodies, exactly like a
 	// cold run on the new revision).
-	var survivors = b.Res.RacyPairs[:0:0]
+	var survivors = pairs[:0:0]
 	var sverdicts []symexec.Verdict
 	for i, v := range verdicts {
 		if v.TruePositive {
-			survivors = append(survivors, b.Res.RacyPairs[i])
+			survivors = append(survivors, pairs[i])
 			sverdicts = append(sverdicts, v)
 		}
 	}
+	b.Res.Accesses = accesses
+	b.Res.RacyPairs = pairs
 	b.Res.AllVerdicts = verdicts
 	b.Res.Verdicts = sverdicts
 	b.Res.Reports = report.Rank(b.App.Program, survivors, sverdicts)
 	b.Digest = nextDigest
 	b.FP = nextFP
 
-	tr.Count("incremental.applies", 1)
+	if patch {
+		tr.Count("incremental.stage_applies", 1)
+	} else {
+		tr.Count("incremental.applies", 1)
+	}
 	tr.Count("incremental.methods_changed", int64(len(st.Plan.Changed)))
 	tr.Count("incremental.pairs_rerefuted", int64(st.PairsRerefuted))
-	tr.Count("incremental.pairs_reused", int64(st.PairsTotal-st.PairsRerefuted))
+	tr.Count("incremental.pairs_spliced", int64(st.PairsSpliced))
+	tr.Count("incremental.pairs_added", int64(st.PairsAdded))
+	tr.Count("incremental.pairs_removed", int64(st.PairsRemoved))
 	tr.Count("race.pairs_total", int64(st.PairsTotal))
 	tr.Observe("incremental.apply_ms", float64(time.Since(t0))/1e6)
 	return st, true
 }
 
-// rerefute refutes pairs[i] for every i in redo with one CheckAll call
-// and stores each verdict at verdicts[i]. It reports false, leaving
-// verdicts partly written, when cfg.Ctx interrupted the run.
-func (b *Baseline) rerefute(redo []int, pairs []race.Pair, verdicts []symexec.Verdict, cfg symexec.Config) bool {
-	sub := make([]race.Pair, len(redo))
-	for k, i := range redo {
-		sub[k] = pairs[i]
+// Apply is ApplyStages restricted to revisions that need no stage
+// patch: when Plan.Visible is non-empty it declines with
+// "skeleton:<method>", leaving the baseline untouched and counting
+// nothing, since the caller goes on to ApplyStages rather than to a
+// cold run. perfbench's serve-edit replay calls the two in turn to time
+// each landing.
+func (b *Baseline) Apply(next *apk.App, nextFP *Fingerprint, nextDigest string, cfg symexec.Config, tr *obs.Trace) (Stats, bool) {
+	if b.CanApply() {
+		if p := PlanEdit(b.FP, nextFP); p.OK && len(p.Visible) > 0 {
+			p.OK, p.Reason = false, "skeleton:"+p.Visible[0]
+			return Stats{Plan: p, PairsTotal: len(b.Res.RacyPairs)}, false
+		}
 	}
-	got, interrupted := symexec.CheckAll(b.Res.Registry, b.Res.PTA, cfg, sub)
-	if interrupted {
-		return false
+	return b.ApplyStages(next, nextFP, nextDigest, cfg, shbg.Options{}, tr)
+}
+
+// storedFields lists the fields the changed bodies store. Only those can
+// have gained field points-to entries (the re-solve gate rejects every
+// other growth route), so only spliced accesses to them need their
+// IsRef flag refreshed.
+func storedFields(changed []*ir.Method) map[string]bool {
+	fields := map[string]bool{}
+	for _, m := range changed {
+		for _, blk := range m.Blocks {
+			for _, s := range blk.Stmts {
+				switch st := s.(type) {
+				case *ir.Store:
+					fields[st.Field] = true
+				case *ir.StaticStore:
+					fields[st.Field] = true
+				}
+			}
+		}
 	}
-	for k, i := range redo {
-		verdicts[i] = got[k]
-	}
-	return true
+	return fields
 }
 
 // resolveEdit finds the baseline method and its donor body for one
@@ -235,12 +361,12 @@ func (b *Baseline) resolveEdit(next *apk.App, qn string) (old, donor *ir.Method,
 	return old, donor, nil
 }
 
-// touchedActions maps action id → whether the action's root methods or
+// touchedActions returns the ids of the actions whose root methods, or
 // any method reachable from them through the pointer result's call
-// edges is in changed. A plain per-action BFS: quadratic at worst over
-// methods, which is nothing at app scale, and trivially sound (a memo
-// shared across a cyclic call graph would need care not to cache a
-// provisional miss).
+// edges, are in changed — the dirty set shbg.Rebuild re-derives. A
+// plain per-action BFS: quadratic at worst over methods, which is
+// nothing at app scale, and trivially sound (a memo shared across a
+// cyclic call graph would need care not to cache a provisional miss).
 func (b *Baseline) touchedActions(changed map[*ir.Method]bool) map[int]bool {
 	callees := b.Res.PTA.CalleeMethods()
 	reg := b.Res.Registry
@@ -268,7 +394,9 @@ func (b *Baseline) touchedActions(changed map[*ir.Method]bool) map[int]bool {
 				}
 			}
 		}
-		touched[id] = hit
+		if hit {
+			touched[id] = true
+		}
 	}
 	return touched
 }

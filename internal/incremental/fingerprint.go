@@ -1,24 +1,29 @@
 // Package incremental implements fingerprint-driven incremental
-// re-analysis: the stage-reuse machinery that lets `sierra serve` turn
-// a one-method edit of an already-analyzed app into a re-refutation of
-// a handful of racy pairs instead of a full pipeline run.
+// re-analysis: the machinery that lets `sierra serve` turn a one-method
+// edit of an already-analyzed app into a re-refutation of a handful of
+// racy pairs instead of a full pipeline run.
 //
-// The soundness argument is structural. The fixpoint stages of the
-// pipeline — pointer analysis, action discovery, SHBG construction,
-// racy-pair generation — read method bodies only through the statement
-// kinds pointer.SolverReads admits; branch conditions (If) and
-// arithmetic (BinOp) operands are consumed exclusively by the backward
-// symbolic walker and by report ranking, both of which always run
-// against the current bodies. So a revision whose "shape" (manifest,
-// layouts, class/field/method declarations, block structure) is
-// unchanged and whose changed methods are all skeleton-equal (equal
+// One planner (PlanEdit) and one apply (Baseline.ApplyStages) make the
+// decision. The soundness argument is structural. The fixpoint stages
+// of the pipeline — pointer analysis, action discovery, SHBG
+// construction, racy-pair generation — read method bodies only through
+// the statement kinds pointer.SolverReads admits; branch conditions
+// (If) and arithmetic (BinOp) operands are consumed exclusively by the
+// backward symbolic walker and by report ranking, both of which always
+// run against the current bodies. So a revision whose "shape"
+// (manifest, layouts, class/field/method declarations, block structure)
+// is unchanged and whose changed methods are all skeleton-equal (equal
 // after masking If/BinOp operands) has, by construction, the same
 // registry, points-to result, happens-before graph, and racy-pair set
-// as its baseline — those artifacts are reused outright, and only the
-// pairs whose witness walks can see a changed body are re-refuted.
-// Whenever any of that cannot be proven, the planner declines and the
-// caller falls back to a full run; reports are byte-identical either
-// way.
+// as its baseline — those artifacts are reused as they are. When some
+// changed method's skeleton changed too (Plan.Visible), a static edit
+// gate must prove each such edit a dataflow sink or inert, and the
+// stages are patched from the changed methods under runtime
+// verification. Either way only the pairs whose witness walks can see a
+// changed body, plus any added pair, are re-refuted. Whenever any of
+// that cannot be proven, the apply declines (or, once mutation started,
+// poisons the baseline) and the caller falls back to a full run;
+// reports are byte-identical either way.
 package incremental
 
 import (

@@ -21,7 +21,11 @@ import (
 
 func readStageDemo(t *testing.T, groups int, ed corpus.StageDemoEdit) ([]byte, *apk.App) {
 	t.Helper()
-	raw := corpus.StageDemoText(groups, ed)
+	return parseStageDemo(t, corpus.StageDemoText(groups, ed))
+}
+
+func parseStageDemo(t *testing.T, raw []byte) ([]byte, *apk.App) {
+	t.Helper()
 	app, err := appfile.Read(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatalf("parsing StageDemo: %v", err)
@@ -49,38 +53,42 @@ func warmBaseline(t *testing.T, groups int, ed corpus.StageDemoEdit) *incrementa
 
 // TestEditClassParity is the edit-class fuzzer: for every supported and
 // every planned-fallback edit class, across several app sizes, the
-// serve tiering (tier-1 whole-stage reuse, then tier-2 partial stage
-// reuse, then cold) must produce a report byte-identical to a cold run
-// of the edited revision — and must land on the planned tier for the
-// class. A "tier2" class exercises delta re-seeding, SHBG row patching,
-// and pair diffing end to end; a "fallback" class proves the gates fail
-// closed instead of splicing something unsound. The baseline refutes
-// on one worker, the applies on two and the cold run on three: the
-// spliced and the re-refuted verdicts must agree whatever the width.
+// serve path (one ApplyStages call, then cold on a decline) must produce
+// a report byte-identical to a cold run of the edited revision — and
+// must land as planned for the class. It reads the landing the way
+// perfbench's serve-edit does, from which landing counter moved, and
+// requires exactly one to move per revision: incremental.applies (every
+// stage reused; Plan.Visible empty), incremental.stage_applies (stages
+// patched; Plan.Visible non-empty) or incremental.fallbacks (cold). A
+// "patch" class exercises delta re-seeding, SHBG row patching, and pair
+// diffing end to end; a "cold" class proves the gates fail closed
+// instead of splicing something unsound. The baseline refutes on one
+// worker, the applies on two and the cold run on three: the spliced and
+// the re-refuted verdicts must agree whatever the width.
 func TestEditClassParity(t *testing.T) {
 	type class struct {
 		name string
 		base corpus.StageDemoEdit
 		next corpus.StageDemoEdit
-		want string // "tier1" | "tier2" | "fallback"
+		want string // "reuse" | "patch" | "cold"
 	}
 	classes := []class{
-		// Body-only edits the fixpoint stages cannot see: whole-stage reuse.
-		{"if-operand", corpus.StageDemoEdit{}, corpus.StageDemoEdit{IfLine: "if c == int 0"}, "tier1"},
-		// Skeleton-visible dataflow sinks: partial stage reuse.
-		{"insert-load", corpus.StageDemoEdit{}, corpus.StageDemoEdit{ExtraStmt: "load w a f1_0"}, "tier2"},
-		{"insert-const", corpus.StageDemoEdit{}, corpus.StageDemoEdit{ExtraStmt: "const w int 42"}, "tier2"},
-		{"insert-new", corpus.StageDemoEdit{}, corpus.StageDemoEdit{ExtraStmt: "new w Task1_0"}, "tier2"},
-		{"insert-binop", corpus.StageDemoEdit{}, corpus.StageDemoEdit{ExtraStmt: "binop w + c c"}, "tier2"},
+		// Body-only edits the fixpoint stages cannot see: every stage reused.
+		{"if-operand", corpus.StageDemoEdit{}, corpus.StageDemoEdit{IfLine: "if c == int 0"}, "reuse"},
+		// Skeleton-visible dataflow sinks: stages patched.
+		{"insert-load", corpus.StageDemoEdit{}, corpus.StageDemoEdit{ExtraStmt: "load w a f1_0"}, "patch"},
+		{"insert-const", corpus.StageDemoEdit{}, corpus.StageDemoEdit{ExtraStmt: "const w int 42"}, "patch"},
+		{"insert-new", corpus.StageDemoEdit{}, corpus.StageDemoEdit{ExtraStmt: "new w Task1_0"}, "patch"},
+		{"insert-binop", corpus.StageDemoEdit{}, corpus.StageDemoEdit{ExtraStmt: "binop w + c c"}, "patch"},
 		// Removing a BinOp is always provably inert.
-		{"remove-binop", corpus.StageDemoEdit{ExtraStmt: "binop w + c c"}, corpus.StageDemoEdit{}, "tier2"},
+		{"remove-binop", corpus.StageDemoEdit{ExtraStmt: "binop w + c c"}, corpus.StageDemoEdit{}, "patch"},
 		// Call-graph edits shift action discovery: planned gate fallbacks.
-		{"insert-call", corpus.StageDemoEdit{}, corpus.StageDemoEdit{WithCall: true}, "fallback"},
-		{"remove-call", corpus.StageDemoEdit{WithCall: true}, corpus.StageDemoEdit{}, "fallback"},
+		{"insert-call", corpus.StageDemoEdit{}, corpus.StageDemoEdit{WithCall: true}, "cold"},
+		{"remove-call", corpus.StageDemoEdit{WithCall: true}, corpus.StageDemoEdit{}, "cold"},
 		// Shape drift (declarations changed): planned planner fallbacks.
-		{"handler-add", corpus.StageDemoEdit{}, corpus.StageDemoEdit{ExtraHandler: true}, "fallback"},
-		{"handler-remove", corpus.StageDemoEdit{ExtraHandler: true}, corpus.StageDemoEdit{}, "fallback"},
-		{"method-add", corpus.StageDemoEdit{}, corpus.StageDemoEdit{ExtraMethod: true}, "fallback"},
+		{"handler-add", corpus.StageDemoEdit{}, corpus.StageDemoEdit{ExtraHandler: true}, "cold"},
+		{"handler-remove", corpus.StageDemoEdit{ExtraHandler: true}, corpus.StageDemoEdit{}, "cold"},
+		{"method-add", corpus.StageDemoEdit{}, corpus.StageDemoEdit{ExtraMethod: true}, "cold"},
 	}
 
 	for _, groups := range []int{1, 3} {
@@ -101,24 +109,43 @@ func TestEditClassParity(t *testing.T) {
 				}
 				coldDoc := serve.RenderReport(editDigest, coldRes)
 
-				// Mirror the serve tiering.
-				got := "fallback"
-				var doc []byte
-				if _, ok := base.Apply(editApp, editFP, editDigest, serveCfg(), tr); ok {
-					got = "tier1"
+				// Mirror the serve path.
+				st, ok := base.ApplyStages(editApp, editFP, editDigest, serveCfg(), shbg.Options{}, tr)
+				doc := coldDoc // a decline re-parses and runs cold; that IS coldDoc
+				if ok {
 					doc = serve.RenderReport(editDigest, base.Res)
-				} else if _, ok := base.ApplyStages(editApp, editFP, editDigest, serveCfg(), shbg.Options{}, tr); ok {
-					got = "tier2"
-					doc = serve.RenderReport(editDigest, base.Res)
-				} else {
-					if base.Poisoned {
-						t.Errorf("planned fallback must decline cleanly, not poison (reason %q)", base.Res.InterruptedStage)
+				} else if base.Poisoned {
+					t.Errorf("planned fallback must decline cleanly, not poison (reason %q)", st.Plan.Reason)
+				}
+
+				var got string
+				moved := 0
+				for _, l := range []struct{ counter, landing string }{
+					{"incremental.applies", "reuse"},
+					{"incremental.stage_applies", "patch"},
+					{"incremental.fallbacks", "cold"},
+				} {
+					switch n := tr.Counter(l.counter); n {
+					case 0:
+					case 1:
+						got = l.landing
+						moved++
+					default:
+						t.Errorf("%s = %d for one revision", l.counter, n)
 					}
-					// The caller re-parses and runs cold; that IS coldDoc.
-					doc = coldDoc
+				}
+				if moved != 1 {
+					t.Fatalf("%d landing counters moved for one revision, want exactly 1", moved)
+				}
+				planned := "cold"
+				if ok {
+					planned = map[bool]string{false: "reuse", true: "patch"}[len(st.Plan.Visible) > 0]
+				}
+				if got != planned {
+					t.Errorf("counters say %s, but the plan (ok=%v, Visible=%v) says %s", got, ok, st.Plan.Visible, planned)
 				}
 				if got != c.want {
-					t.Errorf("edit class %s landed on %s, want %s", c.name, got, c.want)
+					t.Errorf("edit class %s landed on %s, want %s (reason %q)", c.name, got, c.want, st.Plan.Reason)
 				}
 				// A spliced body's inserted New (insert-new) must get a
 				// fresh site from the baseline's re-Finalize.
@@ -139,7 +166,7 @@ func TestEditClassParity(t *testing.T) {
 // TestStageStatsAccounting pins the splice arithmetic on the canonical
 // sink-insert edit of a 6-group app: every pair is either spliced or
 // re-refuted, at least one pair re-refutes (the edited listener's), the
-// splice fraction dominates, both stages report reuse, and the warm
+// splice fraction dominates, the stages are patched, and the warm
 // report is byte-identical to a cold run of the edited revision.
 func TestStageStatsAccounting(t *testing.T) {
 	tr := obs.New("test")
@@ -157,8 +184,9 @@ func TestStageStatsAccounting(t *testing.T) {
 	if !bytes.Equal(warmDoc, coldDoc) {
 		t.Errorf("warm report not byte-identical to cold run:\n-- warm --\n%s\n-- cold --\n%s", warmDoc, coldDoc)
 	}
-	if !st.ReusedPTA || !st.ReusedSHBG {
-		t.Errorf("both stages must report reuse: %+v", st)
+	if len(st.Plan.Visible) != 1 || tr.Counter("incremental.stage_applies") != 1 {
+		t.Errorf("a one-method sink insert must patch the stages: plan %+v, stage_applies %d",
+			st.Plan, tr.Counter("incremental.stage_applies"))
 	}
 	if st.PairsRerefuted+st.PairsSpliced != st.PairsTotal {
 		t.Errorf("splice arithmetic: %d re-refuted + %d spliced != %d total",
@@ -174,7 +202,7 @@ func TestStageStatsAccounting(t *testing.T) {
 }
 
 // TestStagePoisonFallsBackCold: a poisoned baseline must refuse further
-// incremental applies of either tier.
+// incremental applies.
 func TestStagePoisonFallsBackCold(t *testing.T) {
 	tr := obs.New("test")
 	base := warmBaseline(t, 1, corpus.StageDemoEdit{})
@@ -185,9 +213,11 @@ func TestStagePoisonFallsBackCold(t *testing.T) {
 	}
 }
 
-// TestInterruptedRefutationPoisons: once either tier has patched the
+// TestInterruptedRefutationPoisons: once an apply has patched the
 // baseline, a refutation that its context cuts short must poison the
-// baseline and decline, not splice a partial verdict set.
+// baseline and decline, not splice a partial verdict set — whether the
+// stages were patched or reused (the latter on a baseline kept without
+// warm solver state, which needs none).
 func TestInterruptedRefutationPoisons(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -208,15 +238,15 @@ func TestInterruptedRefutationPoisons(t *testing.T) {
 	})
 	t.Run("reuse", func(t *testing.T) {
 		tr := obs.New("test")
-		baseRaw, baseApp := readDemo(t, corpus.IncrDemoEdit{})
+		baseRaw, baseApp := readStageDemo(t, 1, corpus.StageDemoEdit{})
 		base := &incremental.Baseline{
 			Name: baseApp.Name, Digest: batch.RawDigest(baseRaw), FP: incremental.Compute(baseApp),
 			App: baseApp, Res: fullAnalyze(t, baseApp),
 		}
-		editRaw, editApp := readDemo(t, corpus.IncrDemoEdit{IfLine: "if c == int 0"})
-		st, ok := base.Apply(editApp, incremental.Compute(editApp), batch.RawDigest(editRaw), refCfg, tr)
+		editRaw, editApp := readStageDemo(t, 1, corpus.StageDemoEdit{IfLine: "if c == int 0"})
+		st, ok := base.ApplyStages(editApp, incremental.Compute(editApp), batch.RawDigest(editRaw), refCfg, shbg.Options{}, tr)
 		if ok {
-			t.Fatal("Apply accepted an interrupted re-refutation")
+			t.Fatal("ApplyStages accepted an interrupted re-refutation")
 		}
 		if !base.Poisoned || st.Plan.Reason != "refute-interrupted" {
 			t.Errorf("poisoned=%v reason=%q, want a baseline poisoned for refute-interrupted", base.Poisoned, st.Plan.Reason)

@@ -74,7 +74,7 @@ func (p *Program) NumClasses() int { return len(p.classes) }
 // without revisiting the app's classes. Already numbered sites keep
 // their ids, so ids match a walk over every class in name order as long
 // as unnumbered Sites arise only in pending classes — in a registered
-// class, through AddMethod, ReplaceBody or ReplaceBodyFlex.
+// class, through AddMethod or ReplaceBody.
 func (p *Program) Finalize() {
 	sort.Slice(p.pending, func(i, j int) bool { return p.pending[i].Name < p.pending[j].Name })
 	for _, c := range p.pending {

@@ -137,7 +137,7 @@ func TestFinalizeWalksOnlyPendingClasses(t *testing.T) {
 		},
 		func(p *Program) { p.Class("D").AddMethod(allocs("a", 2)) },
 		func(p *Program) {
-			if err := p.Class("B").Methods["m"].ReplaceBodyFlex(allocs("m", 3)); err != nil {
+			if err := p.Class("B").Methods["m"].ReplaceBody(allocs("m", 3)); err != nil {
 				t.Fatal(err)
 			}
 		},

@@ -34,7 +34,7 @@ func TestWarmReSolvePatchedCalls(t *testing.T) {
 	if w == nil {
 		t.Fatal("no warm handle")
 	}
-	if err := main.ReplaceBodyFlex(body(true)); err != nil {
+	if err := main.ReplaceBody(body(true)); err != nil {
 		t.Fatal(err)
 	}
 	p.Finalize()

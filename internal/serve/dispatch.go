@@ -145,23 +145,10 @@ func (s *Server) analyze(ctx context.Context, js *jobState) ([]byte, error) {
 
 	if base := s.pool.Lookup(js.name); base != nil {
 		base.Mu.Lock()
-		// Tier 1: skeleton-invisible edit — reuse every pre-refutation
-		// artifact, re-refute only touched pairs.
-		if _, ok := base.Apply(app, fp, js.digest, s.opts.Refuter, tr); ok {
+		if _, ok := base.ApplyStages(app, fp, js.digest, s.opts.Refuter, s.opts.SHBG, tr); ok {
 			doc := RenderReport(js.digest, base.Res)
 			base.Mu.Unlock()
 			return doc, nil
-		}
-		// Tier 2: skeleton-visible edit — warm pointer re-solve, SHBG
-		// row patch, pair diff. A clean tier-1 decline leaves both the
-		// baseline and the donor program untouched, so chaining is safe;
-		// a poisoned baseline falls straight through to the cold path.
-		if !base.Poisoned {
-			if _, ok := base.ApplyStages(app, fp, js.digest, s.opts.Refuter, s.opts.SHBG, tr); ok {
-				doc := RenderReport(js.digest, base.Res)
-				base.Mu.Unlock()
-				return doc, nil
-			}
 		}
 		poisoned := base.Poisoned
 		base.Mu.Unlock()

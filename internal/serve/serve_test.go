@@ -92,7 +92,7 @@ func fetchReport(t *testing.T, base, digest string) []byte {
 
 func TestSubmitPollFetch(t *testing.T) {
 	_, base, _ := startServer(t, serve.Config{})
-	raw := corpus.IncrDemoText(corpus.IncrDemoEdit{})
+	raw := corpus.StageDemoText(1, corpus.StageDemoEdit{})
 
 	code, m := submit(t, base, raw)
 	if code != http.StatusAccepted {
@@ -111,11 +111,11 @@ func TestSubmitPollFetch(t *testing.T) {
 	if report["schema"] != serve.ReportSchema {
 		t.Errorf("schema = %v, want %s", report["schema"], serve.ReportSchema)
 	}
-	if report["app"] != "IncrDemo" || report["digest"] != digest {
+	if report["app"] != "StageDemo1" || report["digest"] != digest {
 		t.Errorf("report identity wrong: app=%v digest=%v", report["app"], report["digest"])
 	}
-	if !bytes.Contains(doc, []byte(`".f2"`)) || bytes.Contains(doc, []byte(`".f1"`)) {
-		t.Errorf("baseline report must contain the f2 race and refute f1:\n%s", doc)
+	if !bytes.Contains(doc, []byte(`".f2_0"`)) || bytes.Contains(doc, []byte(`".f1_0"`)) {
+		t.Errorf("baseline report must contain the f2_0 race and refute f1_0:\n%s", doc)
 	}
 
 	// Resubmitting the identical bytes is answered from the store.
@@ -209,7 +209,7 @@ ret _
 // reading identical bytes.
 func TestConcurrentSubmitDedup(t *testing.T) {
 	_, base, tr := startServer(t, serve.Config{})
-	raw := corpus.IncrDemoText(corpus.IncrDemoEdit{})
+	raw := corpus.StageDemoText(1, corpus.StageDemoEdit{})
 
 	const clients = 8
 	var wg sync.WaitGroup
@@ -263,53 +263,62 @@ func TestConcurrentSubmitDedup(t *testing.T) {
 }
 
 // TestIncrementalResubmission drives the warm-baseline path end to end:
-// a revision differing only in an If operand must be absorbed
-// incrementally (fewer pairs re-refuted than exist), flip the guarded
-// verdict, and a skeleton-visible revision must fall back to a full run
-// — all observable through the service counters and the reports.
+// a revision differing only in an If operand must be absorbed with every
+// stage reused (fewer pairs re-refuted than exist) and flip the guarded
+// verdict, an inserted dataflow sink must be absorbed by patching the
+// stages, and a declaration change must fall back to a full run. Each
+// revision moves exactly one of the three landing counters.
 func TestIncrementalResubmission(t *testing.T) {
 	_, base, tr := startServer(t, serve.Config{})
-
-	code, m := submit(t, base, corpus.IncrDemoText(corpus.IncrDemoEdit{}))
-	if code != http.StatusAccepted {
-		t.Fatalf("baseline submit: status %d", code)
+	landings := func(step string, applies, stageApplies, fallbacks int64) {
+		t.Helper()
+		for _, c := range []struct {
+			name string
+			want int64
+		}{
+			{"incremental.applies", applies},
+			{"incremental.stage_applies", stageApplies},
+			{"incremental.fallbacks", fallbacks},
+		} {
+			if got := tr.Counter(c.name); got != c.want {
+				t.Errorf("after %s: %s = %d, want %d", step, c.name, got, c.want)
+			}
+		}
 	}
-	waitDone(t, base, m["job_id"].(string))
-
-	code, m = submit(t, base, corpus.IncrDemoText(corpus.IncrDemoEdit{IfLine: "if c == int 0"}))
-	if code != http.StatusAccepted {
-		t.Fatalf("edited submit: status %d", code)
+	resubmit := func(step string, ed corpus.StageDemoEdit) string {
+		t.Helper()
+		code, m := submit(t, base, corpus.StageDemoText(1, ed))
+		if code != http.StatusAccepted {
+			t.Fatalf("%s submit: status %d", step, code)
+		}
+		return waitDone(t, base, m["job_id"].(string))
 	}
-	digest := waitDone(t, base, m["job_id"].(string))
 
-	if got := tr.Counter("incremental.applies"); got != 1 {
-		t.Errorf("incremental.applies = %d, want 1", got)
-	}
+	resubmit("baseline", corpus.StageDemoEdit{})
+	landings("baseline", 0, 0, 0)
+
+	digest := resubmit("if-operand edit", corpus.StageDemoEdit{IfLine: "if c == int 0"})
+	landings("if-operand edit", 1, 0, 0)
 	rerefuted := tr.Counter("incremental.pairs_rerefuted")
-	reused := tr.Counter("incremental.pairs_reused")
+	spliced := tr.Counter("incremental.pairs_spliced")
 	if rerefuted < 1 {
 		t.Errorf("incremental.pairs_rerefuted = %d, want >= 1", rerefuted)
 	}
-	if reused < 1 {
-		t.Errorf("incremental.pairs_reused = %d, want >= 1 (untouched pair must be reused)", reused)
+	if spliced < 1 {
+		t.Errorf("incremental.pairs_spliced = %d, want >= 1 (untouched pair must be spliced)", spliced)
 	}
 	doc := fetchReport(t, base, digest)
-	if !bytes.Contains(doc, []byte(`".f1"`)) {
-		t.Errorf("edited revision must surface the now-feasible f1 race:\n%s", doc)
+	if !bytes.Contains(doc, []byte(`".f1_0"`)) {
+		t.Errorf("edited revision must surface the now-feasible f1_0 race:\n%s", doc)
 	}
 
-	// A skeleton-visible edit declines and falls back to the full path.
-	code, m = submit(t, base, corpus.IncrDemoText(corpus.IncrDemoEdit{ExtraStmt: "load w a f1"}))
-	if code != http.StatusAccepted {
-		t.Fatalf("fallback submit: status %d", code)
-	}
-	waitDone(t, base, m["job_id"].(string))
-	if got := tr.Counter("incremental.fallbacks"); got != 1 {
-		t.Errorf("incremental.fallbacks = %d, want 1", got)
-	}
-	if got := tr.Counter("incremental.applies"); got != 1 {
-		t.Errorf("incremental.applies moved to %d on a declined plan", got)
-	}
+	// A skeleton-visible dataflow sink lands by patching the stages.
+	resubmit("sink insert", corpus.StageDemoEdit{IfLine: "if c == int 0", ExtraStmt: "load w a f1_0"})
+	landings("sink insert", 1, 1, 0)
+
+	// A shape edit declines and falls back to the full path.
+	resubmit("shape edit", corpus.StageDemoEdit{IfLine: "if c == int 0", ExtraStmt: "load w a f1_0", ExtraMethod: true})
+	landings("shape edit", 1, 1, 1)
 }
 
 // TestStorePersistence: with a StoreDir, reports outlive the daemon — a
@@ -317,7 +326,7 @@ func TestIncrementalResubmission(t *testing.T) {
 // from the store without re-analyzing.
 func TestStorePersistence(t *testing.T) {
 	dir := t.TempDir()
-	raw := corpus.IncrDemoText(corpus.IncrDemoEdit{})
+	raw := corpus.StageDemoText(1, corpus.StageDemoEdit{})
 
 	s1, base1, _ := startServer(t, serve.Config{StoreDir: dir})
 	_, m := submit(t, base1, raw)
@@ -343,7 +352,7 @@ func TestStorePersistence(t *testing.T) {
 // finishes and serves what it already accepted.
 func TestDrain(t *testing.T) {
 	s, base, tr := startServer(t, serve.Config{})
-	raw := corpus.IncrDemoText(corpus.IncrDemoEdit{})
+	raw := corpus.StageDemoText(1, corpus.StageDemoEdit{})
 	_, m := submit(t, base, raw)
 	jobID := m["job_id"].(string)
 
@@ -352,7 +361,7 @@ func TestDrain(t *testing.T) {
 	digest := waitDone(t, base, jobID)
 	fetchReport(t, base, digest)
 
-	code, m2 := submit(t, base, corpus.IncrDemoText(corpus.IncrDemoEdit{IfLine: "if c == int 0"}))
+	code, m2 := submit(t, base, corpus.StageDemoText(1, corpus.StageDemoEdit{IfLine: "if c == int 0"}))
 	if code != http.StatusServiceUnavailable {
 		t.Errorf("submit while draining: status %d body %v, want 503", code, m2)
 	}
@@ -400,19 +409,19 @@ func TestTelemetryMounted(t *testing.T) {
 // TestJobWaitObserved: queue latency lands in the wait histogram.
 func TestJobWaitObserved(t *testing.T) {
 	_, base, tr := startServer(t, serve.Config{})
-	_, m := submit(t, base, corpus.IncrDemoText(corpus.IncrDemoEdit{}))
+	_, m := submit(t, base, corpus.StageDemoText(1, corpus.StageDemoEdit{}))
 	waitDone(t, base, m["job_id"].(string))
 	if n := tr.Hist("serve.job_wait_ms").Count(); n != 1 {
 		t.Errorf("serve.job_wait_ms count = %d, want 1", n)
 	}
 }
 
-// TestStageReuseResubmission drives tier-2 partial stage reuse end to
-// end through the daemon: a skeleton-visible one-method edit (an
-// inserted dataflow sink) must be absorbed by the warm baseline —
-// pointer delta re-seed, SHBG row patch, pair diff — and the report it
-// answers with must be byte-identical to what a cold daemon computes
-// for the same bytes.
+// TestStageReuseResubmission drives the stage-patch path end to end
+// through the daemon: a skeleton-visible one-method edit (an inserted
+// dataflow sink) must be absorbed by the warm baseline — pointer delta
+// re-seed, SHBG row patch, pair diff — and the report it answers with
+// must be byte-identical to what a cold daemon computes for the same
+// bytes.
 func TestStageReuseResubmission(t *testing.T) {
 	_, base, tr := startServer(t, serve.Config{})
 
@@ -432,11 +441,8 @@ func TestStageReuseResubmission(t *testing.T) {
 	if got := tr.Counter("incremental.stage_applies"); got != 1 {
 		t.Errorf("incremental.stage_applies = %d, want 1", got)
 	}
-	if got := tr.Counter("incremental.stage_reuse_pta"); got != 1 {
-		t.Errorf("incremental.stage_reuse_pta = %d, want 1", got)
-	}
-	if got := tr.Counter("incremental.stage_reuse_shbg"); got != 1 {
-		t.Errorf("incremental.stage_reuse_shbg = %d, want 1", got)
+	if got := tr.Counter("incremental.fallbacks"); got != 0 {
+		t.Errorf("incremental.fallbacks = %d, want 0 (the edit landed warm)", got)
 	}
 	if spliced := tr.Counter("incremental.pairs_spliced"); spliced < 1 {
 		t.Errorf("incremental.pairs_spliced = %d, want >= 1", spliced)
@@ -471,10 +477,10 @@ func TestLineageWaves(t *testing.T) {
 		// ~100ms of analysis: a wide window next to three local POSTs.
 		_, m0 := submit(t, base, corpus.StageDemoText(60, corpus.StageDemoEdit{}))
 
-		// While the occupier analyzes, queue two revisions of IncrDemo
+		// While the occupier analyzes, queue two revisions of StageDemo1
 		// and one revision of StageDemo2.
-		_, mA1 := submit(t, base, corpus.IncrDemoText(corpus.IncrDemoEdit{}))
-		_, mA2 := submit(t, base, corpus.IncrDemoText(corpus.IncrDemoEdit{IfLine: "if c == int 0"}))
+		_, mA1 := submit(t, base, corpus.StageDemoText(1, corpus.StageDemoEdit{}))
+		_, mA2 := submit(t, base, corpus.StageDemoText(1, corpus.StageDemoEdit{IfLine: "if c == int 0"}))
 		_, mB1 := submit(t, base, corpus.StageDemoText(2, corpus.StageDemoEdit{}))
 
 		waitDone(t, base, m0["job_id"].(string))
@@ -486,7 +492,7 @@ func TestLineageWaves(t *testing.T) {
 			if attempt < attempts-1 {
 				continue // window missed; retry on a fresh server
 			}
-			t.Fatalf("serve.lineage_waves = 0 after %d attempts (second IncrDemo revision never ran in a later wave)", attempts)
+			t.Fatalf("serve.lineage_waves = 0 after %d attempts (second StageDemo1 revision never ran in a later wave)", attempts)
 		}
 		// Order proof: the second revision saw the first as its baseline
 		// (incremental apply), and its report reflects the edited branch.
@@ -494,8 +500,8 @@ func TestLineageWaves(t *testing.T) {
 			t.Errorf("incremental.applies = %d, want >= 1 (serialized lineage must absorb in order)", got)
 		}
 		doc := fetchReport(t, base, digestA2)
-		if !bytes.Contains(doc, []byte(`".f1"`)) {
-			t.Errorf("second revision's report must surface the now-feasible f1 race:\n%s", doc)
+		if !bytes.Contains(doc, []byte(`".f1_0"`)) {
+			t.Errorf("second revision's report must surface the now-feasible f1_0 race:\n%s", doc)
 		}
 		return
 	}

@@ -7,11 +7,11 @@
 # default settings. The one-shot runs under GOMAXPROCS=1, so a CLI that
 # resolves its refutation pool differently from the daemon on a one-CPU
 # host fails here. Then resubmit the identical bytes (must be
-# answered from the store without a new job), drive one warm
-# skeleton-visible edit through the partial-stage-reuse path (report
-# byte-identical to the one-shot CLI, /metrics showing nonzero stage
-# reuse), and shut the daemon down with SIGTERM, requiring a clean
-# drain (exit 0).
+# answered from the store without a new job), drive two warm edits of
+# one lineage — a skeleton-visible one that patches the stages, then an
+# If-operand one that reuses them — each with its report byte-identical
+# to the one-shot CLI and /metrics showing its landing counter, and
+# shut the daemon down with SIGTERM, requiring a clean drain (exit 0).
 #
 # Wired into the tier-1 verify line (see ROADMAP.md). No arguments.
 set -eu
@@ -88,30 +88,41 @@ submit_wait() {
     printf '%s\n' "$sw_digest"
 }
 
-# Partial stage reuse: seed a warm baseline with a generated StageDemo
-# app, then resubmit a skeleton-visible one-method edit of it. The
-# daemon must absorb the edit against the warm baseline — /metrics must
-# show the stage-reuse counters move — and the report it stores must
-# still be byte-identical to the one-shot CLI on the edited bytes.
+# stage_parity <app> <digest>: the daemon's stored report for a warm
+# revision must be byte-identical to the one-shot CLI on its bytes.
+stage_parity() {
+    curl -sf "$base/v1/reports/$2" >"$tmp/stage-daemon.json"
+    GOMAXPROCS=1 "$tmp/sierra" -file "$1" -report-json "$tmp/stage-oneshot.json" >/dev/null
+    if ! cmp -s "$tmp/stage-daemon.json" "$tmp/stage-oneshot.json"; then
+        echo "servesmoke: warm report for $1 differs from one-shot -report-json:" >&2
+        diff "$tmp/stage-oneshot.json" "$tmp/stage-daemon.json" >&2 || true
+        exit 1
+    fi
+}
+
+# Incremental re-analysis: seed a warm baseline with a generated
+# StageDemo app, resubmit a skeleton-visible one-method edit of it (an
+# inserted dataflow sink: the stages are patched), then an If-operand
+# edit of that revision (every guard flipped: the stages are reused).
+# The daemon must absorb both against the warm baseline — /metrics must
+# show each landing counter move — and store reports byte-identical to
+# the one-shot CLI on the edited bytes.
 go run ./cmd/corpusgen -stagedemo 6 -out "$tmp/stage-base.app"
 go run ./cmd/corpusgen -stagedemo 6 -stagedemo-edit "load w a f1_0" -out "$tmp/stage-edit.app"
+sed 's/^if c == int 1$/if c == int 0/' "$tmp/stage-edit.app" >"$tmp/stage-if.app"
+cmp -s "$tmp/stage-edit.app" "$tmp/stage-if.app" && { echo "servesmoke: sed made no If-operand edit" >&2; exit 1; }
 
 submit_wait "$tmp/stage-base.app" >/dev/null
 edit_digest=$(submit_wait "$tmp/stage-edit.app")
-curl -sf "$base/v1/reports/$edit_digest" >"$tmp/stage-daemon.json"
-
-GOMAXPROCS=1 "$tmp/sierra" -file "$tmp/stage-edit.app" -report-json "$tmp/stage-oneshot.json" >/dev/null
-if ! cmp -s "$tmp/stage-daemon.json" "$tmp/stage-oneshot.json"; then
-    echo "servesmoke: stage-reused report differs from one-shot -report-json:" >&2
-    diff "$tmp/stage-oneshot.json" "$tmp/stage-daemon.json" >&2 || true
-    exit 1
-fi
+stage_parity "$tmp/stage-edit.app" "$edit_digest"
+if_digest=$(submit_wait "$tmp/stage-if.app")
+stage_parity "$tmp/stage-if.app" "$if_digest"
 
 curl -sf "$base/metrics" >"$tmp/metrics.txt"
-for m in sierra_incremental_stage_applies sierra_incremental_stage_reuse_pta sierra_incremental_stage_reuse_shbg; do
+for m in sierra_incremental_stage_applies sierra_incremental_applies; do
     v=$(awk -v m="$m" '$1 == m { print $2 }' "$tmp/metrics.txt")
     [ -n "$v" ] && [ "$v" -ge 1 ] || {
-        echo "servesmoke: /metrics $m = ${v:-absent}, want >= 1 (edit was not absorbed by partial stage reuse)" >&2
+        echo "servesmoke: /metrics $m = ${v:-absent}, want >= 1 (an edit was not absorbed by the warm baseline)" >&2
         grep sierra_incremental "$tmp/metrics.txt" >&2 || true
         exit 1
     }
