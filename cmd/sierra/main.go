@@ -44,7 +44,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"time"
 
 	"sierra/internal/apk"
 	"sierra/internal/appfile"
@@ -244,22 +243,13 @@ func main() {
 	res := core.AnalyzeContext(ctx, app, opts)
 
 	if rec != nil {
-		for _, st := range []struct {
-			name string
-			d    time.Duration
-		}{
-			{"cg_pa", res.Timing.CGPA},
-			{"hbg", res.Timing.HBG},
-			{"pairs", res.Timing.Pairs},
-			{"compare", res.Timing.Compare},
-			{"refutation", res.Timing.Refutation},
-		} {
+		for l := range core.NumLayers {
 			rec.Emit(eventlog.Event{Type: "stage", Job: app.Name,
-				DurMS:  float64(st.d) / 1e6,
-				Fields: map[string]any{"stage": st.name}})
+				DurMS:  float64(res.Ledger.Layers[l]) / 1e6,
+				Fields: map[string]any{"stage": l.String()}})
 		}
 		rec.Emit(eventlog.Event{Type: "run_end", Job: app.Name,
-			DurMS: float64(res.Timing.Total) / 1e6,
+			DurMS: float64(res.Ledger.Total) / 1e6,
 			Fields: map[string]any{
 				"harnesses":   res.NumHarnesses(),
 				"actions":     res.NumActions(),
@@ -334,10 +324,11 @@ func main() {
 		fmt.Printf("categories     app=%d framework=%d library=%d; ref-races=%d; benign-guard=%.1f%%\n",
 			s.App, s.Framework, s.Library, s.RefRaces, s.BenignPct)
 	}
-	fmt.Printf("time           total %.3fs (CG+PA %.3fs, HBG %.3fs, pairs %.3fs, compare %.3fs, refutation %.3fs)\n",
-		res.Timing.Total.Seconds(), res.Timing.CGPA.Seconds(),
-		res.Timing.HBG.Seconds(), res.Timing.Pairs.Seconds(),
-		res.Timing.Compare.Seconds(), res.Timing.Refutation.Seconds())
+	layers := make([]string, core.NumLayers)
+	for l := range core.NumLayers {
+		layers[l] = fmt.Sprintf("%s %.3fs", l, res.Ledger.Layers[l].Seconds())
+	}
+	fmt.Printf("time           total %.3fs (%s)\n", res.Ledger.Total.Seconds(), strings.Join(layers, ", "))
 
 	if *verbose {
 		fmt.Println()

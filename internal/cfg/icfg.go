@@ -90,31 +90,14 @@ func (g *ICFG) Succs(p ir.Pos) []ir.Pos {
 // Reaches reports whether target is reachable from entry (inclusive of
 // entry itself).
 func (g *ICFG) Reaches(entry *ir.Method, target ir.Pos) bool {
-	return g.reach(entry, target, ir.Pos{})
-}
-
-// ReachesWithout reports whether target is reachable from entry when the
-// statement at removed is deleted. HB rule 5: call site e1 de-facto
-// dominates e2 within an action iff e2 is unreachable once e1 is removed.
-func (g *ICFG) ReachesWithout(entry *ir.Method, removed, target ir.Pos) bool {
-	return g.reach(entry, target, removed)
-}
-
-func (g *ICFG) reach(entry *ir.Method, target, removed ir.Pos) bool {
 	start, ok := EntryPos(entry)
 	if !ok {
-		return false
-	}
-	if start == removed {
 		return false
 	}
 	if start == target {
 		return true
 	}
 	seen := map[ir.Pos]bool{start: true}
-	if removed.Method != nil {
-		seen[removed] = true // never enter the removed node
-	}
 	stack := []ir.Pos{start}
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
@@ -132,12 +115,14 @@ func (g *ICFG) reach(entry *ir.Method, target, removed ir.Pos) bool {
 	return false
 }
 
-// ReachesWithoutStrict is the return-aware variant of ReachesWithout
-// used by HB rule 5. A call falls through to its continuation only if
-// some callee can run to completion without executing the removed
-// statement; plain ReachesWithout's unconditional fall-through would let
-// execution "skip past" a callee that must execute the removed node to
-// return, defeating the removal test entirely.
+// ReachesWithoutStrict reports whether target is reachable from entry
+// when the statement at removed is deleted. HB rule 5: call site e1
+// de-facto dominates e2 within an action iff e2 is unreachable once e1
+// is removed. The search is return-aware: a call falls through to its
+// continuation only if some callee can run to completion without
+// executing the removed statement. Succs' unconditional fall-through
+// would let execution "skip past" a callee that must execute the
+// removed node to return, defeating the removal test entirely.
 func (g *ICFG) ReachesWithoutStrict(entry *ir.Method, removed, target ir.Pos) bool {
 	t := &strictTraversal{
 		g:        g,
@@ -266,27 +251,4 @@ func (t *strictTraversal) completeSearch(m *ir.Method) bool {
 		return false
 	}
 	return dfs(start)
-}
-
-// ReachableStmts returns every statement position reachable from entry —
-// used for in-thread reachability when binding handlers to loopers.
-func (g *ICFG) ReachableStmts(entry *ir.Method) map[ir.Pos]bool {
-	seen := make(map[ir.Pos]bool)
-	start, ok := EntryPos(entry)
-	if !ok {
-		return seen
-	}
-	seen[start] = true
-	stack := []ir.Pos{start}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, v := range g.Succs(u) {
-			if !seen[v] {
-				seen[v] = true
-				stack = append(stack, v)
-			}
-		}
-	}
-	return seen
 }

@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"sierra/internal/actions"
 	"sierra/internal/apk"
@@ -89,24 +88,6 @@ func (o Options) policy() pointer.Policy {
 	return o.Policy
 }
 
-// Timing records per-stage wall-clock durations (Table 4's columns).
-// The components partition Total: CGPA + HBG + Pairs + Compare +
-// Refutation accounts for the whole pipeline.
-type Timing struct {
-	// CGPA covers harness generation, call graph and pointer analysis.
-	CGPA time.Duration
-	// HBG covers SHBG construction.
-	HBG time.Duration
-	// Pairs covers access collection and racy-pair generation.
-	Pairs time.Duration
-	// Compare covers the optional plain-hybrid rerun (CompareContexts).
-	Compare time.Duration
-	// Refutation covers backward symbolic execution and ranking.
-	Refutation time.Duration
-	// Total is the whole pipeline.
-	Total time.Duration
-}
-
 // Result carries everything a run produced.
 type Result struct {
 	App       *apk.App
@@ -132,11 +113,14 @@ type Result struct {
 	Verdicts []symexec.Verdict
 	// Reports are the surviving races, ranked.
 	Reports []report.Report
-	Timing  Timing
+	// Ledger is the last pass's wall clock by layer: the cold run's, or
+	// the last warm apply's (internal/incremental), which skips harness
+	// and compare.
+	Ledger Ledger
 	// Interrupted marks a run whose context was cancelled (or timed out)
 	// mid-pipeline: every recorded fact is real but the result is
-	// partial. InterruptedStage names the earliest stage that noticed
-	// ("cgpa", "shbg", "pairs", "compare", "refute").
+	// partial. InterruptedStage names the earliest layer that noticed
+	// (cgpa, shbg, pairs, compare or refute; see Pass.Step).
 	Interrupted      bool
 	InterruptedStage string
 }
@@ -166,116 +150,91 @@ func Analyze(app *apk.App, opts Options) *Result {
 // AnalyzeContext is Analyze with cooperative cancellation (ctx nil =
 // never cancelled). The expensive loops — the pointer-analysis
 // worklist, the SHBG closure rounds, the symbolic-execution path loop,
-// and the per-pair refutation loop here — poll the context and stop
-// early once it is done, so a deadline yields a well-formed partial
-// Result (marked Interrupted, with the earliest affected stage in
+// and the per-pair refutation loop — poll the context and stop early
+// once it is done, so a deadline yields a well-formed partial Result
+// (marked Interrupted, with the earliest affected stage in
 // InterruptedStage) instead of a stuck process. Every stage still runs:
 // a cancelled context makes each one cheap rather than skipped, keeping
-// the Result's shape invariants (non-nil Registry/Graph) intact.
+// the Result's shape invariants (non-nil Registry/Graph) intact. Each
+// stage is one Step of a Pass, so res.Ledger splits the run's wall
+// clock by layer.
 func AnalyzeContext(ctx context.Context, app *apk.App, opts Options) *Result {
 	opts.Policy = opts.policy()
 	tr := opts.Obs
 	res := &Result{App: app}
-	// mark records the earliest stage at which the context was already
-	// cancelled (checked at every stage boundary).
-	mark := func(stage string) {
-		if !res.Interrupted && ctx != nil && ctx.Err() != nil {
-			res.Interrupted = true
-			res.InterruptedStage = stage
-		}
-	}
-	start := time.Now()
 	span := tr.Start("analyze")
-
-	// Stage 1: harness + call graph + pointer analysis (+ actions).
-	t0 := time.Now()
-	sHarness := tr.Start("harness")
-	res.Harnesses = harness.GenerateTraced(app, tr)
-	sHarness.End()
-	sCGPA := tr.Start("cgpa")
-	var reg *actions.Registry
-	var pta *pointer.Result
-	if opts.KeepPTAWarm {
-		reg, pta, res.PTAWarm = actions.AnalyzeSolverWarm(ctx, app, res.Harnesses, opts.Policy, pointer.SolverDelta, 0, tr)
-	} else {
-		reg, pta = actions.AnalyzeSolver(ctx, app, res.Harnesses, opts.Policy, pointer.SolverDelta, 0, tr)
-	}
-	sCGPA.End()
-	res.Registry, res.PTA = reg, pta
-	res.Timing.CGPA = time.Since(t0)
-	mark("cgpa")
-
-	// Stage 2: Static Happens-Before Graph.
-	t1 := time.Now()
-	sSHBG := tr.Start("shbg")
-	shbgOpts := opts.SHBG
-	shbgOpts.Obs = tr
-	shbgOpts.Ctx = ctx
-	res.Graph = shbg.Build(reg, pta, shbgOpts)
-	sSHBG.End()
-	res.Timing.HBG = time.Since(t1)
-	mark("shbg")
-
-	// Stage 3: racy pairs (the action-sensitive run is authoritative;
-	// the hybrid rerun only contributes its candidate count).
-	t2 := time.Now()
-	sPairs := tr.Start("pairs")
-	res.Accesses = race.CollectAccessesTraced(reg, pta, tr)
-	res.RacyPairs = race.RacyPairsTraced(reg, res.Graph, res.Accesses, tr)
-	sPairs.End()
-	res.Timing.Pairs = time.Since(t2)
-	mark("pairs")
+	p := NewPass(ctx, tr, res)
+	p.Step(Harness, func() { res.Harnesses = harness.GenerateTraced(app, tr) })
+	p.Step(CGPA, func() { res.solve(ctx, opts.Policy, opts.KeepPTAWarm, tr) })
+	p.Step(SHBG, func() { res.buildSHBG(ctx, opts.SHBG, tr) })
+	p.Step(Pairs, func() { res.findPairs(tr) })
 	if opts.CompareContexts {
-		t3 := time.Now()
-		sCompare := tr.Start("compare")
-		// The rerun is deliberately untraced so the counters describe
-		// the authoritative (action-sensitive) run only.
-		plainSHBG := opts.SHBG
-		plainSHBG.Obs = nil
-		plainSHBG.Ctx = ctx
-		regH, ptaH := actions.AnalyzeSolver(ctx, app, res.Harnesses, pointer.Hybrid{K: 2}, pointer.SolverDelta, 0, nil)
-		gH := shbg.Build(regH, ptaH, plainSHBG)
-		pairsH := race.RacyPairs(regH, gH, race.CollectAccesses(regH, ptaH))
-		res.RacyPairsNoAS = len(pairsH)
-		sCompare.End()
-		res.Timing.Compare = time.Since(t3)
-		mark("compare")
+		// The rerun reuses the harnesses and is deliberately untraced,
+		// so the counters describe the authoritative (action-sensitive)
+		// run only; it contributes just its candidate count.
+		p.Step(Compare, func() {
+			plain := &Result{App: app, Harnesses: res.Harnesses}
+			plain.solve(ctx, pointer.Hybrid{K: 2}, false, nil)
+			plain.buildSHBG(ctx, opts.SHBG, nil)
+			plain.findPairs(nil)
+			res.RacyPairsNoAS = len(plain.RacyPairs)
+		})
 	}
-
-	// Stage 4: refutation + ranking.
-	t4 := time.Now()
 	if !opts.SkipRefutation {
-		sRefute := tr.Start("refute")
-		refCfg := opts.Refuter
-		refCfg.Obs = tr
-		refCfg.Ctx = ctx
-		var survivors []race.Pair
-		var verdicts []symexec.Verdict
-		all, interrupted := symexec.CheckAll(reg, pta, refCfg, res.RacyPairs)
-		res.AllVerdicts = all
-		if interrupted {
-			mark("refute")
-		}
-		for i, v := range all {
-			if v.TruePositive {
-				survivors = append(survivors, res.RacyPairs[i])
-				verdicts = append(verdicts, v)
-			}
-		}
-		sRefute.End()
-		res.Verdicts = verdicts
-		sRank := tr.Start("rank")
-		res.Reports = report.Rank(app.Program, survivors, verdicts)
-		sRank.End()
-		mark("refute")
+		p.Step(Refute, func() {
+			refCfg := opts.Refuter
+			refCfg.Obs = tr
+			refCfg.Ctx = ctx
+			res.AllVerdicts, _ = symexec.CheckAll(res.Registry, res.PTA, refCfg, res.RacyPairs)
+		})
+		p.Step(Rank, res.Rank)
 	}
-	res.Timing.Refutation = time.Since(t4)
-	res.Timing.Total = time.Since(start)
 	tr.Count("core.reports", int64(len(res.Reports)))
-	tr.Observe("core.analyze_ms", float64(res.Timing.Total)/1e6)
+	tr.Observe("core.analyze_ms", float64(res.Ledger.Total)/1e6)
 	if res.Interrupted {
 		tr.Count("core.interrupted", 1)
 	}
 	span.End()
 	return res
+}
+
+// solve is the cgpa layer: call graph, points-to analysis and action
+// discovery over r's harnesses under policy pol, keeping the solver's
+// warm re-solve handle when keepWarm.
+func (r *Result) solve(ctx context.Context, pol pointer.Policy, keepWarm bool, tr *obs.Trace) {
+	if keepWarm {
+		r.Registry, r.PTA, r.PTAWarm = actions.AnalyzeSolverWarm(ctx, r.App, r.Harnesses, pol, pointer.SolverDelta, 0, tr)
+	} else {
+		r.Registry, r.PTA = actions.AnalyzeSolver(ctx, r.App, r.Harnesses, pol, pointer.SolverDelta, 0, tr)
+	}
+}
+
+// buildSHBG is the shbg layer.
+func (r *Result) buildSHBG(ctx context.Context, opts shbg.Options, tr *obs.Trace) {
+	opts.Obs = tr
+	opts.Ctx = ctx
+	r.Graph = shbg.Build(r.Registry, r.PTA, opts)
+}
+
+// findPairs is the pairs layer: every access, then the racy pairs
+// among them.
+func (r *Result) findPairs(tr *obs.Trace) {
+	r.Accesses = race.CollectAccessesTraced(r.Registry, r.PTA, tr)
+	r.RacyPairs = race.RacyPairsTraced(r.Registry, r.Graph, r.Accesses, tr)
+}
+
+// Rank is the rank layer: it keeps the candidates AllVerdicts does not
+// refute, with their verdicts in Verdicts, and ranks them into Reports
+// on the program as it stands. A cold run and a warm apply
+// (internal/incremental) both end with it.
+func (r *Result) Rank() {
+	var survivors []race.Pair
+	r.Verdicts = nil
+	for i, v := range r.AllVerdicts {
+		if v.TruePositive {
+			survivors = append(survivors, r.RacyPairs[i])
+			r.Verdicts = append(r.Verdicts, v)
+		}
+	}
+	r.Reports = report.Rank(r.App.Program, survivors, r.Verdicts)
 }

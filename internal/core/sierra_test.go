@@ -46,7 +46,7 @@ func TestPipelineNewsApp(t *testing.T) {
 		}
 		lastCat = r.Category
 	}
-	if res.Timing.Total <= 0 || res.Timing.CGPA <= 0 {
+	if res.Ledger.Total <= 0 || res.Ledger.Layers[CGPA] <= 0 {
 		t.Error("timings not recorded")
 	}
 }

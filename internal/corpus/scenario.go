@@ -7,7 +7,6 @@ package corpus
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"sierra/internal/apk"
 	"sierra/internal/frontend"
@@ -231,16 +230,6 @@ func ScenarioByName(name string) (Scenario, bool) {
 		}
 	}
 	return Scenario{}, false
-}
-
-// ScenarioNames lists the registered family names, sorted.
-func ScenarioNames() []string {
-	out := make([]string, len(scenarios))
-	for i, s := range scenarios {
-		out[i] = s.Name
-	}
-	sort.Strings(out)
-	return out
 }
 
 // atLeast clamps from below.

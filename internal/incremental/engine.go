@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"time"
 
 	"sierra/internal/apk"
 	"sierra/internal/core"
@@ -12,7 +11,6 @@ import (
 	"sierra/internal/obs"
 	"sierra/internal/pointer"
 	"sierra/internal/race"
-	"sierra/internal/report"
 	"sierra/internal/shbg"
 	"sierra/internal/symexec"
 )
@@ -126,12 +124,17 @@ func (b *Baseline) CanApply() bool {
 // include a changed method, splices every other verdict, and re-ranks.
 // On success the baseline describes the new revision exactly as a cold
 // full run would — byte-identical reports — and Stats says how much work
-// was saved.
+// was saved. b.Res.Ledger then times the apply by layer, as a cold run
+// times itself: cgpa is the re-solve, shbg the row rebuild, pairs the
+// pair delta and diff (all three zero when the stages are reused),
+// refute the splice and re-refutation, rank the re-rank; harness and
+// compare are zero. The body transplant stays outside it, as parsing
+// does outside a cold run's.
 //
 // ApplyStages returns (stats, false) without mutating anything when
-// admission declines (an unusable baseline, the planner, or the edit
-// gate); the caller then runs the full pipeline and replaces the
-// baseline. Once mutation starts, any failure
+// admission declines (an unusable baseline, a refCfg.Ctx already done,
+// the planner, or the edit gate); the caller then runs the full pipeline
+// and replaces the baseline. Once mutation starts, any failure
 // (patch error, re-solve verification, action drift, SHBG base drift,
 // re-refutation interrupted by refCfg.Ctx) marks the baseline Poisoned;
 // the caller must drop it and run cold. Each decline counts one
@@ -154,6 +157,9 @@ func (b *Baseline) ApplyStages(next *apk.App, nextFP *Fingerprint, nextDigest st
 	// Admission: declines here leave the baseline untouched.
 	if !b.CanApply() {
 		return decline("baseline-partial")
+	}
+	if refCfg.Ctx != nil && refCfg.Ctx.Err() != nil {
+		return decline("cancelled")
 	}
 	st.Plan = PlanEdit(b.FP, nextFP)
 	if !st.Plan.OK {
@@ -178,7 +184,6 @@ func (b *Baseline) ApplyStages(next *apk.App, nextFP *Fingerprint, nextDigest st
 		edits = append(edits, edit{old, donor})
 	}
 
-	t0 := time.Now()
 	span := tr.Start("incremental.apply")
 	defer span.End()
 	poison := func(reason string) (Stats, bool) {
@@ -199,17 +204,21 @@ func (b *Baseline) ApplyStages(next *apk.App, nextFP *Fingerprint, nextDigest st
 	}
 	b.App.Program.Finalize()
 
+	// The pass has no context: a cancellation mid-apply poisons the
+	// baseline (refute-interrupted) rather than marking it Interrupted.
+	p := core.NewPass(nil, tr, b.Res)
+
 	// Reuse or patch the pre-refutation stages. match maps each pair to
 	// its baseline index (-1 for an added pair); nil means the pair
 	// table is the baseline's own.
 	accesses, pairs := b.Res.Accesses, b.Res.RacyPairs
 	var match []int
 	var touched map[int]bool
-	if !patch {
-		touched = b.touchedActions(changedSet)
-	} else {
+	if patch {
 		nActions := b.Res.Registry.NumActions()
-		if err := b.Warm.ReSolve(changed, tr); err != nil {
+		var err error
+		p.Step(core.CGPA, func() { err = b.Warm.ReSolve(changed, tr) })
+		if err != nil {
 			return poison("resolve:" + err.Error())
 		}
 		if b.Res.Registry.NumActions() != nActions {
@@ -218,8 +227,12 @@ func (b *Baseline) ApplyStages(next *apk.App, nextFP *Fingerprint, nextDigest st
 		// SHBG: re-derive only the rows owned by actions that can reach
 		// a changed method, and reuse the closed graph iff they match
 		// the recorded base edges.
-		touched = b.touchedActions(changedSet)
-		g, ok := shbg.Rebuild(b.Res.Graph, b.Res.Registry, b.Res.PTA, shbgOpts, touched, tr)
+		var g *shbg.Graph
+		ok := false
+		p.Step(core.SHBG, func() {
+			touched = b.touchedActions(changedSet)
+			g, ok = shbg.Rebuild(b.Res.Graph, b.Res.Registry, b.Res.PTA, shbgOpts, touched, tr)
+		})
 		if !ok {
 			return poison("shbg-drift")
 		}
@@ -229,9 +242,11 @@ func (b *Baseline) ApplyStages(next *apk.App, nextFP *Fingerprint, nextDigest st
 		// else splices from the baseline — see
 		// race.CollectAccessesDelta/RacyPairsDelta), then diff against
 		// the baseline table by canonical key.
-		accesses = race.CollectAccessesDelta(b.Res.Registry, b.Res.PTA, b.Res.Accesses, changedSet, storedFields(changed), tr)
-		pairs = race.RacyPairsDelta(b.Res.Registry, b.Res.Graph, accesses, b.Res.RacyPairs, changedSet, tr)
-		match, st.PairsRemoved = race.MatchPairs(b.Res.RacyPairs, pairs)
+		p.Step(core.Pairs, func() {
+			accesses = race.CollectAccessesDelta(b.Res.Registry, b.Res.PTA, b.Res.Accesses, changedSet, storedFields(changed), tr)
+			pairs = race.RacyPairsDelta(b.Res.Registry, b.Res.Graph, accesses, b.Res.RacyPairs, changedSet, tr)
+			match, st.PairsRemoved = race.MatchPairs(b.Res.RacyPairs, pairs)
+		})
 	}
 	st.PairsTotal = len(pairs)
 
@@ -242,50 +257,47 @@ func (b *Baseline) ApplyStages(next *apk.App, nextFP *Fingerprint, nextDigest st
 	// of the walker's depth-bounded inlining) is a sound "touches
 	// changed code" test. Every other verdict splices from the baseline.
 	verdicts := make([]symexec.Verdict, len(pairs))
-	var redo []int
-	for i, p := range pairs {
-		j := i
-		if match != nil {
-			j = match[i]
+	interrupted := false
+	p.Step(core.Refute, func() {
+		if !patch {
+			touched = b.touchedActions(changedSet)
 		}
-		if j < 0 {
-			st.PairsAdded++
-		} else if !touched[p.A.Action] && !touched[p.B.Action] {
-			verdicts[i] = b.Res.AllVerdicts[j]
-			st.PairsSpliced++
-			continue
+		var redo []int
+		for i, pr := range pairs {
+			j := i
+			if match != nil {
+				j = match[i]
+			}
+			if j < 0 {
+				st.PairsAdded++
+			} else if !touched[pr.A.Action] && !touched[pr.B.Action] {
+				verdicts[i] = b.Res.AllVerdicts[j]
+				st.PairsSpliced++
+				continue
+			}
+			redo = append(redo, i)
 		}
-		redo = append(redo, i)
-	}
-	sub := make([]race.Pair, len(redo))
-	for k, i := range redo {
-		sub[k] = pairs[i]
-	}
-	got, interrupted := symexec.CheckAll(b.Res.Registry, b.Res.PTA, refCfg, sub)
+		sub := make([]race.Pair, len(redo))
+		for k, i := range redo {
+			sub[k] = pairs[i]
+		}
+		var got []symexec.Verdict
+		got, interrupted = symexec.CheckAll(b.Res.Registry, b.Res.PTA, refCfg, sub)
+		for k, v := range got {
+			verdicts[redo[k]] = v
+		}
+		st.PairsRerefuted = len(redo)
+	})
 	if interrupted {
 		return poison("refute-interrupted")
 	}
-	for k, i := range redo {
-		verdicts[i] = got[k]
-	}
-	st.PairsRerefuted = len(redo)
 
-	// Rebuild the surviving set and re-rank on the patched program
-	// (ranking reads guard fields from the live bodies, exactly like a
-	// cold run on the new revision).
-	var survivors = pairs[:0:0]
-	var sverdicts []symexec.Verdict
-	for i, v := range verdicts {
-		if v.TruePositive {
-			survivors = append(survivors, pairs[i])
-			sverdicts = append(sverdicts, v)
-		}
-	}
+	// Re-rank on the patched program (ranking reads guard fields from
+	// the live bodies, exactly like a cold run on the new revision).
 	b.Res.Accesses = accesses
 	b.Res.RacyPairs = pairs
 	b.Res.AllVerdicts = verdicts
-	b.Res.Verdicts = sverdicts
-	b.Res.Reports = report.Rank(b.App.Program, survivors, sverdicts)
+	p.Step(core.Rank, b.Res.Rank)
 	b.Digest = nextDigest
 	b.FP = nextFP
 
@@ -300,7 +312,7 @@ func (b *Baseline) ApplyStages(next *apk.App, nextFP *Fingerprint, nextDigest st
 	tr.Count("incremental.pairs_added", int64(st.PairsAdded))
 	tr.Count("incremental.pairs_removed", int64(st.PairsRemoved))
 	tr.Count("race.pairs_total", int64(st.PairsTotal))
-	tr.Observe("incremental.apply_ms", float64(time.Since(t0))/1e6)
+	tr.Observe("incremental.apply_ms", float64(b.Res.Ledger.Total)/1e6)
 	return st, true
 }
 

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"sierra/internal/apk"
 	"sierra/internal/appfile"
@@ -147,6 +149,9 @@ func TestEditClassParity(t *testing.T) {
 				if got != c.want {
 					t.Errorf("edit class %s landed on %s, want %s (reason %q)", c.name, got, c.want, st.Plan.Reason)
 				}
+				if ok {
+					checkWarmLedger(t, base.Res.Ledger, got == "patch", tr)
+				}
 				// A spliced body's inserted New (insert-new) must get a
 				// fresh site from the baseline's re-Finalize.
 				if err := irtest.CheckSites(base.App.Program); err != nil {
@@ -160,6 +165,29 @@ func TestEditClassParity(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// checkWarmLedger holds a warm landing's ledger to the layers the apply
+// ran: never harness or compare; cgpa, shbg and pairs exactly when the
+// stages were patched; always refute and rank. The layers sum to the
+// total, which incremental.apply_ms recorded.
+func checkWarmLedger(t *testing.T, lg core.Ledger, patched bool, tr *obs.Trace) {
+	t.Helper()
+	var sum time.Duration
+	for l := range core.NumLayers {
+		sum += lg.Layers[l]
+		ran := l == core.Refute || l == core.Rank ||
+			patched && (l == core.CGPA || l == core.SHBG || l == core.Pairs)
+		if ran && lg.Layers[l] <= 0 || !ran && lg.Layers[l] != 0 {
+			t.Errorf("warm ledger (patched: %t): layer %s = %v", patched, l, lg.Layers[l])
+		}
+	}
+	if sum != lg.Total {
+		t.Errorf("warm ledger layers sum to %v, total is %v", sum, lg.Total)
+	}
+	if h := tr.Hist("incremental.apply_ms"); h.Count() != 1 || h.Sum() != float64(lg.Total)/1e6 {
+		t.Errorf("incremental.apply_ms: %d samples summing to %v ms, want the ledger total %v", h.Count(), h.Sum(), lg.Total)
 	}
 }
 
@@ -213,21 +241,34 @@ func TestStagePoisonFallsBackCold(t *testing.T) {
 	}
 }
 
+// liveOnceCtx is a context whose first Err poll reports it live and
+// every later poll cancelled: a deadline that passes just after
+// ApplyStages' admission check, mid-apply.
+type liveOnceCtx struct {
+	context.Context
+	polls atomic.Int32
+}
+
+func (c *liveOnceCtx) Err() error {
+	if c.polls.Add(1) == 1 {
+		return nil
+	}
+	return context.Canceled
+}
+
 // TestInterruptedRefutationPoisons: once an apply has patched the
 // baseline, a refutation that its context cuts short must poison the
 // baseline and decline, not splice a partial verdict set — whether the
 // stages were patched or reused (the latter on a baseline kept without
 // warm solver state, which needs none).
 func TestInterruptedRefutationPoisons(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
 	refCfg := serveCfg()
-	refCfg.Ctx = ctx
 
 	t.Run("stages", func(t *testing.T) {
 		tr := obs.New("test")
 		base := warmBaseline(t, 1, corpus.StageDemoEdit{})
 		editRaw, editApp := readStageDemo(t, 1, corpus.StageDemoEdit{ExtraStmt: "load w a f1_0"})
+		refCfg.Ctx = &liveOnceCtx{Context: context.Background()}
 		st, ok := base.ApplyStages(editApp, incremental.Compute(editApp), batch.RawDigest(editRaw), refCfg, shbg.Options{}, tr)
 		if ok {
 			t.Fatal("stage apply accepted an interrupted re-refutation")
@@ -244,6 +285,7 @@ func TestInterruptedRefutationPoisons(t *testing.T) {
 			App: baseApp, Res: fullAnalyze(t, baseApp),
 		}
 		editRaw, editApp := readStageDemo(t, 1, corpus.StageDemoEdit{IfLine: "if c == int 0"})
+		refCfg.Ctx = &liveOnceCtx{Context: context.Background()}
 		st, ok := base.ApplyStages(editApp, incremental.Compute(editApp), batch.RawDigest(editRaw), refCfg, shbg.Options{}, tr)
 		if ok {
 			t.Fatal("ApplyStages accepted an interrupted re-refutation")
@@ -252,6 +294,31 @@ func TestInterruptedRefutationPoisons(t *testing.T) {
 			t.Errorf("poisoned=%v reason=%q, want a baseline poisoned for refute-interrupted", base.Poisoned, st.Plan.Reason)
 		}
 	})
+}
+
+// TestCancelledApplyDeclines: a context already done at admission
+// declines before anything is mutated, so the baseline stays usable and
+// the same revision then lands under a live context.
+func TestCancelledApplyDeclines(t *testing.T) {
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, ed := range []corpus.StageDemoEdit{{IfLine: "if c == int 0"}, {ExtraStmt: "load w a f1_0"}} {
+		tr := obs.New("test")
+		base := warmBaseline(t, 1, corpus.StageDemoEdit{})
+		editRaw, editApp := readStageDemo(t, 1, ed)
+		fp, digest := incremental.Compute(editApp), batch.RawDigest(editRaw)
+		refCfg := serveCfg()
+		refCfg.Ctx = dead
+		st, ok := base.ApplyStages(editApp, fp, digest, refCfg, shbg.Options{}, tr)
+		if ok || base.Poisoned || st.Plan.Reason != "cancelled" || tr.Counter("incremental.fallbacks") != 1 {
+			t.Fatalf("%+v: ok=%v poisoned=%v reason=%q fallbacks=%d, want one clean cancelled decline",
+				ed, ok, base.Poisoned, st.Plan.Reason, tr.Counter("incremental.fallbacks"))
+		}
+		refCfg.Ctx = context.Background()
+		if st, ok := base.ApplyStages(editApp, fp, digest, refCfg, shbg.Options{}, tr); !ok || base.Res.Interrupted {
+			t.Errorf("%+v: live apply after a cancelled one: ok=%v reason=%q interrupted=%v", ed, ok, st.Plan.Reason, base.Res.Interrupted)
+		}
+	}
 }
 
 // TestPoolByteBudget: the baseline pool must evict by estimated

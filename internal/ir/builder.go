@@ -39,9 +39,6 @@ func (b *MethodBuilder) NewBlock() *Block {
 // SetBlock directs subsequent statements into blk.
 func (b *MethodBuilder) SetBlock(blk *Block) { b.cur = blk }
 
-// Current returns the block statements are being appended to.
-func (b *MethodBuilder) Current() *Block { return b.cur }
-
 func (b *MethodBuilder) emit(s Stmt) {
 	if b.sealed[b.cur] {
 		panic(fmt.Sprintf("ir: emit into sealed block %d of %s", b.cur.Index, b.m.Name))
@@ -150,14 +147,6 @@ func (b *MethodBuilder) If(a string, op CmpOp, rhs Operand) (then, els *Block) {
 	b.sealed[b.cur] = true
 	b.cur = then
 	return then, els
-}
-
-// IfTo is If with caller-supplied targets (for loops back-edges).
-func (b *MethodBuilder) IfTo(a string, op CmpOp, rhs Operand, then, els *Block) {
-	b.emit(&If{A: a, Op: op, B: rhs})
-	b.cur.Succs = []int{then.Index, els.Index}
-	b.sealed[b.cur] = true
-	b.cur = then
 }
 
 // IfStar branches nondeterministically — the "while(*)" / "switch(*)"

@@ -170,16 +170,6 @@ func NewClass(name, super string, interfaces ...string) *Class {
 	}
 }
 
-// HasField reports whether the class itself declares field f.
-func (c *Class) HasField(f string) bool {
-	for _, have := range c.Fields {
-		if have == f {
-			return true
-		}
-	}
-	return false
-}
-
 // AddMethod attaches m to the class. Panics on duplicates (no overloading
 // in this IR; distinct behaviours get distinct names).
 func (c *Class) AddMethod(m *Method) {

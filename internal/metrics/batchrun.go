@@ -8,6 +8,7 @@ import (
 
 	"sierra/internal/apk"
 	"sierra/internal/batch"
+	"sierra/internal/core"
 	"sierra/internal/corpus"
 	"sierra/internal/obs"
 	"sierra/internal/obs/eventlog"
@@ -39,15 +40,15 @@ type BatchOptions struct {
 	Progress func(index int, r batch.Result)
 }
 
-// fingerprint lists every Options knob that influences a Row, for the
-// cache key: the dynamic baseline's knobs and the analysis options' Key.
-func fingerprint(opts Options) []string {
+// fingerprint lists every knob that influences a Row, for the cache
+// key: the dynamic baseline's knobs and the analysis options' Key.
+func fingerprint(opts Options, copts core.Options) []string {
 	return []string{
 		"row",
 		fmt.Sprintf("dynamic=%t", opts.WithDynamic),
 		fmt.Sprintf("schedules=%d", opts.Schedules),
 		fmt.Sprintf("events=%d", opts.EventsPerSchedule),
-		opts.coreOptions().Key(),
+		copts.Key(),
 	}
 }
 
@@ -69,7 +70,7 @@ func EvaluateNamedBatch(ctx context.Context, rows []corpus.PaperRow, opts Option
 				if err != nil {
 					return "", err
 				}
-				return batch.Key(d, fingerprint(opts)...), nil
+				return batch.Key(d, fingerprint(opts, opts.coreOptions(true))...), nil
 			},
 			Fn: func(jctx context.Context) ([]byte, error) {
 				row := EvaluateAppContext(jctx, pr.Name, func() (*apk.App, *corpus.GroundTruth) {
@@ -104,10 +105,11 @@ type fdroidPayload struct {
 }
 
 // EvaluateFDroidBatch measures the first n generated-dataset apps
-// concurrently, returning Rows and bytecode sizes in input order plus
-// the raw batch results.
+// concurrently for Table 5, without the plain-hybrid rerun, returning
+// Rows and bytecode sizes in input order plus the raw batch results.
 func EvaluateFDroidBatch(ctx context.Context, n int, opts Options, b BatchOptions) ([]Row, []int, []batch.Result) {
 	opts.Obs = b.Obs
+	copts := opts.coreOptions(false)
 	jobs := make([]batch.Job, n)
 	for i := 0; i < n; i++ {
 		i := i
@@ -120,12 +122,12 @@ func EvaluateFDroidBatch(ctx context.Context, n int, opts Options, b BatchOption
 				if err != nil {
 					return "", err
 				}
-				return batch.Key(d, fingerprint(opts)...), nil
+				return batch.Key(d, fingerprint(opts, copts)...), nil
 			},
 			Fn: func(jctx context.Context) ([]byte, error) {
-				row := EvaluateAppContext(jctx, name, func() (*apk.App, *corpus.GroundTruth) {
+				row := evaluateApp(jctx, name, func() (*apk.App, *corpus.GroundTruth) {
 					return corpus.FDroidApp(i)
-				}, opts)
+				}, opts, copts)
 				app, _ := corpus.FDroidApp(i)
 				return json.Marshal(fdroidPayload{Row: row, Size: app.BytecodeSize()})
 			},

@@ -33,9 +33,10 @@ type Row struct {
 	FP         int
 	// EventRacer is the dynamic baseline's report count (-1 = not run).
 	EventRacer int
-	// Timings in seconds (Table 4 stages). Pairs is racy-pair
-	// generation, Compare the optional plain-hybrid rerun; together with
-	// CGPA, HBG, and Refutation they partition Total.
+	// Timings in seconds (Table 4 stages), read from the run's ledger
+	// (core.Ledger): CGPA is harness + cgpa, HBG shbg, Pairs pairs,
+	// Compare the optional plain-hybrid rerun, Refutation refute + rank.
+	// They partition Total.
 	CGPA, HBG, Pairs, Compare, Refutation, Total float64
 	// Effort counters from the observability layer (Table 4's effort
 	// columns; one source of truth with `sierra -stats`).
@@ -75,12 +76,19 @@ func EvaluateApp(name string, factory func() (*apk.App, *corpus.GroundTruth), op
 // deadline yields a partial Row instead of a stuck evaluation. The
 // dynamic baseline is skipped once the context is done.
 func EvaluateAppContext(ctx context.Context, name string, factory func() (*apk.App, *corpus.GroundTruth), opts Options) Row {
+	return evaluateApp(ctx, name, factory, opts, opts.coreOptions(true))
+}
+
+// evaluateApp measures one app under the analysis options copts.
+func evaluateApp(ctx context.Context, name string, factory func() (*apk.App, *corpus.GroundTruth), opts Options, copts core.Options) Row {
 	app, gt := factory()
 	tr := obs.New(name)
-	copts := opts.coreOptions()
 	copts.Obs = tr
 	res := core.AnalyzeContext(ctx, app, copts)
 
+	// Table 4's columns from the ledger: CG+PA includes harness
+	// generation and Refutation includes ranking.
+	lg := res.Ledger.Layers
 	row := Row{
 		Name:       name,
 		Harnesses:  res.NumHarnesses(),
@@ -91,12 +99,12 @@ func EvaluateAppContext(ctx context.Context, name string, factory func() (*apk.A
 		RacyAS:     len(res.RacyPairs),
 		AfterRefut: res.TrueRaces(),
 		EventRacer: -1,
-		CGPA:       res.Timing.CGPA.Seconds(),
-		HBG:        res.Timing.HBG.Seconds(),
-		Pairs:      res.Timing.Pairs.Seconds(),
-		Compare:    res.Timing.Compare.Seconds(),
-		Refutation: res.Timing.Refutation.Seconds(),
-		Total:      res.Timing.Total.Seconds(),
+		CGPA:       (lg[core.Harness] + lg[core.CGPA]).Seconds(),
+		HBG:        lg[core.SHBG].Seconds(),
+		Pairs:      lg[core.Pairs].Seconds(),
+		Compare:    lg[core.Compare].Seconds(),
+		Refutation: (lg[core.Refute] + lg[core.Rank]).Seconds(),
+		Total:      res.Ledger.Total.Seconds(),
 		PAPasses:   int(tr.Counter("pointer.passes")),
 		PAIters:    int(tr.Counter("pointer.worklist_iterations")),
 		RefPaths:   int(tr.Counter("refute.paths")),
@@ -132,11 +140,12 @@ func EvaluateAppContext(ctx context.Context, name string, factory func() (*apk.A
 }
 
 // coreOptions is the analysis configuration every measured app runs
-// under: the default action-sensitive policy with the plain-hybrid
-// comparison rerun, and the configured refutation budgets.
-func (o Options) coreOptions() core.Options {
+// under: the default action-sensitive policy and the configured
+// refutation budgets. compare adds the plain-hybrid rerun, which only
+// Table 3's "Racy w/o AS" column reads, so Table 5's runs go without.
+func (o Options) coreOptions(compare bool) core.Options {
 	return core.Options{
-		CompareContexts: true,
+		CompareContexts: compare,
 		Refuter:         symexec.Config{MaxPaths: o.RefuteMaxPaths, MaxDepth: o.RefuteMaxDepth},
 	}
 }
@@ -148,12 +157,13 @@ func EvaluateNamed(pr corpus.PaperRow, opts Options) Row {
 	}, opts)
 }
 
-// EvaluateFDroid measures one generated-dataset app.
+// EvaluateFDroid measures one generated-dataset app for Table 5,
+// without the plain-hybrid rerun.
 func EvaluateFDroid(i int, opts Options) Row {
 	name := corpus.FDroidRow(i).Name
-	return EvaluateApp(name, func() (*apk.App, *corpus.GroundTruth) {
+	return evaluateApp(nil, name, func() (*apk.App, *corpus.GroundTruth) {
 		return corpus.FDroidApp(i)
-	}, opts)
+	}, opts, opts.coreOptions(false))
 }
 
 // Median computes the median of a float slice (0 for empty).

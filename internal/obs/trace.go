@@ -11,7 +11,7 @@
 package obs
 
 import (
-	"runtime"
+	"runtime/metrics"
 	"sync"
 	"time"
 )
@@ -50,12 +50,14 @@ type Span struct {
 	children   []*Span
 }
 
-// readAlloc samples cumulative allocated bytes. ReadMemStats is not
-// free; spans are meant for stage-granularity regions, not hot loops.
+// readAlloc samples cumulative allocated bytes, the value
+// runtime.MemStats.TotalAlloc reports, through runtime/metrics: unlike
+// runtime.ReadMemStats it does not stop the world, and every span
+// boundary pays it (a serve daemon opens a span per layer of each job).
 func readAlloc() uint64 {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.TotalAlloc
+	s := [1]metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(s[:])
+	return s[0].Value.Uint64()
 }
 
 // Start opens a child span under the innermost open span.

@@ -2,10 +2,34 @@ package obs
 
 import (
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 )
+
+var allocSink []byte
+
+// TestSpanAllocTracksTotalAlloc: spans read the runtime's cumulative
+// TotalAlloc counter (through runtime/metrics): a sample taken between
+// two runtime.ReadMemStats calls falls between their TotalAlloc values,
+// and a span around a 1 MiB allocation reports at least 1 MiB.
+func TestSpanAllocTracksTotalAlloc(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got := readAlloc()
+	runtime.ReadMemStats(&after)
+	if got < before.TotalAlloc || got > after.TotalAlloc {
+		t.Errorf("readAlloc = %d, outside TotalAlloc [%d, %d]", got, before.TotalAlloc, after.TotalAlloc)
+	}
+	tr := New("root")
+	s := tr.Start("alloc")
+	allocSink = make([]byte, 1<<20)
+	s.End()
+	if a := tr.Snapshot().Trace.Children[0].AllocBytes; a < 1<<20 {
+		t.Errorf("span around a 1 MiB allocation reports %d bytes", a)
+	}
+}
 
 func TestSpanNesting(t *testing.T) {
 	tr := New("root")

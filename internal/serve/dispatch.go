@@ -144,8 +144,13 @@ func (s *Server) analyze(ctx context.Context, js *jobState) ([]byte, error) {
 	fp := incremental.Compute(app)
 
 	if base := s.pool.Lookup(js.name); base != nil {
+		// The job's context (its deadline, ForceCancel) bounds a warm
+		// apply as it bounds a cold run: already done, the apply
+		// declines untouched; done mid-apply, it poisons the baseline.
+		refCfg, shbgOpts := s.opts.Refuter, s.opts.SHBG
+		refCfg.Ctx, shbgOpts.Ctx = ctx, ctx
 		base.Mu.Lock()
-		if _, ok := base.ApplyStages(app, fp, js.digest, s.opts.Refuter, s.opts.SHBG, tr); ok {
+		if _, ok := base.ApplyStages(app, fp, js.digest, refCfg, shbgOpts, tr); ok {
 			doc := RenderReport(js.digest, base.Res)
 			base.Mu.Unlock()
 			return doc, nil

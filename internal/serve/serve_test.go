@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -319,6 +320,51 @@ func TestIncrementalResubmission(t *testing.T) {
 	// A shape edit declines and falls back to the full path.
 	resubmit("shape edit", corpus.StageDemoEdit{IfLine: "if c == int 0", ExtraStmt: "load w a f1_0", ExtraMethod: true})
 	landings("shape edit", 1, 1, 1)
+}
+
+// TestWarmApplyHonoursContext: a job whose context is already done
+// fails on both warm paths instead of landing a report: the apply
+// declines (one incremental.fallbacks each) and the cold run it falls
+// back to is interrupted. The declines leave the baseline usable, so
+// the same revisions then land warm under a live context.
+func TestWarmApplyHonoursContext(t *testing.T) {
+	tr := obs.New("serve-test")
+	s, err := serve.New(serve.Config{Obs: tr})
+	if err != nil {
+		t.Fatalf("serve.New: %v", err)
+	}
+	if _, err := s.AnalyzeRevision(context.Background(), corpus.StageDemoText(4, corpus.StageDemoEdit{})); err != nil {
+		t.Fatalf("baseline: %v", err)
+	}
+	revisions := []struct {
+		name, landing string
+		raw           []byte
+	}{
+		{"no-patch", "incremental.applies", corpus.StageDemoText(4, corpus.StageDemoEdit{IfLine: "if c == int 0"})},
+		{"patch", "incremental.stage_applies", corpus.StageDemoText(4, corpus.StageDemoEdit{ExtraStmt: "load w a f1_0"})},
+	}
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i, r := range revisions {
+		if doc, err := s.AnalyzeRevision(dead, r.raw); err == nil {
+			t.Errorf("%s under a cancelled context: a %d-byte report and no error", r.name, len(doc))
+		}
+		if got := tr.Counter("incremental.fallbacks"); got != int64(i+1) {
+			t.Errorf("after %s under a cancelled context: incremental.fallbacks = %d, want %d", r.name, got, i+1)
+		}
+	}
+	for _, r := range revisions {
+		before := tr.Counter(r.landing)
+		if _, err := s.AnalyzeRevision(context.Background(), r.raw); err != nil {
+			t.Errorf("%s under a live context: %v", r.name, err)
+		}
+		if got := tr.Counter(r.landing); got != before+1 {
+			t.Errorf("%s under a live context: %s = %d, want %d (a warm landing)", r.name, r.landing, got, before+1)
+		}
+	}
+	if got := tr.Counter("incremental.fallbacks"); got != 2 {
+		t.Errorf("incremental.fallbacks = %d after the live landings, want 2", got)
+	}
 }
 
 // TestStorePersistence: with a StoreDir, reports outlive the daemon — a

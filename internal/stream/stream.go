@@ -72,7 +72,7 @@ func Analyzer(opts core.Options, absorb *obs.Trace) AnalyzeFn {
 			HBEdges:      res.HBEdges(),
 			RacyPairs:    len(res.RacyPairs),
 			Races:        res.TrueRaces(),
-			TotalSeconds: res.Timing.Total.Seconds(),
+			TotalSeconds: res.Ledger.Total.Seconds(),
 			Interrupted:  res.Interrupted,
 		})
 	}

@@ -14,8 +14,7 @@
 # otherwise. Wired into the tier-1 verify line (see ROADMAP.md).
 set -eu
 
-repo_root=$(git rev-parse --show-toplevel 2>/dev/null || dirname "$0")/
-cd "$repo_root"
+cd "$(dirname "$0")/.."
 
 readme="README.md"
 tmp=$(mktemp -d)

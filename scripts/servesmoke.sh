@@ -16,8 +16,7 @@
 # Wired into the tier-1 verify line (see ROADMAP.md). No arguments.
 set -eu
 
-repo_root=$(git rev-parse --show-toplevel 2>/dev/null || dirname "$0")/
-cd "$repo_root"
+cd "$(dirname "$0")/.."
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"; [ -n "${pid:-}" ] && kill "$pid" 2>/dev/null || true' EXIT INT TERM
