@@ -22,6 +22,9 @@ type Program struct {
 	// nextSite hands out program-unique allocation site ids during Finalize.
 	nextSite  int
 	finalized bool
+	// guards counts, per field, the methods whose guard fields (see
+	// IsGuardField) include it, as of each method's last Finalize walk.
+	guards map[string]int
 }
 
 // NewProgram returns an empty program.
@@ -74,21 +77,30 @@ func (p *Program) NumClasses() int { return len(p.classes) }
 // without revisiting the app's classes. Already numbered sites keep
 // their ids, so ids match a walk over every class in name order as long
 // as unnumbered Sites arise only in pending classes — in a registered
-// class, through AddMethod or ReplaceBody.
+// class, through AddMethod or ReplaceBody. The same walk records each
+// method's guard fields, replacing what its previous walk counted in
+// the program's guard set.
 func (p *Program) Finalize() {
 	sort.Slice(p.pending, func(i, j int) bool { return p.pending[i].Name < p.pending[j].Name })
+	var gs guardScan
 	for _, c := range p.pending {
 		c.pending = false
 		for _, m := range c.MethodsSorted() {
+			gs.reset()
 			for bi, b := range m.Blocks {
 				b.Index = bi
 				for _, s := range b.Stmts {
-					if n, ok := s.(*New); ok && n.Site < 0 {
-						n.Site = p.nextSite
-						p.nextSite++
+					if n, ok := s.(*New); ok {
+						if n.Site < 0 {
+							n.Site = p.nextSite
+							p.nextSite++
+						}
+						continue
 					}
+					gs.stmt(s)
 				}
 			}
+			p.setGuards(m, gs.fields())
 		}
 	}
 	p.pending = nil
@@ -212,6 +224,10 @@ type Method struct {
 	Params []string
 	Static bool
 	Blocks []*Block
+
+	// guards is what the method contributes to its program's guard set:
+	// its guard fields as of its class's last Finalize walk.
+	guards []string
 }
 
 // QualifiedName returns "Class#method", the analysis-wide method key.

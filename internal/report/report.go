@@ -63,15 +63,17 @@ func (r *Report) Describe(reg *actions.Registry) string {
 		a.Name(), r.Pair.A.Kind, "", b.Name(), r.Pair.B.Kind, "", r.Pair.A.Location())
 }
 
-// Rank classifies and orders the surviving pairs.
+// Rank classifies and orders the surviving pairs. A race on a guard
+// field (ir.Program.IsGuardField: loaded into a variable that an If in
+// the same method tests) is tagged benign (§6.5): the guard itself is
+// unsynchronized, yet each interleaving reads a consistent boolean.
 func Rank(prog *ir.Program, pairs []race.Pair, verdicts []symexec.Verdict) []Report {
-	guards := guardFields(prog)
 	out := make([]Report, 0, len(pairs))
 	for i, p := range pairs {
 		r := Report{Pair: p, Verdict: verdicts[i]}
 		r.Category = categorize(p)
 		r.RefRace = p.A.IsRef || p.B.IsRef
-		r.Benign = guards[p.A.Field]
+		r.Benign = prog.IsGuardField(p.A.Field)
 		out = append(out, r)
 	}
 	// Decorate-sort: each pair's key is rendered once, not O(n log n)
@@ -118,47 +120,6 @@ func categorize(p race.Pair) Category {
 		return FrameworkFromApp
 	}
 	return AppCode
-}
-
-// guardFields finds fields used as guards: loaded into a variable that
-// an If in the same method tests. Races on such fields are real but
-// usually benign (§6.5) — the guard itself is unsynchronized, yet each
-// interleaving reads a consistent boolean. The result is a set, so
-// classes and methods are visited in no particular order.
-func guardFields(prog *ir.Program) map[string]bool {
-	out := map[string]bool{}
-	// The current method's loads, chained per destination variable:
-	// head[v] is the index+1 of the newest load into v, and each load
-	// links to the one before it. Both are reused across methods.
-	type load struct {
-		field string
-		next  int
-	}
-	var loads []load
-	head := map[string]int{}
-	prog.EachClass(func(c *ir.Class) {
-		for _, m := range c.Methods {
-			loads = loads[:0]
-			clear(head)
-			for _, blk := range m.Blocks {
-				for _, s := range blk.Stmts {
-					switch st := s.(type) {
-					case *ir.Load:
-						loads = append(loads, load{st.Field, head[st.Dst]})
-						head[st.Dst] = len(loads)
-					case *ir.StaticLoad:
-						loads = append(loads, load{st.Field, head[st.Dst]})
-						head[st.Dst] = len(loads)
-					case *ir.If:
-						for i := head[st.A]; i != 0; i = loads[i-1].next {
-							out[loads[i-1].field] = true
-						}
-					}
-				}
-			}
-		}
-	})
-	return out
 }
 
 // Summary aggregates a report list.

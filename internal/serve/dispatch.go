@@ -11,6 +11,7 @@ import (
 	"sierra/internal/batch"
 	"sierra/internal/core"
 	"sierra/internal/incremental"
+	"sierra/internal/obs"
 )
 
 // doneJobsKept bounds the completed-job index a long-lived daemon
@@ -137,10 +138,27 @@ func (s *Server) runWave(pending []*jobState) {
 // baseline when the fingerprint planner proves it safe, full pipeline
 // otherwise. Either way the returned document is byte-identical to what
 // a cold full run would render.
+//
+// The body runs under a trace of its own. The daemon's trace would
+// otherwise keep every job's spans and per-pair refute.pair_paths
+// points for the daemon's life, and spans of concurrent jobs would
+// nest under one another (Trace.Start parents under the innermost open
+// span). Only the job's counters, gauges and histograms are folded into
+// the daemon's trace, before the job returns, so a client that reads
+// "done" already sees them.
 func (s *Server) analyze(ctx context.Context, js *jobState) ([]byte, error) {
 	app, raw := js.app, js.raw
 	js.app = nil // one-shot: the program is about to be mutated
-	tr := s.cfg.Obs
+	tr, opts := s.cfg.Obs, s.opts
+	if tr != nil {
+		tr = obs.New("job")
+		opts.Obs = tr
+		defer func() {
+			snap := tr.Snapshot()
+			snap.Trace, snap.Series = nil, nil
+			s.cfg.Obs.Absorb(snap)
+		}()
+	}
 	fp := incremental.Compute(app)
 
 	if base := s.pool.Lookup(js.name); base != nil {
@@ -171,7 +189,7 @@ func (s *Server) analyze(ctx context.Context, js *jobState) ([]byte, error) {
 		}
 	}
 
-	res := core.AnalyzeContext(ctx, app, s.opts)
+	res := core.AnalyzeContext(ctx, app, opts)
 	if res.Interrupted {
 		return nil, fmt.Errorf("analysis interrupted at stage %q", res.InterruptedStage)
 	}

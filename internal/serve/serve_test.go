@@ -552,3 +552,67 @@ func TestLineageWaves(t *testing.T) {
 		return
 	}
 }
+
+// TestDaemonTraceStaysFlat drives 40 StageDemo revisions through the
+// job body and holds the daemon's trace flat: after 10 revisions and
+// after 40 it has the same span count and the same number of
+// refute.pair_paths points, because each job runs under its own trace
+// and only that trace's counters, gauges and histograms are folded in.
+// The folded incremental.* counters match the landings, which cycle
+// through reuse, patch and cold.
+func TestDaemonTraceStaysFlat(t *testing.T) {
+	tr := obs.New("serve-test")
+	s, err := serve.New(serve.Config{Obs: tr})
+	if err != nil {
+		t.Fatalf("serve.New: %v", err)
+	}
+	cycle := []struct {
+		edit    corpus.StageDemoEdit
+		landing string
+	}{
+		{corpus.StageDemoEdit{IfLine: "if c == int 0"}, "incremental.applies"},
+		{corpus.StageDemoEdit{}, "incremental.applies"},
+		{corpus.StageDemoEdit{ExtraStmt: "binop w + c c"}, "incremental.stage_applies"},
+		{corpus.StageDemoEdit{}, "incremental.stage_applies"},
+		{corpus.StageDemoEdit{ExtraMethod: true}, "incremental.fallbacks"},
+		{corpus.StageDemoEdit{}, "incremental.fallbacks"},
+	}
+	if _, err := s.AnalyzeRevision(context.Background(), corpus.StageDemoText(2, corpus.StageDemoEdit{})); err != nil {
+		t.Fatalf("baseline: %v", err)
+	}
+	want := map[string]int64{}
+	shape := func() (spans, points int) {
+		snap := tr.Snapshot()
+		var count func(*obs.SpanSnapshot)
+		count = func(sp *obs.SpanSnapshot) {
+			spans++
+			for _, c := range sp.Children {
+				count(c)
+			}
+		}
+		count(snap.Trace)
+		return spans, len(snap.Series["refute.pair_paths"])
+	}
+	var spans10, points10 int
+	for i := 0; i < 40; i++ {
+		r := cycle[i%len(cycle)]
+		if _, err := s.AnalyzeRevision(context.Background(), corpus.StageDemoText(2, r.edit)); err != nil {
+			t.Fatalf("revision %d: %v", i+1, err)
+		}
+		want[r.landing]++
+		for _, c := range []string{"incremental.applies", "incremental.stage_applies", "incremental.fallbacks"} {
+			if got := tr.Counter(c); got != want[c] {
+				t.Fatalf("after revision %d (%+v): %s = %d, want %d", i+1, r.edit, c, got, want[c])
+			}
+		}
+		if i+1 == 10 {
+			spans10, points10 = shape()
+		}
+	}
+	if spans, points := shape(); spans != spans10 || points != points10 {
+		t.Errorf("daemon trace grew from 10 to 40 revisions: %d → %d spans, %d → %d refute.pair_paths points", spans10, spans, points10, points)
+	}
+	if tr.Counter("core.reports") == 0 || tr.Counter("refute.pairs") == 0 {
+		t.Error("the jobs' pipeline counters were not folded into the daemon trace")
+	}
+}

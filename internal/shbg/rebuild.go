@@ -2,7 +2,6 @@ package shbg
 
 import (
 	"sierra/internal/actions"
-	"sierra/internal/bitset"
 	"sierra/internal/obs"
 	"sierra/internal/pointer"
 )
@@ -56,46 +55,12 @@ func Rebuild(prev *Graph, reg *actions.Registry, res *pointer.Result, opts Optio
 	// The closure rounds consume the candidate lists, not the program:
 	// if the registry's spawn structure drifted, the rounds' output can
 	// change without any base-edge difference. Re-derive and compare.
-	var iaCands []iaCand
-	var msCands []msCand
-	for _, a := range reg.Actions() {
-		if sp, ok := singleSpawn(a); ok && sp.From >= 0 &&
-			sp.Posted && !sp.Delayed && a.Looper != actions.LooperNone {
-			iaCands = append(iaCands, iaCand{id: a.ID, from: sp.From, looper: a.Looper})
-		}
-		if spawners := externalSpawners(a); len(spawners) >= 2 {
-			msCands = append(msCands, msCand{id: a.ID, spawners: spawners})
-		}
-	}
+	iaCands, msCands := closureCands(reg)
 	if !sameIACands(prev.iaCands, iaCands) || !sameMSCands(prev.msCands, msCands) {
 		return nil, false
 	}
 
-	scratch := &Graph{Reg: reg, n: prev.n, restrict: dirty}
-	scratch.hb = make([]bitset.Set, scratch.n)
-	scratch.rev = make([]bitset.Set, scratch.n)
-	scratch.inWork = make([]bool, scratch.n)
-	for _, e := range prev.base {
-		if edgeDirty(reg, dirty, e) {
-			continue
-		}
-		scratch.addEdge(e.a, e.b, e.rule)
-	}
-	scratch.recording = true
-	disabled := func(r Rule) bool { return opts.Disable != nil && opts.Disable[r] }
-	if !disabled(RuleInvocation) {
-		scratch.ruleInvocation()
-	}
-	if !disabled(RuleLifecycle) || !disabled(RuleGUI) {
-		scratch.ruleHarnessDominance(disabled(RuleLifecycle), disabled(RuleGUI), opts.DisableGUITeardownOrder)
-	}
-	if !disabled(RuleIntraProc) {
-		scratch.ruleIntraProc()
-	}
-	if !disabled(RuleInterProc) {
-		scratch.ruleInterProc(res)
-	}
-	scratch.recording = false
+	scratch := rederive(prev, reg, res, opts, dirty)
 
 	// Compare dirty base sets. Each side records an (a, b) pair at most
 	// once (addEdge dedups), so set semantics suffice.
@@ -120,6 +85,20 @@ func Rebuild(prev *Graph, reg *actions.Registry, res *pointer.Result, opts Optio
 		tr.Count("shbg.rows_patched", int64(len(dirty)))
 	}
 	return prev, true
+}
+
+// rederive replays prev's clean base edges into a scratch graph, then
+// re-runs the pre-closure rules restricted to the dirty pairs.
+func rederive(prev *Graph, reg *actions.Registry, res *pointer.Result, opts Options, dirty map[int]bool) *Graph {
+	scratch := newGraph(reg)
+	scratch.restrict = dirty
+	for _, e := range prev.base {
+		if !edgeDirty(reg, dirty, e) {
+			scratch.addEdge(e.a, e.b, e.rule)
+		}
+	}
+	scratch.baseRules(res, opts)
+	return scratch
 }
 
 // edgeDirty applies, per rule, the same predicate the restricted

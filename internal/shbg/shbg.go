@@ -168,42 +168,54 @@ type msCand struct {
 // Build constructs the SHBG from the action registry and the (action-
 // sensitive) analysis result.
 func Build(reg *actions.Registry, res *pointer.Result, opts Options) *Graph {
-	g := &Graph{Reg: reg, n: reg.NumActions()}
-	g.hb = make([]bitset.Set, g.n)
-	g.rev = make([]bitset.Set, g.n)
-	g.inWork = make([]bool, g.n)
-	disabled := func(r Rule) bool { return opts.Disable != nil && opts.Disable[r] }
+	g := newGraph(reg)
+	g.baseRules(res, opts)
+	g.closeRules(opts)
+	return g
+}
 
-	// Record the pre-closure direct-edge sequence: Rebuild's dirty-row
-	// comparison needs the exact per-rule base set, and the rounds loop
-	// below must not pollute it (its edges are derived, not direct).
+// newGraph returns an edgeless graph over reg's actions.
+func newGraph(reg *actions.Registry) *Graph {
+	n := reg.NumActions()
+	return &Graph{Reg: reg, n: n,
+		hb: make([]bitset.Set, n), rev: make([]bitset.Set, n), inWork: make([]bool, n)}
+}
+
+// disabled reports whether rule r is ablated.
+func (o Options) disabled(r Rule) bool { return o.Disable[r] }
+
+// baseRules runs the pre-closure rules 1–5 in order and records their
+// edges: Rebuild's dirty-row comparison needs the exact per-rule base
+// set, and the closure rounds must not pollute it (their edges are
+// derived, not direct). Build runs it unrestricted, Rebuild restricted
+// to dirty pairs.
+func (g *Graph) baseRules(res *pointer.Result, opts Options) {
 	g.recording = true
-	if !disabled(RuleInvocation) {
+	if !opts.disabled(RuleInvocation) {
 		g.ruleInvocation()
 	}
-	if !disabled(RuleLifecycle) || !disabled(RuleGUI) {
-		g.ruleHarnessDominance(disabled(RuleLifecycle), disabled(RuleGUI), opts.DisableGUITeardownOrder)
+	if !opts.disabled(RuleLifecycle) || !opts.disabled(RuleGUI) {
+		g.ruleHarnessDominance(opts.disabled(RuleLifecycle), opts.disabled(RuleGUI), opts.DisableGUITeardownOrder)
 	}
-	if !disabled(RuleIntraProc) {
-		g.ruleIntraProc()
-	}
-	if !disabled(RuleInterProc) {
-		g.ruleInterProc(res)
+	if !opts.disabled(RuleIntraProc) || !opts.disabled(RuleInterProc) {
+		idx := indexSpawns(g.Reg)
+		if !opts.disabled(RuleIntraProc) {
+			g.ruleIntraProc(idx)
+		}
+		if !opts.disabled(RuleInterProc) {
+			g.ruleInterProc(res, idx)
+		}
 	}
 	g.recording = false
-	// Rules 6+7 iterate together: inter-action transitivity can reveal
-	// edges that further closure propagates, and vice versa (§4.3 ¶7).
-	// Their candidate sets depend only on the (static) spawn structure,
-	// so derive them once, in action order.
-	for _, a := range reg.Actions() {
-		if sp, ok := singleSpawn(a); ok && sp.From >= 0 &&
-			sp.Posted && !sp.Delayed && a.Looper != actions.LooperNone {
-			g.iaCands = append(g.iaCands, iaCand{id: a.ID, from: sp.From, looper: a.Looper})
-		}
-		if spawners := externalSpawners(a); len(spawners) >= 2 {
-			g.msCands = append(g.msCands, msCand{id: a.ID, spawners: spawners})
-		}
-	}
+}
+
+// closeRules iterates rules 6 and 7 to their fixpoint and reports the
+// construction counters. They iterate together: inter-action
+// transitivity can reveal edges that further closure propagates, and
+// vice versa (§4.3 ¶7). Their candidate sets depend only on the
+// (static) spawn structure, so they are derived once, in action order.
+func (g *Graph) closeRules(opts Options) {
+	g.iaCands, g.msCands = closureCands(g.Reg)
 	rounds := 0
 	for {
 		if opts.Ctx != nil && opts.Ctx.Err() != nil {
@@ -212,10 +224,10 @@ func Build(reg *actions.Registry, res *pointer.Result, opts Options) *Graph {
 		}
 		rounds++
 		changed := g.close()
-		if !disabled(RuleInvocation) && g.ruleMultiSpawnInvocation() {
+		if !opts.disabled(RuleInvocation) && g.ruleMultiSpawnInvocation() {
 			changed = true
 		}
-		if !disabled(RuleInterAction) && g.ruleInterAction() {
+		if !opts.disabled(RuleInterAction) && g.ruleInterAction() {
 			changed = true
 		}
 		if !changed {
@@ -234,7 +246,23 @@ func Build(reg *actions.Registry, res *pointer.Result, opts Options) *Graph {
 			tr.Count("shbg.interrupted", 1)
 		}
 	}
-	return g
+}
+
+// closureCands derives the rule-6 and multi-spawn candidate lists, in
+// action order.
+func closureCands(reg *actions.Registry) ([]iaCand, []msCand) {
+	var ia []iaCand
+	var ms []msCand
+	for _, a := range reg.Actions() {
+		if sp, ok := singleSpawn(a); ok && sp.From >= 0 &&
+			sp.Posted && !sp.Delayed && a.Looper != actions.LooperNone {
+			ia = append(ia, iaCand{id: a.ID, from: sp.From, looper: a.Looper})
+		}
+		if spawners := externalSpawners(a); len(spawners) >= 2 {
+			ms = append(ms, msCand{id: a.ID, spawners: spawners})
+		}
+	}
+	return ia, ms
 }
 
 // addEdge inserts a direct edge (no self-edges, out-of-range ids
@@ -483,27 +511,53 @@ func posteable(a, b *actions.Action, sa, sb actions.Spawn) bool {
 		!sa.Delayed && !sb.Delayed
 }
 
-// ruleIntraProc orders actions posted at two sites of the same method
-// when the first site dominates the second (rule 4).
-func (g *Graph) ruleIntraProc() {
-	domCache := map[*ir.Method]*cfg.DomTree{}
-	for _, a := range g.Reg.Actions() {
-		sa, ok := singleSpawn(a)
-		if !ok || !sa.Site.Valid() {
+// spawnIndex lists the actions rules 4 and 5 can order — those with a
+// single spawn at a valid site — in ascending action id, once per Build
+// or Rebuild call: spawned holds them all, bySite groups them by site
+// method (a rule-4 pair shares one) and byFrom by spawner (a rule-5 pair
+// shares one). A rule that pairs each spawned action with its key's list
+// meets the candidates the n² scan over all actions met, in the same
+// order, so the base-edge sequence, the tallies and the reachability
+// query count are unchanged (TestRulesMatchReference).
+type spawnIndex struct {
+	spawned []int
+	bySite  map[*ir.Method][]int
+	byFrom  map[int][]int
+}
+
+func indexSpawns(reg *actions.Registry) spawnIndex {
+	idx := spawnIndex{bySite: map[*ir.Method][]int{}, byFrom: map[int][]int{}}
+	for _, a := range reg.Actions() {
+		sp, ok := singleSpawn(a)
+		if !ok || !sp.Site.Valid() {
 			continue
 		}
-		for _, b := range g.Reg.Actions() {
-			if a.ID == b.ID {
+		idx.spawned = append(idx.spawned, a.ID)
+		idx.bySite[sp.Site.Method] = append(idx.bySite[sp.Site.Method], a.ID)
+		if sp.From >= 0 {
+			idx.byFrom[sp.From] = append(idx.byFrom[sp.From], a.ID)
+		}
+	}
+	return idx
+}
+
+// ruleIntraProc orders actions posted at two sites of the same method
+// when the first site dominates the second (rule 4).
+func (g *Graph) ruleIntraProc(idx spawnIndex) {
+	domCache := map[*ir.Method]*cfg.DomTree{}
+	for _, ai := range idx.spawned {
+		a := g.Reg.Get(ai)
+		sa := a.Spawns[0]
+		for _, bi := range idx.bySite[sa.Site.Method] {
+			if bi == ai {
 				continue
 			}
-			sb, ok := singleSpawn(b)
-			if !ok || !sb.Site.Valid() || sa.Site.Method != sb.Site.Method {
-				continue
-			}
+			b := g.Reg.Get(bi)
+			sb := b.Spawns[0]
 			if !posteable(a, b, sa, sb) {
 				continue
 			}
-			if !g.spawnPairDirty(a.ID, b.ID, sa.From, sb.From) {
+			if !g.spawnPairDirty(ai, bi, sa.From, sb.From) {
 				continue
 			}
 			dom := domCache[sa.Site.Method]
@@ -512,7 +566,7 @@ func (g *Graph) ruleIntraProc() {
 				domCache[sa.Site.Method] = dom
 			}
 			if cfg.StmtDominates(dom, sa.Site, sb.Site) {
-				g.addEdge(a.ID, b.ID, RuleIntraProc)
+				g.addEdge(ai, bi, RuleIntraProc)
 			}
 		}
 	}
@@ -520,26 +574,28 @@ func (g *Graph) ruleIntraProc() {
 
 // ruleInterProc orders actions posted from different methods of the same
 // spawning action via de-facto ICFG dominance: removing e1 must make e2
-// unreachable from the spawner's roots (rule 5).
-func (g *Graph) ruleInterProc(res *pointer.Result) {
+// unreachable from the spawner's roots (rule 5). Each (pair, root) asks
+// its own reachability queries: ReachesWithoutStrict memoizes within one
+// query and treats in-progress methods optimistically, so a traversal
+// shared across queries could change verdicts.
+func (g *Graph) ruleInterProc(res *pointer.Result, idx spawnIndex) {
 	icfg := cfg.NewICFG(res.CalleeMethods())
-	for _, a := range g.Reg.Actions() {
-		sa, ok := singleSpawn(a)
-		if !ok || !sa.Site.Valid() || sa.From < 0 {
+	for _, ai := range idx.spawned {
+		a := g.Reg.Get(ai)
+		sa := a.Spawns[0]
+		if sa.From < 0 {
 			continue
 		}
-		for _, b := range g.Reg.Actions() {
-			if a.ID == b.ID || g.hb[a.ID].Has(b.ID) {
+		for _, bi := range idx.byFrom[sa.From] {
+			if bi == ai || g.hb[ai].Has(bi) {
 				continue
 			}
-			sb, ok := singleSpawn(b)
-			if !ok || !sb.Site.Valid() || sb.From != sa.From {
-				continue
-			}
+			b := g.Reg.Get(bi)
+			sb := b.Spawns[0]
 			if sa.Site.Method == sb.Site.Method || !posteable(a, b, sa, sb) {
 				continue
 			}
-			if !g.spawnPairDirty(a.ID, b.ID, sa.From, sb.From) {
+			if !g.spawnPairDirty(ai, bi, sa.From, sb.From) {
 				continue
 			}
 			spawner := g.Reg.Get(sa.From)
@@ -559,7 +615,7 @@ func (g *Graph) ruleInterProc(res *pointer.Result) {
 				}
 			}
 			if dominated {
-				g.addEdge(a.ID, b.ID, RuleInterProc)
+				g.addEdge(ai, bi, RuleInterProc)
 			}
 		}
 	}

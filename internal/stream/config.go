@@ -26,6 +26,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"sort"
@@ -152,6 +153,12 @@ func ParseConfig(r io.Reader) (*Config, error) {
 				}
 				entry.Knobs[key] = v
 			}
+			// PickScenario draws below the weight sum, which must stay
+			// a positive int.
+			if c.weightSum > math.MaxInt-entry.Weight {
+				return nil, bad("scenario %s: weights sum past %d", s.Name, math.MaxInt)
+			}
+			c.weightSum += entry.Weight
 			c.Mix = append(c.Mix, entry)
 		default:
 			return nil, bad("unknown directive %q", f[0])
@@ -168,9 +175,6 @@ func ParseConfig(r io.Reader) (*Config, error) {
 	}
 	if c.Prefix == "" {
 		c.Prefix = c.Name
-	}
-	for _, m := range c.Mix {
-		c.weightSum += m.Weight
 	}
 	return c, nil
 }
@@ -207,6 +211,11 @@ func ParseSize(s string) (int64, error) {
 	v, err := strconv.ParseInt(u, 10, 64)
 	if err != nil || v < 0 {
 		return 0, fmt.Errorf("bad size %q", s)
+	}
+	// A wrapped product would be a non-positive budget, which Admit
+	// reads as no budget at all.
+	if v > math.MaxInt64/mult {
+		return 0, fmt.Errorf("size %q overflows int64 bytes", s)
 	}
 	return v * mult, nil
 }

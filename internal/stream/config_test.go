@@ -64,18 +64,65 @@ func TestParseConfigErrors(t *testing.T) {
 			t.Errorf("config %q: expected error", bad)
 		}
 	}
+	// Overflows fail on the line that overflows: a weight sum past
+	// MaxInt made the first PickScenario panic, and a wrapped tot-size
+	// read as no budget at all.
+	for _, tc := range []struct{ text, line string }{
+		{"apps 1\nscenario async-storm weight 9223372036854775807\nscenario async-storm weight 9223372036854775807\n", "config line 3:"},
+		{"tot-size 8589934592GB\nscenario message-chain\n", "config line 1:"},
+		{"seed 3\ntot-size 9223372036854775807KB\nscenario message-chain\n", "config line 2:"},
+	} {
+		_, err := ParseConfig(strings.NewReader(tc.text))
+		if err == nil || !strings.HasPrefix(err.Error(), tc.line) {
+			t.Errorf("config %q: error %v, want one starting %q", tc.text, err, tc.line)
+		}
+	}
 }
 
 func TestParseSize(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
 		want int64
-	}{{"0", 0}, {"123", 123}, {"123B", 123}, {"4KB", 4096}, {"2MB", 2 << 20}, {"1GB", 1 << 30}, {"3gb", 3 << 30}} {
+	}{{"0", 0}, {"123", 123}, {"123B", 123}, {"4KB", 4096}, {"2MB", 2 << 20}, {"1GB", 1 << 30}, {"3gb", 3 << 30},
+		{"8589934591GB", 8589934591 << 30}, {"9223372036854775807", 9223372036854775807}} {
 		got, err := ParseSize(tc.in)
 		if err != nil || got != tc.want {
 			t.Errorf("ParseSize(%q) = %d, %v; want %d", tc.in, got, err, tc.want)
 		}
 	}
+	for _, in := range []string{"8589934592GB", "9223372036854775807KB", "8796093022208MB"} {
+		if got, err := ParseSize(in); err == nil {
+			t.Errorf("ParseSize(%q) = %d, want an overflow error", in, got)
+		}
+	}
+}
+
+// FuzzParseConfig holds every config ParseConfig accepts to what the
+// stream relies on: a positive weight sum, a non-negative tot-size, at
+// least one bound (apps or tot-size), and a PickScenario that does not
+// panic on the first indices. Seeds (testdata/fuzz/FuzzParseConfig)
+// include the stream-small config and both overflow repros;
+// `go test -fuzz FuzzParseConfig ./internal/stream` explores further.
+func FuzzParseConfig(f *testing.F) {
+	f.Add(testConfig)
+	f.Fuzz(func(t *testing.T, text string) {
+		if len(text) >= 64<<10 {
+			t.Skip("inputs are bounded at 64 KiB")
+		}
+		c, err := ParseConfig(strings.NewReader(text))
+		if err != nil {
+			if !strings.HasPrefix(err.Error(), "config") {
+				t.Fatalf("error %q names no config line", err)
+			}
+			return
+		}
+		if c.weightSum <= 0 || c.TotSize < 0 || c.Apps <= 0 && c.TotSize <= 0 {
+			t.Fatalf("accepted config with weight sum %d, apps %d, tot-size %d", c.weightSum, c.Apps, c.TotSize)
+		}
+		for i := 0; i < 8; i++ {
+			c.PickScenario(i)
+		}
+	})
 }
 
 // streamDigest runs the serial reference stream and hashes every app's
