@@ -5,11 +5,16 @@
 // intersection, per-pair refutation) on a synthetic large app (hundreds
 // of actions, >1k accesses, no padding) where the per-app inner loops
 // dominate — the costs the paper reports driving SIERRA's 40-minute
-// median runtime (§6). Each bench's doc comment names the benchmark
-// ledger layer it models (parse, harness, cgpa, shbg, pairs, refute),
+// median runtime (§6), plus serve's per-revision fingerprint. Each
+// bench's doc comment names the benchmark ledger layer it models
+// (parse, harness, cgpa, shbg, pairs, refute, incremental.fingerprint),
 // so a kernel delta can be weighed by that layer's share of wall clock.
 //
-//	go test -bench 'BenchmarkKernel' -benchmem .
+// BenchmarkKernelAttribution lives in internal/actions, where it can
+// call the attribution that Registry.ActionInstances memoizes. Run both
+// packages:
+//
+//	go test -bench 'BenchmarkKernel' -benchmem . ./internal/actions
 //
 // scripts/benchdiff.sh <ref> compares their medians with another
 // commit and appends them to BENCH_trajectory.json.
@@ -26,6 +31,7 @@ import (
 	"sierra/internal/appfile"
 	"sierra/internal/corpus"
 	"sierra/internal/harness"
+	"sierra/internal/incremental"
 	"sierra/internal/pointer"
 	"sierra/internal/race"
 	"sierra/internal/shbg"
@@ -217,30 +223,23 @@ func BenchmarkKernelPairsPaper(b *testing.B) {
 	b.ReportMetric(float64(len(pairs)), "pairs")
 }
 
-// BenchmarkKernelAttribution measures action attribution — the
-// per-action reachability over the call graph that access collection
-// and refuter construction share — on NPRNews. The registry memoizes it
-// per result, so each iteration runs a fresh analysis of the parsed app
-// with the timer stopped. Layer: pairs.
-func BenchmarkKernelAttribution(b *testing.B) {
-	app, err := appfile.Read(bytes.NewReader(paperAppBytes(b, "NPRNews")))
+// BenchmarkKernelFingerprint measures incremental.Compute — the shape
+// and per-method Full/Skeleton digests serve takes of every revision
+// before it plans a warm landing — on a parsed 24-group StageDemo, the
+// app perfbench's serve-edit lineage edits. Layer:
+// incremental.fingerprint.
+func BenchmarkKernelFingerprint(b *testing.B) {
+	app, err := appfile.Read(bytes.NewReader(corpus.StageDemoText(24, corpus.StageDemoEdit{})))
 	if err != nil {
 		b.Fatal(err)
 	}
-	hs := harness.Generate(app)
 	b.ReportAllocs()
 	b.ResetTimer()
-	insts := 0
+	var fp *incremental.Fingerprint
 	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		reg, res := actions.Analyze(app, hs, pointer.ActionSensitivePolicy{K: 2})
-		b.StartTimer()
-		insts = 0
-		for _, ids := range reg.ActionInstances(res) {
-			insts += len(ids)
-		}
+		fp = incremental.Compute(app)
 	}
-	b.ReportMetric(float64(insts), "attributed")
+	b.ReportMetric(float64(len(fp.Methods)), "methods")
 }
 
 // BenchmarkKernelRefutation measures symbolic refutation of every

@@ -132,21 +132,21 @@ func main() {
 }
 
 // listScenarios prints the scenario-family catalog: one row per family
-// with its default mix weight, tunable knobs (name=default), and a
-// one-line description. The same names and knobs are what a scenario
-// config's `scenario` directives accept.
+// with its default mix weight, tunable knobs (name=default[min,max]),
+// and a one-line description. The same names and knobs are what a
+// scenario config's `scenario` directives accept, within those ranges.
 func listScenarios() {
-	fmt.Printf("%-18s %6s  %-38s %s\n", "FAMILY", "WEIGHT", "KNOBS (name=default)", "DESCRIPTION")
+	fmt.Printf("%-18s %6s  %-70s %s\n", "FAMILY", "WEIGHT", "KNOBS (name=default[min,max])", "DESCRIPTION")
 	for _, s := range corpus.Scenarios() {
 		knobs := make([]string, len(s.Knobs))
 		for i, k := range s.Knobs {
-			knobs[i] = fmt.Sprintf("%s=%d", k.Name, k.Default)
+			knobs[i] = fmt.Sprintf("%s=%d[%d,%d]", k.Name, k.Default, k.Min, k.Max)
 		}
 		kv := strings.Join(knobs, " ")
 		if kv == "" {
 			kv = "-"
 		}
-		fmt.Printf("%-18s %6d  %-38s %s\n", s.Name, s.Weight, kv, s.Desc)
+		fmt.Printf("%-18s %6d  %-70s %s\n", s.Name, s.Weight, kv, s.Desc)
 	}
 }
 

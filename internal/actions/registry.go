@@ -526,6 +526,16 @@ func (r *Registry) ActionInstances(res *pointer.Result) [][]pointer.Inst {
 	if out, ok := r.instMemo[res]; ok {
 		return out
 	}
+	out := r.attribute(res)
+	if r.instMemo == nil {
+		r.instMemo = map[*pointer.Result][][]pointer.Inst{}
+	}
+	r.instMemo[res] = out
+	return out
+}
+
+// attribute computes ActionInstances without consulting the memo.
+func (r *Registry) attribute(res *pointer.Result) [][]pointer.Inst {
 	out := make([][]pointer.Inst, len(r.actions))
 	var roots []pointer.Inst
 	for _, a := range r.actions {
@@ -543,10 +553,6 @@ func (r *Registry) ActionInstances(res *pointer.Result) [][]pointer.Inst {
 		}
 		out[a.ID] = res.ReachableFrom(roots...)
 	}
-	if r.instMemo == nil {
-		r.instMemo = map[*pointer.Result][][]pointer.Inst{}
-	}
-	r.instMemo[res] = out
 	return out
 }
 

@@ -232,7 +232,7 @@ func appendClass(b []byte, c *ir.Class) []byte {
 			}
 			b = append(b, '\n')
 			for _, s := range blk.Stmts {
-				b = appendStmt(b, s)
+				b = AppendStmt(b, s)
 				b = append(b, '\n')
 			}
 		}
@@ -241,10 +241,8 @@ func appendClass(b []byte, c *ir.Class) []byte {
 }
 
 // StmtLine renders one statement in the canonical .app syntax — the
-// exact line Write emits. Exported for internal/incremental, whose
-// per-method fingerprints are hashes over these canonical lines (so the
-// fingerprint and the serialized form can never drift apart).
-func StmtLine(s ir.Stmt) string { return string(appendStmt(nil, s)) }
+// exact line Write emits, without its newline.
+func StmtLine(s ir.Stmt) string { return string(AppendStmt(nil, s)) }
 
 // appendOrUnderscore appends v, or "_" when v is empty (the format's
 // none marker for optional operands).
@@ -255,12 +253,13 @@ func appendOrUnderscore(b []byte, v string) []byte {
 	return append(b, v...)
 }
 
-// appendStmt renders the canonical statement text into b. It is both
-// the serialization and fingerprint hot path — two digests per
-// statement per serve submission, one render per statement per
-// streamed app — so it appends bytes directly instead of building
-// intermediate strings (which dominated profiles of both lanes).
-func appendStmt(b []byte, s ir.Stmt) []byte {
+// AppendStmt appends StmtLine(s) to b. It is both the serialization
+// and the fingerprint hot path — internal/incremental hashes each
+// method's statements as these canonical lines, rendered into one
+// reused buffer per submission, so the fingerprint and the serialized
+// form cannot drift apart — and it appends bytes directly instead of
+// building intermediate strings (which dominated profiles of both).
+func AppendStmt(b []byte, s ir.Stmt) []byte {
 	switch st := s.(type) {
 	case *ir.New:
 		b = append(b, "new "...)

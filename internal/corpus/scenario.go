@@ -13,11 +13,15 @@ import (
 	"sierra/internal/ir"
 )
 
-// ScenarioKnob is one tunable size knob of a scenario family.
+// ScenarioKnob is one tunable size knob of a scenario family. A config
+// may set it to any value in [Min, Max]; the bounds keep every app a
+// config can ask for no larger than the largest one table2-x10 draws
+// at its defaults (DESIGN.md, "Streaming corpus pipeline").
 type ScenarioKnob struct {
-	Name    string
-	Default int
-	Desc    string
+	Name     string
+	Default  int
+	Min, Max int
+	Desc     string
 }
 
 // Scenario is one named generation family in the registry.
@@ -70,8 +74,8 @@ func buildScenarios() []Scenario {
 			Desc:   "a Table-2-shaped app: knobs derived from a sampled paper row",
 			Weight: 4,
 			Knobs: []ScenarioKnob{
-				{"row", -1, "paper row index 0..19 (-1 = sample per app)"},
-				{"scale", 1, "multiplier on the row's size and pattern counts"},
+				{"row", -1, -1, 19, "paper row index 0..19 (-1 = sample per app)"},
+				{"scale", 1, 1, 10, "multiplier on the row's size and pattern counts"},
 			},
 			derive: func(rng *rand.Rand, kv map[string]int) Knobs {
 				s, _ := ScenarioByName("paper-mix")
@@ -87,8 +91,8 @@ func buildScenarios() []Scenario {
 			Desc:   "a paper row scaled ~10x in size and pattern counts",
 			Weight: 1,
 			Knobs: []ScenarioKnob{
-				{"row", -1, "paper row index 0..19 (-1 = sample per app)"},
-				{"scale", 10, "multiplier on the row's size and pattern counts"},
+				{"row", -1, -1, 19, "paper row index 0..19 (-1 = sample per app)"},
+				{"scale", 10, 1, 10, "multiplier on the row's size and pattern counts"},
 			},
 			derive: func(rng *rand.Rand, kv map[string]int) Knobs {
 				s, _ := ScenarioByName("table2-x10")
@@ -104,10 +108,10 @@ func buildScenarios() []Scenario {
 			Desc:   "many Fig-1 AsyncTask update races per activity",
 			Weight: 2,
 			Knobs: []ScenarioKnob{
-				{"activities", 2, "activity (= harness) count"},
-				{"patterns", 6, "async patterns across activities"},
-				{"fields", 4, "raced fields per pattern"},
-				{"filler", 6, "race-free chained listeners"},
+				{"activities", 2, 1, 64, "activity (= harness) count"},
+				{"patterns", 6, 0, 512, "async patterns across activities"},
+				{"fields", 4, 1, 16, "raced fields per pattern"},
+				{"filler", 6, 0, 1024, "race-free chained listeners"},
 			},
 			derive: func(rng *rand.Rand, kv map[string]int) Knobs {
 				s, _ := ScenarioByName("async-storm")
@@ -124,9 +128,9 @@ func buildScenarios() []Scenario {
 			Desc:   "Fig-8 ad-hoc-synchronized patterns the refuter must eliminate",
 			Weight: 2,
 			Knobs: []ScenarioKnob{
-				{"activities", 2, "activity (= harness) count"},
-				{"patterns", 6, "guarded patterns across activities"},
-				{"fields", 3, "refutable accum fields per pattern"},
+				{"activities", 2, 1, 64, "activity (= harness) count"},
+				{"patterns", 6, 0, 512, "guarded patterns across activities"},
+				{"fields", 3, 1, 12, "refutable accum fields per pattern"},
 			},
 			derive: func(rng *rand.Rand, kv map[string]int) Knobs {
 				s, _ := ScenarioByName("guarded-sync")
@@ -143,9 +147,9 @@ func buildScenarios() []Scenario {
 			Desc:   "started + bound services racing with the activity lifecycle; startService over-approximates to every manifest service",
 			Weight: 2,
 			Knobs: []ScenarioKnob{
-				{"activities", 2, "activity (= harness) count"},
-				{"services", 3, "started services (actions grow ~quadratically)"},
-				{"binds", 3, "bound-service connections"},
+				{"activities", 2, 1, 64, "activity (= harness) count"},
+				{"services", 3, 0, 64, "started services (actions grow ~quadratically)"},
+				{"binds", 3, 0, 64, "bound-service connections"},
 			},
 			derive: func(rng *rand.Rand, kv map[string]int) Knobs {
 				s, _ := ScenarioByName("service-lifecycle")
@@ -162,9 +166,9 @@ func buildScenarios() []Scenario {
 			Desc:   "deep Message.what chains: handler hops forwarding to the next handler, each writing shared state",
 			Weight: 2,
 			Knobs: []ScenarioKnob{
-				{"activities", 1, "activity (= harness) count"},
-				{"chains", 2, "chains per activity"},
-				{"depth", 8, "handler hops per chain (min 2)"},
+				{"activities", 1, 1, 64, "activity (= harness) count"},
+				{"chains", 2, 0, 64, "chains per activity"},
+				{"depth", 8, 2, 64, "handler hops per chain (min 2)"},
 			},
 			derive: func(rng *rand.Rand, kv map[string]int) Knobs {
 				s, _ := ScenarioByName("message-chain")
@@ -181,9 +185,9 @@ func buildScenarios() []Scenario {
 			Desc:   "reflective dispatch hubs: one slot field conflating many receivers, so one call fans out to every target",
 			Weight: 2,
 			Knobs: []ScenarioKnob{
-				{"activities", 1, "activity (= harness) count"},
-				{"storms", 2, "dispatch hubs per activity"},
-				{"targets", 12, "receiver fan-out per hub"},
+				{"activities", 1, 1, 64, "activity (= harness) count"},
+				{"storms", 2, 0, 64, "dispatch hubs per activity"},
+				{"targets", 12, 2, 256, "receiver fan-out per hub"},
 			},
 			derive: func(rng *rand.Rand, kv map[string]int) Knobs {
 				s, _ := ScenarioByName("reflection-storm")
@@ -200,9 +204,9 @@ func buildScenarios() []Scenario {
 			Desc:   "adversarial alias traps: helper chains deeper than any fixed k, many participating callbacks",
 			Weight: 1,
 			Knobs: []ScenarioKnob{
-				{"activities", 2, "activity (= harness) count"},
-				{"depth", 6, "helper chain depth (min 3; defeats k-object contexts of any k < depth)"},
-				{"callbacks", 10, "trap-only callbacks across activities"},
+				{"activities", 2, 1, 64, "activity (= harness) count"},
+				{"depth", 6, 3, 64, "helper chain depth (min 3; defeats k-object contexts of any k < depth)"},
+				{"callbacks", 10, 0, 512, "trap-only callbacks across activities"},
 			},
 			derive: func(rng *rand.Rand, kv map[string]int) Knobs {
 				s, _ := ScenarioByName("alias-trap-deep")

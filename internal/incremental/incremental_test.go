@@ -32,7 +32,7 @@ func TestFingerprintDeterministic(t *testing.T) {
 	_, b := readStageDemo(t, 1, corpus.StageDemoEdit{})
 	fa, fb := incremental.Compute(a), incremental.Compute(b)
 	if fa.Shape != fb.Shape {
-		t.Errorf("shape digest not deterministic: %s vs %s", fa.Shape, fb.Shape)
+		t.Errorf("shape digest not deterministic: %x vs %x", fa.Shape, fb.Shape)
 	}
 	if len(fa.Methods) != len(fb.Methods) {
 		t.Fatalf("method sets differ: %d vs %d", len(fa.Methods), len(fb.Methods))

@@ -33,7 +33,7 @@ func maskedLine(s ir.Stmt) string {
 	if pointer.SolverReads(s) {
 		return appfile.StmtLine(s)
 	}
-	return skeletonLine(s)
+	return string(appendSkeleton(nil, s))
 }
 
 // terminator returns the block's trailing If/Return, or nil.

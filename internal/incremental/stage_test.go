@@ -53,6 +53,39 @@ func warmBaseline(t *testing.T, groups int, ed corpus.StageDemoEdit) *incrementa
 	}
 }
 
+// editClass is one edit class: a StageDemo revision pair and the
+// landing the serve path must make for it.
+type editClass struct {
+	name string
+	base corpus.StageDemoEdit
+	next corpus.StageDemoEdit
+	want string // "reuse" | "patch" | "cold"
+}
+
+// editClasses is the catalog TestEditClassParity lands, at every
+// StageDemo size in editGroups.
+var editClasses = []editClass{
+	// Body-only edits the fixpoint stages cannot see: every stage reused.
+	{"if-operand", corpus.StageDemoEdit{}, corpus.StageDemoEdit{IfLine: "if c == int 0"}, "reuse"},
+	// Skeleton-visible dataflow sinks: stages patched.
+	{"insert-load", corpus.StageDemoEdit{}, corpus.StageDemoEdit{ExtraStmt: "load w a f1_0"}, "patch"},
+	{"insert-const", corpus.StageDemoEdit{}, corpus.StageDemoEdit{ExtraStmt: "const w int 42"}, "patch"},
+	{"insert-new", corpus.StageDemoEdit{}, corpus.StageDemoEdit{ExtraStmt: "new w Task1_0"}, "patch"},
+	{"insert-binop", corpus.StageDemoEdit{}, corpus.StageDemoEdit{ExtraStmt: "binop w + c c"}, "patch"},
+	// Removing a BinOp is always provably inert.
+	{"remove-binop", corpus.StageDemoEdit{ExtraStmt: "binop w + c c"}, corpus.StageDemoEdit{}, "patch"},
+	// Call-graph edits shift action discovery: planned gate fallbacks.
+	{"insert-call", corpus.StageDemoEdit{}, corpus.StageDemoEdit{WithCall: true}, "cold"},
+	{"remove-call", corpus.StageDemoEdit{WithCall: true}, corpus.StageDemoEdit{}, "cold"},
+	// Shape drift (declarations changed): planned planner fallbacks.
+	{"handler-add", corpus.StageDemoEdit{}, corpus.StageDemoEdit{ExtraHandler: true}, "cold"},
+	{"handler-remove", corpus.StageDemoEdit{ExtraHandler: true}, corpus.StageDemoEdit{}, "cold"},
+	{"method-add", corpus.StageDemoEdit{}, corpus.StageDemoEdit{ExtraMethod: true}, "cold"},
+}
+
+// editGroups are the StageDemo sizes (activity groups) edits run at.
+var editGroups = []int{1, 3}
+
 // TestEditClassParity is the edit-class fuzzer: for every supported and
 // every planned-fallback edit class, across several app sizes, the
 // serve path (one ApplyStages call, then cold on a decline) must produce
@@ -68,33 +101,8 @@ func warmBaseline(t *testing.T, groups int, ed corpus.StageDemoEdit) *incrementa
 // worker, the applies on two and the cold run on three: the spliced and
 // the re-refuted verdicts must agree whatever the width.
 func TestEditClassParity(t *testing.T) {
-	type class struct {
-		name string
-		base corpus.StageDemoEdit
-		next corpus.StageDemoEdit
-		want string // "reuse" | "patch" | "cold"
-	}
-	classes := []class{
-		// Body-only edits the fixpoint stages cannot see: every stage reused.
-		{"if-operand", corpus.StageDemoEdit{}, corpus.StageDemoEdit{IfLine: "if c == int 0"}, "reuse"},
-		// Skeleton-visible dataflow sinks: stages patched.
-		{"insert-load", corpus.StageDemoEdit{}, corpus.StageDemoEdit{ExtraStmt: "load w a f1_0"}, "patch"},
-		{"insert-const", corpus.StageDemoEdit{}, corpus.StageDemoEdit{ExtraStmt: "const w int 42"}, "patch"},
-		{"insert-new", corpus.StageDemoEdit{}, corpus.StageDemoEdit{ExtraStmt: "new w Task1_0"}, "patch"},
-		{"insert-binop", corpus.StageDemoEdit{}, corpus.StageDemoEdit{ExtraStmt: "binop w + c c"}, "patch"},
-		// Removing a BinOp is always provably inert.
-		{"remove-binop", corpus.StageDemoEdit{ExtraStmt: "binop w + c c"}, corpus.StageDemoEdit{}, "patch"},
-		// Call-graph edits shift action discovery: planned gate fallbacks.
-		{"insert-call", corpus.StageDemoEdit{}, corpus.StageDemoEdit{WithCall: true}, "cold"},
-		{"remove-call", corpus.StageDemoEdit{WithCall: true}, corpus.StageDemoEdit{}, "cold"},
-		// Shape drift (declarations changed): planned planner fallbacks.
-		{"handler-add", corpus.StageDemoEdit{}, corpus.StageDemoEdit{ExtraHandler: true}, "cold"},
-		{"handler-remove", corpus.StageDemoEdit{ExtraHandler: true}, corpus.StageDemoEdit{}, "cold"},
-		{"method-add", corpus.StageDemoEdit{}, corpus.StageDemoEdit{ExtraMethod: true}, "cold"},
-	}
-
-	for _, groups := range []int{1, 3} {
-		for _, c := range classes {
+	for _, groups := range editGroups {
+		for _, c := range editClasses {
 			t.Run(fmt.Sprintf("g%d/%s", groups, c.name), func(t *testing.T) {
 				tr := obs.New("test")
 				base := warmBaseline(t, groups, c.base)

@@ -282,8 +282,22 @@ func (p Pos) Valid() bool {
 func (p Pos) Stmt() Stmt { return p.Method.Blocks[p.Block].Stmts[p.Index] }
 
 func (p Pos) String() string {
+	var buf [128]byte
+	return string(p.Append(buf[:0]))
+}
+
+// Append appends p.String() — "Class#method@block.index", or "<nopos>"
+// — to b.
+func (p Pos) Append(b []byte) []byte {
 	if p.Method == nil {
-		return "<nopos>"
+		return append(b, "<nopos>"...)
 	}
-	return p.Method.QualifiedName() + "@" + strconv.Itoa(p.Block) + "." + strconv.Itoa(p.Index)
+	if p.Method.Class == nil {
+		b = append(b, '?')
+	} else {
+		b = append(b, p.Method.Class.Name...)
+	}
+	b = append(append(b, '#'), p.Method.Name...)
+	b = strconv.AppendInt(append(b, '@'), int64(p.Block), 10)
+	return strconv.AppendInt(append(b, '.'), int64(p.Index), 10)
 }

@@ -8,6 +8,7 @@ package race
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"sierra/internal/actions"
 	"sierra/internal/harness"
@@ -80,9 +81,17 @@ type Pair struct {
 	A, B Access
 }
 
-// Key canonically identifies the pair (for dedup and stable output).
+// Key canonically identifies the pair (for dedup and stable output):
+// "A.Action@A.Pos/B.Action@B.Pos:Field". Pair generation and ranking
+// render it for every pair, so it is built with byte appends in a
+// stack buffer, one allocation for the string.
 func (p Pair) Key() string {
-	return fmt.Sprintf("%d@%v/%d@%v:%s", p.A.Action, p.A.Pos, p.B.Action, p.B.Pos, p.A.Field)
+	var buf [128]byte
+	b := strconv.AppendInt(buf[:0], int64(p.A.Action), 10)
+	b = p.A.Pos.Append(append(b, '@'))
+	b = strconv.AppendInt(append(b, '/'), int64(p.B.Action), 10)
+	b = p.B.Pos.Append(append(b, '@'))
+	return string(append(append(b, ':'), p.A.Field...))
 }
 
 // CollectAccesses gathers every heap access of every action from the

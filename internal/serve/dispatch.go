@@ -101,11 +101,30 @@ func (s *Server) runWave(pending []*jobState) {
 			Fn:    func(ctx context.Context) ([]byte, error) { return s.analyze(ctx, js) },
 		}
 	}
+	// The wave records on a trace of its own: the batch engine appends
+	// one batch.job_ms series point per job, which the daemon's trace
+	// would keep for its life. Only the wave's counters, histograms and
+	// gauges are folded into the daemon's, when the wave ends.
+	var wave *obs.Trace
+	if s.cfg.Obs != nil {
+		wave = obs.New("wave")
+		defer func() {
+			snap := wave.Snapshot()
+			gauges := snap.Gauges
+			snap.Trace, snap.Series, snap.Gauges = nil, nil, nil
+			s.cfg.Obs.Absorb(snap)
+			// Absorb keeps a gauge's maximum; these describe the last
+			// wave, as batch.Run would have set them on the daemon's.
+			for name, v := range gauges {
+				s.cfg.Obs.Gauge(name, v)
+			}
+		}()
+	}
 	batch.Run(s.runCtx, jobs, batch.Options{
 		Workers: s.cfg.Workers,
 		Timeout: s.cfg.JobTimeout,
 		Cache:   s.store,
-		Obs:     s.cfg.Obs,
+		Obs:     wave,
 		Events:  s.cfg.Events,
 		Tracker: s.tracker,
 		OnResult: func(i int, r batch.Result) {

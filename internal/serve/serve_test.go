@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -614,5 +615,44 @@ func TestDaemonTraceStaysFlat(t *testing.T) {
 	}
 	if tr.Counter("core.reports") == 0 || tr.Counter("refute.pairs") == 0 {
 		t.Error("the jobs' pipeline counters were not folded into the daemon trace")
+	}
+}
+
+// TestDaemonBatchSeriesStaysFlat drives 40 distinct revisions through
+// the HTTP surface and the dispatcher, so through batch.Run (which
+// AnalyzeRevision bypasses), and holds the daemon's batch.job_ms series
+// to the same length after 10 jobs and after 40: each dispatch wave
+// records on a trace of its own, and only its counters, histograms and
+// gauges are folded in. batch.jobs and the batch.job_duration_ms
+// histogram still count every job, once its wave has ended.
+func TestDaemonBatchSeriesStaysFlat(t *testing.T) {
+	_, base, tr := startServer(t, serve.Config{})
+	counted := func(n int64) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); tr.Counter("batch.jobs") < n && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		if got := tr.Counter("batch.jobs"); got != n {
+			t.Fatalf("batch.jobs = %d after %d jobs", got, n)
+		}
+		if got := tr.Hist("batch.job_duration_ms").Count(); got != n {
+			t.Fatalf("batch.job_duration_ms holds %d observations after %d jobs", got, n)
+		}
+	}
+	points := func() int { return len(tr.Snapshot().Series["batch.job_ms"]) }
+	points10 := 0
+	for i := 0; i < 40; i++ {
+		code, m := submit(t, base, corpus.StageDemoText(1, corpus.StageDemoEdit{IfLine: fmt.Sprintf("if c == int %d", i)}))
+		if code != http.StatusAccepted {
+			t.Fatalf("revision %d: status %d", i+1, code)
+		}
+		waitDone(t, base, m["job_id"].(string))
+		counted(int64(i + 1))
+		if i+1 == 10 {
+			points10 = points()
+		}
+	}
+	if p := points(); p != points10 {
+		t.Errorf("the daemon's batch.job_ms series grew from %d points after 10 jobs to %d after 40", points10, p)
 	}
 }

@@ -19,7 +19,8 @@
 //
 // At least one of `apps` / `tot-size` and at least one `scenario` line
 // are required. Unknown knob names on a scenario line are an error so
-// typos do not silently fall back to defaults.
+// typos do not silently fall back to defaults, and so is a knob value
+// outside the family's declared range (corpus.ScenarioKnob).
 package stream
 
 import (
@@ -29,6 +30,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -141,15 +143,15 @@ func ParseConfig(r io.Reader) (*Config, error) {
 					entry.Weight = v
 					continue
 				}
-				known := false
-				for _, k := range s.Knobs {
-					if k.Name == key {
-						known = true
-						break
-					}
-				}
-				if !known {
+				i := slices.IndexFunc(s.Knobs, func(k corpus.ScenarioKnob) bool { return k.Name == key })
+				if i < 0 {
 					return nil, bad("scenario %s: unknown knob %q", s.Name, key)
+				}
+				// Out-of-range sizes are rejected before any app is
+				// generated: the generator would otherwise build an app
+				// of whatever size they ask for.
+				if k := s.Knobs[i]; v < k.Min || v > k.Max {
+					return nil, bad("scenario %s: knob %s=%d outside [%d, %d]", s.Name, key, v, k.Min, k.Max)
 				}
 				entry.Knobs[key] = v
 			}

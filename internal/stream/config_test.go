@@ -2,6 +2,7 @@ package stream
 
 import (
 	"crypto/sha256"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -67,6 +68,17 @@ func TestParseConfigErrors(t *testing.T) {
 	// Overflows fail on the line that overflows: a weight sum past
 	// MaxInt made the first PickScenario panic, and a wrapped tot-size
 	// read as no budget at all.
+	// A knob outside its family's range fails before anything is
+	// generated: paper-mix multiplied the row's sizes by any scale.
+	for _, tc := range []struct{ text, err string }{
+		{"apps 1\nscenario paper-mix scale 9223372036854775807\n", "config line 2: scenario paper-mix: knob scale=9223372036854775807 outside [1, 10]"},
+		{"apps 1\nscenario table2-x10 scale 11\n", "config line 2: scenario table2-x10: knob scale=11 outside [1, 10]"},
+		{"apps 1\nscenario message-chain depth 1\n", "config line 2: scenario message-chain: knob depth=1 outside [2, 64]"},
+	} {
+		if _, err := ParseConfig(strings.NewReader(tc.text)); err == nil || err.Error() != tc.err {
+			t.Errorf("config %q: error %v, want %q", tc.text, err, tc.err)
+		}
+	}
 	for _, tc := range []struct{ text, line string }{
 		{"apps 1\nscenario async-storm weight 9223372036854775807\nscenario async-storm weight 9223372036854775807\n", "config line 3:"},
 		{"tot-size 8589934592GB\nscenario message-chain\n", "config line 1:"},
@@ -99,9 +111,10 @@ func TestParseSize(t *testing.T) {
 
 // FuzzParseConfig holds every config ParseConfig accepts to what the
 // stream relies on: a positive weight sum, a non-negative tot-size, at
-// least one bound (apps or tot-size), and a PickScenario that does not
-// panic on the first indices. Seeds (testdata/fuzz/FuzzParseConfig)
-// include the stream-small config and both overflow repros;
+// least one bound (apps or tot-size), every knob inside its family's
+// range, and a PickScenario that does not panic on the first indices.
+// Seeds (testdata/fuzz/FuzzParseConfig) include the stream-small
+// config, both overflow repros and an out-of-range scale;
 // `go test -fuzz FuzzParseConfig ./internal/stream` explores further.
 func FuzzParseConfig(f *testing.F) {
 	f.Add(testConfig)
@@ -118,6 +131,14 @@ func FuzzParseConfig(f *testing.F) {
 		}
 		if c.weightSum <= 0 || c.TotSize < 0 || c.Apps <= 0 && c.TotSize <= 0 {
 			t.Fatalf("accepted config with weight sum %d, apps %d, tot-size %d", c.weightSum, c.Apps, c.TotSize)
+		}
+		for _, m := range c.Mix {
+			s, _ := corpus.ScenarioByName(m.Name)
+			for _, k := range s.Knobs {
+				if v, ok := m.Knobs[k.Name]; ok && (v < k.Min || v > k.Max) {
+					t.Fatalf("accepted %s %s=%d outside [%d, %d]", m.Name, k.Name, v, k.Min, k.Max)
+				}
+			}
 		}
 		for i := 0; i < 8; i++ {
 			c.PickScenario(i)
@@ -248,5 +269,40 @@ func TestPickScenarioMix(t *testing.T) {
 	}
 	if counts["async-storm"] <= counts["service-lifecycle"]/2 {
 		t.Errorf("weights ignored: %+v", counts)
+	}
+}
+
+// TestScenarioKnobRanges: every family's knobs parse at their defaults
+// and at both ends of their ranges, and are rejected one step outside
+// them; row ranges cover exactly the paper rows (or -1, sample).
+func TestScenarioKnobRanges(t *testing.T) {
+	for _, s := range corpus.Scenarios() {
+		at := func(value func(corpus.ScenarioKnob) int) string {
+			line := "apps 1\nscenario " + s.Name
+			for _, k := range s.Knobs {
+				line += fmt.Sprintf(" %s %d", k.Name, value(k))
+			}
+			return line + "\n"
+		}
+		for _, text := range []string{
+			at(func(k corpus.ScenarioKnob) int { return k.Default }),
+			at(func(k corpus.ScenarioKnob) int { return k.Min }),
+			at(func(k corpus.ScenarioKnob) int { return k.Max }),
+		} {
+			if _, err := ParseConfig(strings.NewReader(text)); err != nil {
+				t.Errorf("%q: %v", text, err)
+			}
+		}
+		for _, k := range s.Knobs {
+			if k.Name == "row" && (k.Min != -1 || k.Max != len(corpus.PaperRows())-1) {
+				t.Errorf("%s: row range [%d, %d] does not match the %d paper rows", s.Name, k.Min, k.Max, len(corpus.PaperRows()))
+			}
+			for _, v := range []int{k.Min - 1, k.Max + 1} {
+				text := fmt.Sprintf("apps 1\nscenario %s %s %d\n", s.Name, k.Name, v)
+				if _, err := ParseConfig(strings.NewReader(text)); err == nil {
+					t.Errorf("%q: accepted a value outside [%d, %d]", text, k.Min, k.Max)
+				}
+			}
+		}
 	}
 }

@@ -30,6 +30,9 @@ set -eu
 
 PATTERN="${BENCH_PATTERN:-BenchmarkKernel}"
 COUNT="${BENCH_COUNT:-3}"
+# The kernel benches live in the root package, except action
+# attribution, which calls the unmemoized attribution in its package.
+PKGS='. ./internal/actions'
 # The one parallel per-app kernel, the refutation pool; it exposes jobs=N
 # sub-benchmarks (see bench_kernels_test.go).
 PAR_PATTERN='BenchmarkKernelRefutationParallel'
@@ -49,7 +52,7 @@ repo_root=$(git rev-parse --show-toplevel)
 cd "$repo_root"
 
 if [ "$1" = "-smoke" ]; then
-    go test -run '^$' -bench "$PATTERN" -benchtime=1x .
+    go test -run '^$' -bench "$PATTERN" -benchtime=1x $PKGS
     # One iteration of the parallel refutation bench at 2 workers with
     # two procs, so multi-worker scheduling is exercised even when the
     # sequential pass ran at GOMAXPROCS=1.
@@ -65,7 +68,7 @@ git rev-parse --verify --quiet "$ref^{commit}" >/dev/null || {
 
 # run_bench <dir> <outfile>: full -benchmem runs, raw `go test` output.
 run_bench() {
-    (cd "$1" && go test -run '^$' -bench "$PATTERN" -benchmem -count="$COUNT" .) >"$2"
+    (cd "$1" && go test -run '^$' -bench "$PATTERN" -benchmem -count="$COUNT" $PKGS) >"$2"
 }
 
 tmp=$(mktemp -d)
