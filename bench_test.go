@@ -167,7 +167,9 @@ func BenchmarkAblationContexts(b *testing.B) {
 }
 
 // BenchmarkAblationHBRules drops each HB rule and reports the lost
-// edges and gained candidates.
+// edges and gained candidates. APV gives rules 4 and 5 (intra-proc,
+// inter-proc) nothing to order, so their two rows also run on
+// corpus.PostOrderApp, where each rule orders posts.
 func BenchmarkAblationHBRules(b *testing.B) {
 	row, _ := corpus.RowByName("APV")
 	rules := []shbg.Rule{
@@ -179,36 +181,30 @@ func BenchmarkAblationHBRules(b *testing.B) {
 	reg, res := actions.Analyze(app, hs, pointer.ActionSensitivePolicy{K: 2})
 	accs := race.CollectAccesses(reg, res)
 
-	b.Run("full", func(b *testing.B) {
-		var g *shbg.Graph
-		for i := 0; i < b.N; i++ {
-			g = shbg.Build(reg, res, shbg.Options{})
-		}
-		b.ReportMetric(float64(g.NumEdges()), "hbEdges")
-		b.ReportMetric(float64(len(race.RacyPairs(reg, g, accs))), "racyPairs")
-	})
-	for _, rule := range rules {
-		rule := rule
-		b.Run(fmt.Sprintf("without-%s", rule), func(b *testing.B) {
+	ablate := func(name string, reg *actions.Registry, res *pointer.Result, accs []race.Access, opts shbg.Options) {
+		b.Run(name, func(b *testing.B) {
 			var g *shbg.Graph
 			for i := 0; i < b.N; i++ {
-				g = shbg.Build(reg, res, shbg.Options{
-					Disable: map[shbg.Rule]bool{rule: true},
-				})
+				g = shbg.Build(reg, res, opts)
 			}
 			b.ReportMetric(float64(g.NumEdges()), "hbEdges")
 			b.ReportMetric(float64(len(race.RacyPairs(reg, g, accs))), "racyPairs")
 		})
 	}
+	ablate("full", reg, res, accs, shbg.Options{})
+	for _, rule := range rules {
+		ablate(fmt.Sprintf("without-%s", rule), reg, res, accs, shbg.Options{Disable: map[shbg.Rule]bool{rule: true}})
+	}
 	// The §6.4 GUI-before-stop filter in isolation.
-	b.Run("without-gui-teardown", func(b *testing.B) {
-		var g *shbg.Graph
-		for i := 0; i < b.N; i++ {
-			g = shbg.Build(reg, res, shbg.Options{DisableGUITeardownOrder: true})
-		}
-		b.ReportMetric(float64(g.NumEdges()), "hbEdges")
-		b.ReportMetric(float64(len(race.RacyPairs(reg, g, accs))), "racyPairs")
-	})
+	ablate("without-gui-teardown", reg, res, accs, shbg.Options{DisableGUITeardownOrder: true})
+
+	po := corpus.PostOrderApp()
+	poReg, poRes := actions.Analyze(po, harness.Generate(po), pointer.ActionSensitivePolicy{K: 2})
+	poAccs := race.CollectAccesses(poReg, poRes)
+	ablate("post-order/full", poReg, poRes, poAccs, shbg.Options{})
+	for _, rule := range []shbg.Rule{shbg.RuleIntraProc, shbg.RuleInterProc} {
+		ablate(fmt.Sprintf("post-order/without-%s", rule), poReg, poRes, poAccs, shbg.Options{Disable: map[shbg.Rule]bool{rule: true}})
+	}
 }
 
 // BenchmarkAblationPathBudget sweeps the refuter's path budget.

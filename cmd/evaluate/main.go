@@ -39,6 +39,7 @@ import (
 	"sierra/internal/obs"
 	"sierra/internal/obs/eventlog"
 	"sierra/internal/obs/export"
+	"sierra/internal/symexec"
 )
 
 func main() {
@@ -52,8 +53,8 @@ func main() {
 		jobs       = flag.Int("jobs", runtime.GOMAXPROCS(0), "concurrent analysis workers")
 		jobTimeout = flag.Duration("job-timeout", 0, "per-app analysis deadline (0 = none); a timed-out app yields a partial row")
 		cacheDir   = flag.String("cache-dir", "", "cache analysis results in this directory, keyed by app digest + options")
-		refPaths   = flag.Int("refute-max-paths", 5000, "refutation path budget per query (the paper's 5,000)")
-		refDepth   = flag.Int("refute-max-depth", 6, "refutation call-inlining depth bound (the paper's 6)")
+		refPaths   = flag.Int("refute-max-paths", symexec.DefaultMaxPaths, "refutation path budget per query (the default is the paper's)")
+		refDepth   = flag.Int("refute-max-depth", symexec.DefaultMaxDepth, "refutation call-inlining depth bound (the default is the paper's)")
 		eventsOut  = flag.String("events-out", "", "stream sierra-events/1 flight-recorder events as JSONL to this file (-events is taken by the dynamic baseline)")
 		debugAddr  = flag.String("debug-addr", "", "serve /metrics, /progress, /events, /healthz, and /debug/pprof on this address while the evaluation runs")
 		pprofCPU   = flag.String("pprof-cpu", "", "write a CPU profile of the evaluation to this file")

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -84,7 +85,8 @@ func TestBatchKeyIgnoresRefuteJobs(t *testing.T) {
 // TestStreamVerdictsMatchBatch: `sierra -stream CFG -verdicts F` must
 // write the same verdict table, byte for byte, as `sierra -batch` over
 // that config materialized to disk — streaming changes where the bytes
-// live, not what the analysis says.
+// live, not what the analysis says. The batch run's `-stats` snapshot
+// must carry the ledger of each of its six jobs.
 func TestStreamVerdictsMatchBatch(t *testing.T) {
 	dir := t.TempDir()
 	cfgPath := filepath.Join(dir, "smoke.cfg")
@@ -119,6 +121,7 @@ func TestStreamVerdictsMatchBatch(t *testing.T) {
 		cfg.jobs = 2
 		cfg.opts = core.Options{Refuter: symexec.Config{Jobs: 2}}
 		cfg.verdicts = filepath.Join(dir, run.name+".tsv")
+		cfg.stats = filepath.Join(dir, run.name+".json")
 		if code := runBatch(cfg); code != 0 {
 			t.Fatalf("-%s: exit %d", run.name, code)
 		}
@@ -133,5 +136,35 @@ func TestStreamVerdictsMatchBatch(t *testing.T) {
 	}
 	if !bytes.Equal(tables["stream"], tables["batch"]) {
 		t.Errorf("verdict tables differ:\n-- stream --\n%s-- batch --\n%s", tables["stream"], tables["batch"])
+	}
+
+	// The -stats snapshot of the batch run carries every job's ledger:
+	// one core.layer_ms sample per app for each layer that ran, and
+	// neither a span tree nor series.
+	raw, err := os.ReadFile(filepath.Join(dir, "batch.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &stats); err != nil {
+		t.Fatalf("-stats: %v", err)
+	}
+	for _, key := range []string{"trace", "series"} {
+		if _, ok := stats[key]; ok {
+			t.Errorf("-stats has a %q key", key)
+		}
+	}
+	var hists map[string]struct{ Count int64 }
+	if err := json.Unmarshal(stats["histograms"], &hists); err != nil {
+		t.Fatalf("-stats histograms: %v", err)
+	}
+	for l := range core.NumLayers {
+		want := int64(6)
+		if l == core.Compare {
+			want = 0
+		}
+		if got := hists["core.layer_ms."+l.String()].Count; got != want {
+			t.Errorf("-stats core.layer_ms.%s count = %d, want %d", l, got, want)
+		}
 	}
 }

@@ -81,13 +81,13 @@ func main() {
 		policy         = flag.String("policy", "as", "context policy: as | hybrid | 2obj | 2cfa | insensitive")
 		compare        = flag.Bool("compare", false, "also report racy pairs without action sensitivity")
 		noRefute       = flag.Bool("no-refute", false, "skip symbolic refutation")
-		refuteMaxPaths = flag.Int("refute-max-paths", 5000, "refutation path budget per query (the paper's 5,000)")
-		refuteMaxDepth = flag.Int("refute-max-depth", 6, "refutation call-inlining depth bound (the paper's 6)")
+		refuteMaxPaths = flag.Int("refute-max-paths", symexec.DefaultMaxPaths, "refutation path budget per query (the default is the paper's)")
+		refuteMaxDepth = flag.Int("refute-max-depth", symexec.DefaultMaxDepth, "refutation call-inlining depth bound (the default is the paper's)")
 		refuteJobs     = flag.Int("refute-jobs", 0, "per-pair refutation workers within one app (0 = GOMAXPROCS; reports are byte-identical at any count)")
 		list           = flag.Bool("list", false, "list named dataset apps and exit")
 		verbose        = flag.Bool("v", false, "print every report plus the observability breakdown")
 		verifyN        = flag.Int("verify", 0, "dynamically confirm the top N reports via schedule search (§6.4)")
-		stats          = flag.String("stats", "", "write the observability snapshot (spans + counters) as JSON to this file")
+		stats          = flag.String("stats", "", "write the observability snapshot (counters, gauges, histograms) as JSON to this file")
 		events         = flag.String("events", "", "stream sierra-events/1 flight-recorder events as JSONL to this file")
 		debugAddr      = flag.String("debug-addr", "", "serve /metrics, /progress, /events, /healthz, and /debug/pprof on this address while the run executes")
 		pprofCPU       = flag.String("pprof-cpu", "", "write a CPU profile of the analysis to this file")
@@ -124,6 +124,18 @@ func main() {
 	if len(given) > 1 {
 		fmt.Fprintf(os.Stderr, "sierra: %s are mutually exclusive; pick exactly one input selector\n",
 			strings.Join(given, " and "))
+		os.Exit(2)
+	}
+	// So is a flag the selected mode never reads.
+	mode := "a one-app run"
+	switch {
+	case *batchGlob != "":
+		mode = "-batch"
+	case *streamCfg != "":
+		mode = "-stream"
+	}
+	if unread := unreadFlags(flag.CommandLine, mode); len(unread) > 0 {
+		fmt.Fprintf(os.Stderr, "sierra: %s never reads %s\n", mode, strings.Join(unread, ", "))
 		os.Exit(2)
 	}
 
@@ -374,6 +386,32 @@ func main() {
 			fmt.Printf("  #%d %s on %s: %s\n", i+1, p.Key(), p.A.Location(), status)
 		}
 	}
+}
+
+// unreadFlags names the flags set on fs that a run in mode ("-batch",
+// "-stream" or a one-app run) never reads: the one-app outputs in the
+// corpus modes, the corpus-run knobs in a one-app run, and -gen-jobs
+// outside -stream.
+func unreadFlags(fs *flag.FlagSet, mode string) []string {
+	corpus := mode == "-batch" || mode == "-stream"
+	var unread []string
+	fs.Visit(func(f *flag.Flag) {
+		var read bool
+		switch f.Name {
+		case "report-json", "verify", "v", "pprof-cpu", "pprof-mem":
+			read = !corpus
+		case "jobs", "job-timeout", "cache-dir", "verdicts":
+			read = corpus
+		case "gen-jobs":
+			read = mode == "-stream"
+		default:
+			return
+		}
+		if !read {
+			unread = append(unread, "-"+f.Name)
+		}
+	})
+	return unread
 }
 
 // resolveJobs maps the flags' 0-means-auto convention to the machine's

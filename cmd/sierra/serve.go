@@ -10,6 +10,7 @@ import (
 	"sierra/internal/obs"
 	"sierra/internal/obs/eventlog"
 	"sierra/internal/serve"
+	"sierra/internal/symexec"
 )
 
 // runServe is the `sierra serve` subcommand: an always-on analysis
@@ -37,8 +38,8 @@ func runServe(args []string) int {
 		baselineMaxMem = fs.Int64("baseline-max-bytes", 0, "bound the warm baseline pool by estimated resident bytes, LRU-evicted (0 = entry cap only)")
 		queueDepth     = fs.Int("queue-depth", 0, "accepted-but-unstarted submission bound (0 = default)")
 		refuteJobs     = fs.Int("refute-jobs", 0, "per-pair refutation workers (0 = GOMAXPROCS; reports are byte-identical at any count)")
-		refuteMaxPaths = fs.Int("refute-max-paths", 0, "refutation path budget per query (0 = the paper's default)")
-		refuteMaxDepth = fs.Int("refute-max-depth", 0, "refutation call-inlining depth bound (0 = the paper's default)")
+		refuteMaxPaths = fs.Int("refute-max-paths", symexec.DefaultMaxPaths, "refutation path budget per query (the default is the paper's)")
+		refuteMaxDepth = fs.Int("refute-max-depth", symexec.DefaultMaxDepth, "refutation call-inlining depth bound (the default is the paper's)")
 		events         = fs.String("events", "", "stream sierra-events/1 flight-recorder events as JSONL to this file")
 	)
 	fs.Parse(args)

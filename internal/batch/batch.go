@@ -60,7 +60,7 @@ const (
 
 // Job is one unit of batch work.
 type Job struct {
-	// Name identifies the job in results, logs, and obs series.
+	// Name identifies the job in results, logs and events.
 	Name string
 	// KeyFn, when non-nil, returns the job's cache key — conventionally
 	// Key(appDigest, optionsFingerprint...). It runs on the worker
@@ -105,12 +105,11 @@ type Options struct {
 	// keyed job (see Job.KeyFn).
 	Cache Cache
 	// Obs, when non-nil, receives the engine's counters — batch.jobs,
-	// per-status batch.<status> counts, batch.cache_hits/_misses, the
-	// batch.latency_ms.* bucket counters, the batch.job_duration_ms
-	// histogram, and the per-job batch.job_ms series. Per-result values
-	// are recorded live as each job completes (the `-debug-addr`
-	// /metrics endpoint reads them mid-run); totals are identical to a
-	// post-hoc accounting.
+	// per-status batch.<status> counts, batch.cache_hits/_misses, and
+	// the batch.job_duration_ms histogram. Per-result values are
+	// recorded live as each job completes, before OnResult sees it (the
+	// `-debug-addr` /metrics endpoint reads them mid-run); totals are
+	// identical to a post-hoc accounting.
 	Obs *obs.Trace
 	// Events, when non-nil, receives the engine's flight-recorder
 	// events: job_start when a worker picks a job up, job_end when it

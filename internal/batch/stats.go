@@ -7,34 +7,19 @@ import (
 	"sierra/internal/obs"
 )
 
-// latencyBucketsMS are the upper bounds (milliseconds, cumulative —
-// Prometheus-style "le") of the job-latency histogram the engine
-// publishes as batch.latency_ms.le_* counters.
-var latencyBucketsMS = []int64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 30000, 60000}
-
 // recordResult publishes one completed job's counters to the engine
-// trace as it lands — status count, latency bucket counters, the
-// batch.job_ms series sample, and the batch.job_duration_ms histogram
-// (per-app wall time) — so a mid-run /metrics scrape sees the work
-// done so far. Counter totals are order-independent, and the snapshot
-// serializer sorts series, so the final trace is identical to the old
-// end-of-run accounting for any worker count.
+// trace as it lands — its status count and its wall time in the
+// batch.job_duration_ms histogram — so a mid-run /metrics scrape sees
+// the work done so far, and a caller's OnResult for the job already
+// does. Counter totals and histograms are order-independent, so the
+// final trace is the same for any worker count.
 func recordResult(tr *obs.Trace, r Result) {
 	if tr == nil {
 		return
 	}
 	tr.Count("batch.jobs", 1)
 	tr.Count("batch."+string(r.Status), 1)
-	ms := r.Latency.Milliseconds()
-	tr.Series("batch.job_ms", r.Name, ms)
 	tr.Observe("batch.job_duration_ms", float64(r.Latency)/1e6)
-	for _, le := range latencyBucketsMS {
-		if ms <= le {
-			tr.Count(fmt.Sprintf("batch.latency_ms.le_%d", le), 1)
-		}
-	}
-	tr.Count("batch.latency_ms.le_inf", 1)
-	tr.Count("batch.latency_ms.sum", ms)
 }
 
 // recordRun publishes a finished run's wall-clock and throughput

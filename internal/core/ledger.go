@@ -8,8 +8,8 @@ import (
 )
 
 // Layer is one stage of the pipeline (Fig 3) as the ledger times it.
-// Its name is the stage's span name and the name `sierra` prints for
-// it (the summary line, `stage` events).
+// Its name is the one `sierra` prints for it (the summary line, `stage`
+// events) and the suffix of its core.layer_ms.<layer> histogram.
 type Layer int
 
 // The pipeline's layers, in pipeline order.
@@ -57,16 +57,20 @@ func NewPass(ctx context.Context, tr *obs.Trace, res *Result) *Pass {
 	return &Pass{ctx: ctx, tr: tr, res: res, start: now, last: now}
 }
 
-// Step runs layer l's work under its span, reads the clock once at the
-// layer's end, and charges l everything since the previous boundary.
+// Step runs layer l's work, reads the clock once at the layer's end,
+// and charges l everything since the previous boundary. A traced pass
+// also adds that time, in ms, to the core.layer_ms.<layer> histogram,
+// so merged traces carry the ledger of every job they absorbed.
 func (p *Pass) Step(l Layer, fn func()) {
-	s := p.tr.Start(l.String())
 	fn()
-	s.End()
 	now := time.Now()
-	p.res.Ledger.Layers[l] += now.Sub(p.last)
+	d := now.Sub(p.last)
+	p.res.Ledger.Layers[l] += d
 	p.res.Ledger.Total = now.Sub(p.start)
 	p.last = now
+	if p.tr != nil {
+		p.tr.Observe("core.layer_ms."+l.String(), float64(d)/1e6)
+	}
 	// Harness and rank poll no context: a cancellation seen after
 	// harness is recorded by cgpa, one seen after rank is refute's.
 	if p.ctx != nil && l != Harness && !p.res.Interrupted && p.ctx.Err() != nil {

@@ -12,8 +12,8 @@ import (
 
 // TestAnalyzeObsCounters is the observability smoke test: a full
 // pipeline run on a handmade corpus app must populate the documented
-// counter contract with non-zero effort numbers, stamp the span tree,
-// and serialize to valid JSON.
+// counter contract with non-zero effort numbers, carry its ledger in
+// the core.layer_ms histograms, and serialize to valid JSON.
 func TestAnalyzeObsCounters(t *testing.T) {
 	tr := obs.New("test")
 	res := Analyze(corpus.NewsApp(), Options{CompareContexts: true, Obs: tr})
@@ -70,37 +70,32 @@ func TestAnalyzeObsCounters(t *testing.T) {
 		t.Errorf("core.reports = %d, result has %d", got, want)
 	}
 
-	// AllVerdicts aligns with the candidates; its path counts match the
-	// refute.pair_paths series.
+	// AllVerdicts aligns with the candidates, one refute.walk_paths
+	// sample per verdict; their path counts sum to refute.paths.
 	if len(res.AllVerdicts) != len(res.RacyPairs) {
 		t.Fatalf("AllVerdicts = %d entries, want %d", len(res.AllVerdicts), len(res.RacyPairs))
 	}
 	snap := tr.Snapshot()
-	series := snap.Series["refute.pair_paths"]
-	if len(series) != len(res.RacyPairs) {
-		t.Fatalf("refute.pair_paths series = %d samples, want %d", len(series), len(res.RacyPairs))
+	walks := snap.Histograms["refute.walk_paths"]
+	if walks.Count != int64(len(res.RacyPairs)) {
+		t.Fatalf("refute.walk_paths = %d samples, want %d", walks.Count, len(res.RacyPairs))
 	}
-	var fromVerdicts, fromSeries int64
+	var fromVerdicts int64
 	for i := range res.AllVerdicts {
 		fromVerdicts += int64(res.AllVerdicts[i].Paths)
-		fromSeries += series[i].Value
 	}
-	if fromVerdicts != fromSeries || fromVerdicts != tr.Counter("refute.paths") {
-		t.Errorf("path totals disagree: verdicts %d, series %d, counter %d",
-			fromVerdicts, fromSeries, tr.Counter("refute.paths"))
+	if fromVerdicts != int64(walks.Sum) || fromVerdicts != tr.Counter("refute.paths") {
+		t.Errorf("path totals disagree: verdicts %d, refute.walk_paths %g, counter %d",
+			fromVerdicts, walks.Sum, tr.Counter("refute.paths"))
 	}
 
-	// The span tree carries the pipeline stages under analyze.
-	if snap.Trace == nil || len(snap.Trace.Children) == 0 {
-		t.Fatal("snapshot has no span tree")
-	}
-	analyze := snap.Trace.Children[0]
-	want := map[string]bool{"harness": true, "cgpa": true, "shbg": true, "pairs": true, "compare": true, "refute": true, "rank": true}
-	for _, c := range analyze.Children {
-		delete(want, c.Name)
-	}
-	if len(want) != 0 {
-		t.Errorf("span tree missing stages: %v", want)
+	// The trace carries the ledger: every layer ran, and put one sample
+	// equal to its ledger time in its core.layer_ms histogram.
+	for l := range NumLayers {
+		h := snap.Histograms["core.layer_ms."+l.String()]
+		if want := float64(res.Ledger.Layers[l]) / 1e6; h.Count != 1 || h.Sum != want {
+			t.Errorf("core.layer_ms.%s: count %d, sum %g; want 1 sample of %g", l, h.Count, h.Sum, want)
+		}
 	}
 
 	raw, err := snap.JSON()

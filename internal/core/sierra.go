@@ -50,9 +50,10 @@ type Options struct {
 	// proportional to the solver's dependency index; leave off outside
 	// serve-baseline use.
 	KeepPTAWarm bool
-	// Obs, when non-nil, collects hierarchical spans and per-stage
-	// effort counters for the whole pipeline (see README.md
-	// "Observability"). Nil disables observability at zero cost.
+	// Obs, when non-nil, collects per-stage effort counters and the
+	// ledger's per-layer histograms for the whole pipeline (see
+	// README.md "Observability"). Nil disables observability at zero
+	// cost.
 	Obs *obs.Trace
 }
 
@@ -162,7 +163,6 @@ func AnalyzeContext(ctx context.Context, app *apk.App, opts Options) *Result {
 	opts.Policy = opts.policy()
 	tr := opts.Obs
 	res := &Result{App: app}
-	span := tr.Start("analyze")
 	p := NewPass(ctx, tr, res)
 	p.Step(Harness, func() { res.Harnesses = harness.GenerateTraced(app, tr) })
 	p.Step(CGPA, func() { res.solve(ctx, opts.Policy, opts.KeepPTAWarm, tr) })
@@ -194,7 +194,6 @@ func AnalyzeContext(ctx context.Context, app *apk.App, opts Options) *Result {
 	if res.Interrupted {
 		tr.Count("core.interrupted", 1)
 	}
-	span.End()
 	return res
 }
 

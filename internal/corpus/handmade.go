@@ -380,3 +380,70 @@ func NullGuardApp() *apk.App {
 			Root: &apk.View{ID: 1, Type: frontend.ButtonClass}}},
 	}
 }
+
+// PostOrderApp gives SHBG rules 4 and 5 posts to order: onCreate posts
+// runnables R1 and R2 back to back, where the first post dominates the
+// second (rule 4, intra-procedural), then calls postR3 and postR4 in
+// turn, each posting one more (rule 5, inter-procedural). Every
+// runnable writes the activity's last field, so only those rules keep
+// the runnables' writes from being racy pairs. The named dataset and
+// the scenario families give the two rules almost nothing to order;
+// this app is in neither.
+func PostOrderApp() *apk.App {
+	p := ir.NewProgram()
+	frontend.InstallFramework(p)
+	for _, name := range []string{"R1", "R2", "R3", "R4"} {
+		r := ir.NewClass(name, frontend.Object, frontend.RunnableIface)
+		r.Fields = []string{"act"}
+		ctor := ir.NewMethodBuilder("<init>", "a")
+		ctor.Store("this", "act", "a")
+		ctor.Ret("")
+		r.AddMethod(ctor.Build())
+		run := ir.NewMethodBuilder(frontend.Run)
+		run.Load("a", "this", "act")
+		run.Int("n", 1)
+		run.Store("a", "last", "n")
+		run.Ret("")
+		r.AddMethod(run.Build())
+		p.AddClass(r)
+	}
+
+	act := ir.NewClass("PostActivity", frontend.ActivityClass)
+	act.Fields = []string{"last"}
+	{
+		b := ir.NewMethodBuilder(frontend.OnCreate)
+		b.Int("id", rootViewID)
+		b.Call("v", "this", "PostActivity", frontend.FindViewByID, "id")
+		// One local per post: points-to is flow-insensitive.
+		for _, r := range []string{"R1", "R2"} {
+			b.NewObj(r, r)
+			b.CallSpecial("", r, r, "<init>", "this")
+			b.Call("", "v", frontend.ViewClass, frontend.Post, r)
+		}
+		b.Call("", "this", "PostActivity", "postR3", "v")
+		b.Call("", "this", "PostActivity", "postR4", "v")
+		b.Ret("")
+		act.AddMethod(b.Build())
+	}
+	for _, r := range []string{"R3", "R4"} {
+		b := ir.NewMethodBuilder("post"+r, "v")
+		b.NewObj("r", r)
+		b.CallSpecial("", "r", r, "<init>", "this")
+		b.Call("", "v", frontend.ViewClass, frontend.Post, "r")
+		b.Ret("")
+		act.AddMethod(b.Build())
+	}
+	p.AddClass(act)
+	p.Finalize()
+	return &apk.App{
+		Name:    "post-order",
+		Program: p,
+		Manifest: apk.Manifest{
+			Package:    "com.example.postorder",
+			Activities: []apk.Component{{Class: "PostActivity", Layout: "main"}},
+		},
+		Layouts: map[string]*apk.Layout{
+			"main": {Name: "main", Root: &apk.View{ID: rootViewID, Type: frontend.ViewClass}},
+		},
+	}
+}

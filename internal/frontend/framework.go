@@ -282,9 +282,6 @@ func stubStatic(c *ir.Class, name string, params ...string) {
 // IsActivity reports whether cls is an Activity subclass.
 func IsActivity(p *ir.Program, cls string) bool { return p.IsSubtype(cls, ActivityClass) }
 
-// IsService reports whether cls is a Service subclass.
-func IsService(p *ir.Program, cls string) bool { return p.IsSubtype(cls, ServiceClass) }
-
 // IsReceiver reports whether cls is a BroadcastReceiver subclass.
 func IsReceiver(p *ir.Program, cls string) bool { return p.IsSubtype(cls, ReceiverClass) }
 

@@ -184,8 +184,6 @@ func (b *Baseline) ApplyStages(next *apk.App, nextFP *Fingerprint, nextDigest st
 		edits = append(edits, edit{old, donor})
 	}
 
-	span := tr.Start("incremental.apply")
-	defer span.End()
 	poison := func(reason string) (Stats, bool) {
 		b.Poisoned = true
 		return decline(reason)

@@ -178,8 +178,9 @@ func TestEditClassParity(t *testing.T) {
 
 // checkWarmLedger holds a warm landing's ledger to the layers the apply
 // ran: never harness or compare; cgpa, shbg and pairs exactly when the
-// stages were patched; always refute and rank. The layers sum to the
-// total, which incremental.apply_ms recorded.
+// stages were patched; always refute and rank. Each layer that ran put
+// its ledger time in its core.layer_ms histogram, as one sample. The
+// layers sum to the total, which incremental.apply_ms recorded.
 func checkWarmLedger(t *testing.T, lg core.Ledger, patched bool, tr *obs.Trace) {
 	t.Helper()
 	var sum time.Duration
@@ -189,6 +190,14 @@ func checkWarmLedger(t *testing.T, lg core.Ledger, patched bool, tr *obs.Trace) 
 			patched && (l == core.CGPA || l == core.SHBG || l == core.Pairs)
 		if ran && lg.Layers[l] <= 0 || !ran && lg.Layers[l] != 0 {
 			t.Errorf("warm ledger (patched: %t): layer %s = %v", patched, l, lg.Layers[l])
+		}
+		h, want := tr.Hist("core.layer_ms."+l.String()), int64(0)
+		if ran {
+			want = 1
+		}
+		if h.Count() != want || h.Sum() != float64(lg.Layers[l])/1e6 {
+			t.Errorf("core.layer_ms.%s: %d samples summing to %v ms, want %d of the ledger's %v",
+				l, h.Count(), h.Sum(), want, lg.Layers[l])
 		}
 	}
 	if sum != lg.Total {

@@ -140,9 +140,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 // format (version 0.0.4): counters as `sierra_<name>` counter families,
 // gauges as gauge families, histograms as `_bucket`/`_sum`/`_count`
 // triples over the shared obs bucket bounds. Families are emitted in
-// sorted name order and series are skipped (they are labeled samples,
-// not aggregates — the `-stats` snapshot carries them). Deterministic:
-// two identical snapshots render byte-identically.
+// sorted name order. Deterministic: two identical snapshots render
+// byte-identically.
 func WriteMetrics(w io.Writer, s *obs.Snapshot) {
 	if s == nil {
 		return

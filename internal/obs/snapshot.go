@@ -3,63 +3,39 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
-	"time"
 )
 
-// Snapshot is a trace frozen for serialization: the span tree plus all
-// counters, gauges, series, and histograms. Its JSON form is the
-// `-stats` contract. HistogramLE carries the shared bucket upper
-// bounds every HistogramSnapshot's counts align with (plus a final
-// +Inf bucket); it is present iff Histograms is.
+// Snapshot is a trace frozen for serialization: all counters, gauges
+// and histograms. Its JSON form is the `-stats` contract. HistogramLE
+// carries the shared bucket upper bounds every HistogramSnapshot's
+// counts align with (plus a final +Inf bucket); it is present iff
+// Histograms is.
 type Snapshot struct {
-	Trace       *SpanSnapshot                `json:"trace,omitempty"`
 	Counters    map[string]int64             `json:"counters,omitempty"`
 	Gauges      map[string]float64           `json:"gauges,omitempty"`
-	Series      map[string][]SeriesPoint     `json:"series,omitempty"`
 	Histograms  map[string]HistogramSnapshot `json:"histograms,omitempty"`
 	HistogramLE []float64                    `json:"histogram_le,omitempty"`
 }
 
-// SpanSnapshot is one node of the frozen span tree.
-type SpanSnapshot struct {
-	Name       string          `json:"name"`
-	DurationNS int64           `json:"duration_ns"`
-	AllocBytes int64           `json:"alloc_bytes"`
-	Children   []*SpanSnapshot `json:"children,omitempty"`
-}
-
-// Snapshot freezes the trace. Open spans (including the root) report
-// their elapsed-so-far duration without being closed.
+// Snapshot deep-copies the trace's current state.
 func (t *Trace) Snapshot() *Snapshot {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
-	root := freezeSpan(t.root)
-	t.mu.Unlock()
-	counts, gauges, series, hists := t.c.snapshot()
-	s := &Snapshot{Trace: root, Counters: counts, Gauges: gauges, Series: series, Histograms: hists}
-	if len(hists) > 0 {
+	defer t.mu.Unlock()
+	s := &Snapshot{Counters: maps.Clone(t.counts), Gauges: maps.Clone(t.gauges)}
+	if len(t.hists) > 0 {
+		s.Histograms = make(map[string]HistogramSnapshot, len(t.hists))
+		for k, h := range t.hists {
+			s.Histograms[k] = h.snapshot()
+		}
 		s.HistogramLE = HistogramBounds()
 	}
 	return s
-}
-
-func freezeSpan(s *Span) *SpanSnapshot {
-	if s == nil {
-		return nil
-	}
-	out := &SpanSnapshot{Name: s.name, DurationNS: int64(s.dur), AllocBytes: s.alloc}
-	if !s.ended {
-		out.DurationNS = int64(time.Since(s.start))
-		out.AllocBytes = int64(readAlloc() - s.startAlloc)
-	}
-	for _, c := range s.children {
-		out.Children = append(out.Children, freezeSpan(c))
-	}
-	return out
 }
 
 // JSON renders the snapshot as indented JSON.
@@ -67,17 +43,13 @@ func (s *Snapshot) JSON() ([]byte, error) {
 	return json.MarshalIndent(s, "", "  ")
 }
 
-// Format renders a human-readable breakdown: the span tree with
-// durations and allocation deltas, then counters, gauges, and series
-// totals in sorted order.
+// Format renders a human-readable breakdown: counters, gauges, and
+// histogram totals in sorted order.
 func Format(s *Snapshot) string {
 	if s == nil {
 		return ""
 	}
 	var b strings.Builder
-	if s.Trace != nil {
-		formatSpan(&b, s.Trace, 0)
-	}
 	if len(s.Counters) > 0 {
 		fmt.Fprintf(&b, "counters\n")
 		for _, k := range sortedKeys(s.Counters) {
@@ -88,17 +60,6 @@ func Format(s *Snapshot) string {
 		fmt.Fprintf(&b, "gauges\n")
 		for _, k := range sortedKeys(s.Gauges) {
 			fmt.Fprintf(&b, "  %-36s %12.2f\n", k, s.Gauges[k])
-		}
-	}
-	if len(s.Series) > 0 {
-		fmt.Fprintf(&b, "series\n")
-		for _, k := range sortedKeys(s.Series) {
-			pts := s.Series[k]
-			var total int64
-			for _, p := range pts {
-				total += p.Value
-			}
-			fmt.Fprintf(&b, "  %-36s %6d samples, total %d\n", k, len(pts), total)
 		}
 	}
 	if len(s.Histograms) > 0 {
@@ -113,26 +74,6 @@ func Format(s *Snapshot) string {
 		}
 	}
 	return b.String()
-}
-
-func formatSpan(b *strings.Builder, s *SpanSnapshot, depth int) {
-	fmt.Fprintf(b, "%-*s%-*s %10.3fms %10s\n",
-		2*depth, "", 36-2*depth, s.Name,
-		float64(s.DurationNS)/1e6, formatBytes(s.AllocBytes))
-	for _, c := range s.Children {
-		formatSpan(b, c, depth+1)
-	}
-}
-
-func formatBytes(n int64) string {
-	switch {
-	case n >= 1<<20:
-		return fmt.Sprintf("%.1fMB", float64(n)/(1<<20))
-	case n >= 1<<10:
-		return fmt.Sprintf("%.1fKB", float64(n)/(1<<10))
-	default:
-		return fmt.Sprintf("%dB", n)
-	}
 }
 
 func sortedKeys[V any](m map[string]V) []string {

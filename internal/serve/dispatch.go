@@ -101,30 +101,11 @@ func (s *Server) runWave(pending []*jobState) {
 			Fn:    func(ctx context.Context) ([]byte, error) { return s.analyze(ctx, js) },
 		}
 	}
-	// The wave records on a trace of its own: the batch engine appends
-	// one batch.job_ms series point per job, which the daemon's trace
-	// would keep for its life. Only the wave's counters, histograms and
-	// gauges are folded into the daemon's, when the wave ends.
-	var wave *obs.Trace
-	if s.cfg.Obs != nil {
-		wave = obs.New("wave")
-		defer func() {
-			snap := wave.Snapshot()
-			gauges := snap.Gauges
-			snap.Trace, snap.Series, snap.Gauges = nil, nil, nil
-			s.cfg.Obs.Absorb(snap)
-			// Absorb keeps a gauge's maximum; these describe the last
-			// wave, as batch.Run would have set them on the daemon's.
-			for name, v := range gauges {
-				s.cfg.Obs.Gauge(name, v)
-			}
-		}()
-	}
 	batch.Run(s.runCtx, jobs, batch.Options{
 		Workers: s.cfg.Workers,
 		Timeout: s.cfg.JobTimeout,
 		Cache:   s.store,
-		Obs:     wave,
+		Obs:     s.cfg.Obs,
 		Events:  s.cfg.Events,
 		Tracker: s.tracker,
 		OnResult: func(i int, r batch.Result) {
@@ -158,13 +139,11 @@ func (s *Server) runWave(pending []*jobState) {
 // otherwise. Either way the returned document is byte-identical to what
 // a cold full run would render.
 //
-// The body runs under a trace of its own. The daemon's trace would
-// otherwise keep every job's spans and per-pair refute.pair_paths
-// points for the daemon's life, and spans of concurrent jobs would
-// nest under one another (Trace.Start parents under the innermost open
-// span). Only the job's counters, gauges and histograms are folded into
-// the daemon's trace, before the job returns, so a client that reads
-// "done" already sees them.
+// The body records on a trace of its own, folded into the daemon's
+// before the job returns (so a client that reads "done" already sees
+// it) only so that the job's gauges land as high-water marks: Absorb
+// keeps a gauge's maximum, where a gauge set on the daemon's trace
+// would hold whichever concurrent job wrote last.
 func (s *Server) analyze(ctx context.Context, js *jobState) ([]byte, error) {
 	app, raw := js.app, js.raw
 	js.app = nil // one-shot: the program is about to be mutated
@@ -172,11 +151,7 @@ func (s *Server) analyze(ctx context.Context, js *jobState) ([]byte, error) {
 	if tr != nil {
 		tr = obs.New("job")
 		opts.Obs = tr
-		defer func() {
-			snap := tr.Snapshot()
-			snap.Trace, snap.Series = nil, nil
-			s.cfg.Obs.Absorb(snap)
-		}()
+		defer func() { s.cfg.Obs.Absorb(tr.Snapshot()) }()
 	}
 	fp := incremental.Compute(app)
 

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -556,11 +558,11 @@ func TestLineageWaves(t *testing.T) {
 
 // TestDaemonTraceStaysFlat drives 40 StageDemo revisions through the
 // job body and holds the daemon's trace flat: after 10 revisions and
-// after 40 it has the same span count and the same number of
-// refute.pair_paths points, because each job runs under its own trace
-// and only that trace's counters, gauges and histograms are folded in.
-// The folded incremental.* counters match the landings, which cycle
-// through reuse, patch and cold.
+// after 40 it names the same metrics, because a trace keeps one number
+// per counter or gauge and one bucket array per histogram. The folded
+// incremental.* counters match the landings, which cycle through
+// reuse, patch and cold, once per revision; every landing adds one
+// core.layer_ms sample to the layers it ran.
 func TestDaemonTraceStaysFlat(t *testing.T) {
 	tr := obs.New("serve-test")
 	s, err := serve.New(serve.Config{Obs: tr})
@@ -582,19 +584,22 @@ func TestDaemonTraceStaysFlat(t *testing.T) {
 		t.Fatalf("baseline: %v", err)
 	}
 	want := map[string]int64{}
-	shape := func() (spans, points int) {
+	names := func() []string {
 		snap := tr.Snapshot()
-		var count func(*obs.SpanSnapshot)
-		count = func(sp *obs.SpanSnapshot) {
-			spans++
-			for _, c := range sp.Children {
-				count(c)
-			}
+		var ns []string
+		for n := range snap.Counters {
+			ns = append(ns, "counter "+n)
 		}
-		count(snap.Trace)
-		return spans, len(snap.Series["refute.pair_paths"])
+		for n := range snap.Gauges {
+			ns = append(ns, "gauge "+n)
+		}
+		for n := range snap.Histograms {
+			ns = append(ns, "histogram "+n)
+		}
+		sort.Strings(ns)
+		return ns
 	}
-	var spans10, points10 int
+	var names10 []string
 	for i := 0; i < 40; i++ {
 		r := cycle[i%len(cycle)]
 		if _, err := s.AnalyzeRevision(context.Background(), corpus.StageDemoText(2, r.edit)); err != nil {
@@ -607,52 +612,46 @@ func TestDaemonTraceStaysFlat(t *testing.T) {
 			}
 		}
 		if i+1 == 10 {
-			spans10, points10 = shape()
+			names10 = names()
 		}
 	}
-	if spans, points := shape(); spans != spans10 || points != points10 {
-		t.Errorf("daemon trace grew from 10 to 40 revisions: %d → %d spans, %d → %d refute.pair_paths points", spans10, spans, points10, points)
+	if got := names(); !slices.Equal(got, names10) {
+		t.Errorf("daemon trace grew from 10 to 40 revisions: %d → %d metric names", len(names10), len(got))
+	}
+	// The baseline and the fallbacks run cold, every landing refutes and
+	// ranks, and only cold runs and patching landings re-solve.
+	cold, patched := 1+want["incremental.fallbacks"], want["incremental.stage_applies"]
+	for layer, n := range map[string]int64{
+		"harness": cold, "cgpa": cold + patched, "refute": 41, "rank": 41,
+	} {
+		if got := tr.Hist("core.layer_ms." + layer).Count(); got != n {
+			t.Errorf("core.layer_ms.%s holds %d samples, want %d", layer, got, n)
+		}
 	}
 	if tr.Counter("core.reports") == 0 || tr.Counter("refute.pairs") == 0 {
 		t.Error("the jobs' pipeline counters were not folded into the daemon trace")
 	}
 }
 
-// TestDaemonBatchSeriesStaysFlat drives 40 distinct revisions through
+// TestDaemonBatchCountsEveryJob drives 20 distinct revisions through
 // the HTTP surface and the dispatcher, so through batch.Run (which
-// AnalyzeRevision bypasses), and holds the daemon's batch.job_ms series
-// to the same length after 10 jobs and after 40: each dispatch wave
-// records on a trace of its own, and only its counters, histograms and
-// gauges are folded in. batch.jobs and the batch.job_duration_ms
-// histogram still count every job, once its wave has ended.
-func TestDaemonBatchSeriesStaysFlat(t *testing.T) {
+// AnalyzeRevision bypasses): batch.jobs and the batch.job_duration_ms
+// histogram count every job on the daemon's trace by the time the job
+// reports done, with no wait beyond that.
+func TestDaemonBatchCountsEveryJob(t *testing.T) {
 	_, base, tr := startServer(t, serve.Config{})
-	counted := func(n int64) {
-		t.Helper()
-		for deadline := time.Now().Add(10 * time.Second); tr.Counter("batch.jobs") < n && time.Now().Before(deadline); {
-			time.Sleep(time.Millisecond)
-		}
-		if got := tr.Counter("batch.jobs"); got != n {
-			t.Fatalf("batch.jobs = %d after %d jobs", got, n)
-		}
-		if got := tr.Hist("batch.job_duration_ms").Count(); got != n {
-			t.Fatalf("batch.job_duration_ms holds %d observations after %d jobs", got, n)
-		}
-	}
-	points := func() int { return len(tr.Snapshot().Series["batch.job_ms"]) }
-	points10 := 0
-	for i := 0; i < 40; i++ {
+	for i := 0; i < 20; i++ {
 		code, m := submit(t, base, corpus.StageDemoText(1, corpus.StageDemoEdit{IfLine: fmt.Sprintf("if c == int %d", i)}))
 		if code != http.StatusAccepted {
 			t.Fatalf("revision %d: status %d", i+1, code)
 		}
 		waitDone(t, base, m["job_id"].(string))
-		counted(int64(i + 1))
-		if i+1 == 10 {
-			points10 = points()
+		n := int64(i + 1)
+		if got := tr.Counter("batch.jobs"); got != n {
+			t.Fatalf("batch.jobs = %d once job %d reports done", got, n)
 		}
-	}
-	if p := points(); p != points10 {
-		t.Errorf("the daemon's batch.job_ms series grew from %d points after 10 jobs to %d after 40", points10, p)
+		if got := tr.Hist("batch.job_duration_ms").Count(); got != n {
+			t.Fatalf("batch.job_duration_ms holds %d observations once job %d reports done", got, n)
+		}
 	}
 }

@@ -244,6 +244,33 @@ func TestRule5InterProcDomination(t *testing.T) {
 	}
 }
 
+// TestPostOrderAppOrdersRules4And5: corpus.PostOrderApp, the fixture
+// the dynamic-order oracle and the HB-rule ablation run rules 4 and 5
+// on, gives each rule at least one edge, R1 ≺ R2 and R3 ≺ R4 among
+// them.
+func TestPostOrderAppOrdersRules4And5(t *testing.T) {
+	reg, g := pipeline(t, corpus.PostOrderApp())
+	run := map[string]*actions.Action{}
+	for _, a := range reg.Actions() {
+		if a.Kind == actions.KindRunnable {
+			run[a.Class] = a
+		}
+	}
+	if len(run) != 4 {
+		t.Fatalf("runnable actions = %d, want R1..R4", len(run))
+	}
+	for _, r := range []Rule{RuleIntraProc, RuleInterProc} {
+		if g.RuleCount(r) == 0 {
+			t.Errorf("rule %s contributed no edges", r)
+		}
+	}
+	for _, p := range [][2]string{{"R1", "R2"}, {"R3", "R4"}} {
+		if !g.HB(run[p[0]].ID, run[p[1]].ID) || g.HB(run[p[1]].ID, run[p[0]].ID) {
+			t.Errorf("want %s ≺ %s and not the reverse", p[0], p[1])
+		}
+	}
+}
+
 // rule6App posts R1 from onCreate and R2 from onClick; onCreate ≺
 // onClick via the harness, so R1 ≺ R2 by inter-action transitivity.
 func rule6App() *apk.App {

@@ -155,7 +155,7 @@ func newIGBuilder() *igBuilder {
 // sound direction for refutation.
 func (b *igBuilder) build(root *ir.Method, callees func(ir.Pos) []*ir.Method, lim igraphLimits) *igraph {
 	if lim.maxDepth == 0 {
-		lim.maxDepth = 6
+		lim.maxDepth = DefaultMaxDepth
 	}
 	if lim.maxNodes == 0 {
 		lim.maxNodes = 20000

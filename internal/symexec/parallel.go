@@ -19,8 +19,8 @@ import (
 // The inlined action graphs are prebuilt once and shared read-only,
 // while every pair starts from empty memo tables, so each verdict is a
 // pure function of its pair and the output is identical at any worker
-// count. Observability is recorded by an in-order emitter, so counter
-// totals and the refute.pair_paths series do not depend on scheduling
+// count. Observability is recorded by an in-order emitter, so the
+// refute.* counters and histograms do not depend on scheduling
 // either. A worker panic is isolated to its pair, which keeps the
 // paper's over-approximate "report anyway" verdict instead of crashing
 // the pipeline.
@@ -121,7 +121,7 @@ func CheckAll(reg *actions.Registry, res *pointer.Result, cfg Config, pairs []ra
 	// done prefix is contiguous. Emit it in pair order.
 	verdicts := make([]Verdict, 0, len(pairs))
 	for i := 0; i < len(results) && results[i].done; i++ {
-		recordVerdict(tr, pairs[i], results[i].v, results[i].pruned, results[i].capped, results[i].durMS)
+		recordVerdict(tr, results[i].v, results[i].pruned, results[i].capped, results[i].durMS)
 		if results[i].panicked && tr != nil {
 			tr.Count("refute.pair_panics", 1)
 		}

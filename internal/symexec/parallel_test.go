@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"sierra/internal/actions"
@@ -35,23 +36,19 @@ var refuteCounters = []string{
 	"refute.verdict.refuted_ab", "refute.verdict.refuted_ba",
 }
 
-// refuteObsDiff reports the first refute.* counter or refute.pair_paths
-// sample on which two traces differ ("" when none does).
+// refuteObsDiff reports the first refute.* counter, or the
+// refute.walk_paths histogram, on which two traces differ ("" when
+// none does).
 func refuteObsDiff(a, b *obs.Trace) string {
 	for _, c := range refuteCounters {
 		if x, y := a.Counter(c), b.Counter(c); x != y {
 			return fmt.Sprintf("%s: %d vs %d", c, x, y)
 		}
 	}
-	sa := a.Snapshot().Series["refute.pair_paths"]
-	sb := b.Snapshot().Series["refute.pair_paths"]
-	if len(sa) != len(sb) {
-		return fmt.Sprintf("refute.pair_paths: %d vs %d samples", len(sa), len(sb))
-	}
-	for i := range sa {
-		if sa[i] != sb[i] {
-			return fmt.Sprintf("refute.pair_paths[%d]: %+v vs %+v", i, sa[i], sb[i])
-		}
+	ha := a.Snapshot().Histograms["refute.walk_paths"]
+	hb := b.Snapshot().Histograms["refute.walk_paths"]
+	if ha.Count != hb.Count || ha.Sum != hb.Sum || !slices.Equal(ha.Counts, hb.Counts) {
+		return fmt.Sprintf("refute.walk_paths: %+v vs %+v", ha, hb)
 	}
 	return ""
 }
@@ -60,7 +57,7 @@ func refuteObsDiff(a, b *obs.Trace) string {
 // but the pair: at every worker count (0 and 1 included) CheckAll
 // returns the verdicts, path counts included, that one reused
 // Refuter's Check loop returns, and records the same refute.* counters
-// and refute.pair_paths series, values and order alike.
+// and refute.walk_paths histogram.
 func TestCheckAllParallelDeterministic(t *testing.T) {
 	for name, mk := range map[string]func() *apk.App{
 		"SudokuTimer": corpus.SudokuTimerApp, "News": corpus.NewsApp, "Database": corpus.DatabaseApp,

@@ -26,12 +26,21 @@ type Verdict struct {
 	BudgetExhausted bool
 }
 
+// The paper's refutation budgets (§5): at most DefaultMaxPaths backward
+// paths per query, and calls inlined DefaultMaxDepth deep. A zero
+// Config budget means these (see Normalized), and the front ends'
+// budget flags default to them.
+const (
+	DefaultMaxPaths = 5000
+	DefaultMaxDepth = 6
+)
+
 // Config tunes the refuter.
 type Config struct {
-	// MaxPaths bounds backward path exploration per query (0 = the
-	// paper's 5,000; see Normalized).
+	// MaxPaths bounds backward path exploration per query (0 =
+	// DefaultMaxPaths; see Normalized).
 	MaxPaths int
-	// MaxDepth bounds call inlining depth (0 = the paper's 6).
+	// MaxDepth bounds call inlining depth (0 = DefaultMaxDepth).
 	MaxDepth int
 	// DisableCache turns off the A-walk and E-walk memos that queries
 	// within one pair share (for the ablation benchmark). Memos never
@@ -41,9 +50,8 @@ type Config struct {
 	// below 1 mean 1. It changes no verdict, path count or refute.*
 	// counter.
 	Jobs int
-	// Obs, when non-nil, receives the refutation effort counters and the
-	// per-pair refute.pair_paths series (see README.md "Observability").
-	// Nil costs nothing.
+	// Obs, when non-nil, receives the refutation effort counters and
+	// histograms (see README.md "Observability"). Nil costs nothing.
 	Obs *obs.Trace
 	// Ctx, when non-nil, is polled every few dozen explored paths; once
 	// done the walk bails as if its path budget ran out, so interrupted
@@ -168,15 +176,15 @@ type entryResult struct {
 	explored int
 }
 
-// Normalized returns c with the paper's budgets (5,000 paths, depth 6)
-// in place of a zero MaxPaths or MaxDepth: the values a refuter runs
-// under, and the ones a cache key names.
+// Normalized returns c with the paper's budgets (DefaultMaxPaths,
+// DefaultMaxDepth) in place of a zero MaxPaths or MaxDepth: the values
+// a refuter runs under, and the ones a cache key names.
 func (c Config) Normalized() Config {
 	if c.MaxPaths == 0 {
-		c.MaxPaths = 5000
+		c.MaxPaths = DefaultMaxPaths
 	}
 	if c.MaxDepth == 0 {
-		c.MaxDepth = 6
+		c.MaxDepth = DefaultMaxDepth
 	}
 	return c
 }
@@ -237,7 +245,7 @@ func (r *Refuter) Check(p race.Pair) Verdict {
 	}
 	v, pruned, capped := r.check(p)
 	if r.Cfg.Obs != nil {
-		recordVerdict(r.Cfg.Obs, p, v, pruned, capped, float64(time.Since(t0))/1e6)
+		recordVerdict(r.Cfg.Obs, v, pruned, capped, float64(time.Since(t0))/1e6)
 	}
 	return v
 }
@@ -272,12 +280,11 @@ func (r *Refuter) check(p race.Pair) (Verdict, int64, int64) {
 	return v, r.pruned - prunedBefore, r.entryCapped - cappedBefore
 }
 
-// recordVerdict emits one pair's refutation counters, its
-// refute.pair_paths sample, and the refute.pair_ms / refute.walk_paths
-// histogram observations (nil Trace = no-op; durMS < 0 means the pair
-// was not timed). Check calls it inline; CheckAll calls it from the
-// in-order emitter so counter and series order follow pair order.
-func recordVerdict(tr *obs.Trace, p race.Pair, v Verdict, pruned, capped int64, durMS float64) {
+// recordVerdict emits one pair's refutation counters and its
+// refute.pair_ms / refute.walk_paths histogram observations (nil Trace
+// = no-op; durMS < 0 means the pair was not timed). Check calls it
+// inline; CheckAll calls it from the in-order emitter.
+func recordVerdict(tr *obs.Trace, v Verdict, pruned, capped int64, durMS float64) {
 	if tr == nil {
 		return
 	}
@@ -309,7 +316,6 @@ func recordVerdict(tr *obs.Trace, p race.Pair, v Verdict, pruned, capped int64, 
 	default:
 		tr.Count("refute.verdict.refuted_ba", 1)
 	}
-	tr.Series("refute.pair_paths", p.Key(), int64(v.Paths))
 	tr.Observe("refute.walk_paths", float64(v.Paths))
 	if durMS >= 0 {
 		tr.Observe("refute.pair_ms", durMS)

@@ -216,11 +216,11 @@ func TestWitnessMemoHitReportsZeroPaths(t *testing.T) {
 // count as the delta.
 func TestRecordVerdictCappedCounter(t *testing.T) {
 	tr := obs.New("test")
-	recordVerdict(tr, race.Pair{}, Verdict{}, 0, 0, -1)
+	recordVerdict(tr, Verdict{}, 0, 0, -1)
 	if got := tr.Counter("refute.entry_stores_capped"); got != 0 {
 		t.Errorf("uncapped pair emitted refute.entry_stores_capped = %d", got)
 	}
-	recordVerdict(tr, race.Pair{}, Verdict{}, 0, 7, -1)
+	recordVerdict(tr, Verdict{}, 0, 7, -1)
 	if got := tr.Counter("refute.entry_stores_capped"); got != 7 {
 		t.Errorf("refute.entry_stores_capped = %d, want 7", got)
 	}

@@ -65,7 +65,8 @@ func mapEvent(reg *actions.Registry, launcher string, ev *interp.TraceEvent, occ
 // a callback the runtime fires but discovery missed, and fails the
 // test; an ambiguous one is skipped. The check runs on the handmade
 // apps and two paper apps (40 schedules each) and on every scenario
-// family at seeds 0–2 (10 schedules each).
+// family at seeds 0–2 (10 schedules each). Of these, only
+// corpus.PostOrderApp gives SHBG rules 4 and 5 edges to check.
 func TestStaticHBRespectsDynamicOrder(t *testing.T) {
 	type app struct {
 		name      string
@@ -77,6 +78,7 @@ func TestStaticHBRespectsDynamicOrder(t *testing.T) {
 		{"sudoku", corpus.SudokuTimerApp, 40},
 		{"dbapp", corpus.DatabaseApp, 40},
 		{"nullguard", corpus.NullGuardApp, 40},
+		{"postorder", corpus.PostOrderApp, 40},
 		{"gen-VuDroid", func() *apk.App {
 			row, _ := corpus.RowByName("VuDroid")
 			a, _ := corpus.NamedApp(row)

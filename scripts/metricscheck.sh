@@ -4,11 +4,11 @@
 # between the metrics-contract markers).
 #
 # Source side: every literal first argument to .Count / .Gauge /
-# .Series / .Observe / .Hist on a trace, in non-test files outside the
-# internal/obs substrate (which forwards caller-supplied names).
-# Dynamic names are normalized to the contract's template spelling:
-#   "shbg.edges." + rule            ->  shbg.edges.<...>   (prefix)
-#   fmt.Sprintf(".....le_%d", ...)  ->  .....le_<n>
+# .Observe / .Hist on a trace, in non-test files outside the
+# internal/obs substrate (which forwards caller-supplied names). A
+# concatenated name's literal prefix matches the contract's template
+# spelling:
+#   "shbg.edges." + rule            ->  shbg.edges.<...>
 #
 # Exit 1 with a diff-style report on any mismatch; silent success
 # otherwise. Wired into the tier-1 verify line (see ROADMAP.md).
@@ -23,8 +23,15 @@ trap 'rm -rf "$tmp"' EXIT INT TERM
 # --- contract side: "kind name" lines between the markers ------------
 awk '/<!-- metrics-contract:begin -->/{in_block=1; next}
      /<!-- metrics-contract:end -->/{in_block=0}
-     in_block && NF == 2 && $1 ~ /^(counter|gauge|series|histogram)$/ {print $1, $2}' \
+     in_block && NF == 2 {print $1, $2}' \
     "$readme" | sort -u >"$tmp/contract"
+
+# A trace holds counters, gauges and histograms; any other kind in the
+# contract (a typo, a retired kind) is drift too.
+if grep -vE '^(counter|gauge|histogram) ' "$tmp/contract" >"$tmp/unknown"; then
+    sed 's/^/metricscheck: unknown metric kind in the README contract: /' "$tmp/unknown" >&2
+    exit 1
+fi
 
 [ -s "$tmp/contract" ] || {
     echo "metricscheck: no metrics-contract block found in $readme" >&2
@@ -33,21 +40,18 @@ awk '/<!-- metrics-contract:begin -->/{in_block=1; next}
 
 # --- source side -----------------------------------------------------
 # Literal names (including literal prefixes of concatenated names,
-# which keep their trailing dot) and Sprintf templates, tagged with the
-# registering method, then mapped to contract kinds.
-grep -rhoE '\.(Count|Gauge|Series|Observe|Hist)\((fmt\.Sprintf\()?"[a-z0-9_.%]+"' \
+# which keep their trailing dot), tagged with the registering method,
+# then mapped to contract kinds.
+grep -rhoE '\.(Count|Gauge|Observe|Hist)\("[a-z0-9_.]+"' \
     --include='*.go' --exclude='*_test.go' \
     --exclude-dir=obs \
     internal cmd |
-    sed -E 's/^\.([A-Za-z]+)\((fmt\.Sprintf\()?"([^"]+)"/\1 \3/' |
+    sed -E 's/^\.([A-Za-z]+)\("([^"]+)"/\1 \2/' |
     awk '{
         if ($1 == "Count") kind = "counter"
         else if ($1 == "Gauge") kind = "gauge"
-        else if ($1 == "Series") kind = "series"
         else kind = "histogram"
-        name = $2
-        gsub(/%d/, "<n>", name); gsub(/%s/, "<s>", name)
-        print kind, name
+        print kind, $2
     }' | sort -u >"$tmp/source"
 
 [ -s "$tmp/source" ] || {
@@ -59,7 +63,7 @@ grep -rhoE '\.(Count|Gauge|Series|Observe|Hist)\((fmt\.Sprintf\()?"[a-z0-9_.%]+"
 # A source name matches a contract entry exactly; a source name with a
 # trailing dot (concatenation prefix) matches any contract entry that
 # continues it with a <template>; a contract <template> entry is
-# satisfied by either of those source shapes.
+# satisfied by a source prefix of it.
 awk -v contract="$tmp/contract" -v source="$tmp/source" '
 BEGIN {
     while ((getline line < contract) > 0) { cn[line] = 1; cl[++ncl] = line }
@@ -73,13 +77,11 @@ BEGIN {
         if (line in cn) continue
         split(line, f, " "); kind = f[1]; name = f[2]
         ok = 0
-        if (name ~ /\.$/ || name ~ /<[a-z]+>/) {
-            # dynamic source name: any contract template continuing it
-            prefix = name
-            sub(/<[a-z]+>.*$/, "", prefix)
+        if (name ~ /\.$/) {
+            # concatenation prefix: any contract template continuing it
             for (j = 1; j <= ncl; j++) {
                 split(cl[j], g, " ")
-                if (g[1] == kind && index(g[2], prefix) == 1 && g[2] ~ /</) { ok = 1; break }
+                if (g[1] == kind && index(g[2], name) == 1 && g[2] ~ /</) { ok = 1; break }
             }
         }
         if (!ok) {

@@ -10,8 +10,10 @@
 # answered from the store without a new job), drive two warm edits of
 # one lineage — a skeleton-visible one that patches the stages, then an
 # If-operand one that reuses them — each with its report byte-identical
-# to the one-shot CLI and /metrics showing its landing counter, and
-# shut the daemon down with SIGTERM, requiring a clean drain (exit 0).
+# to the one-shot CLI and /metrics showing its landing counter, require
+# /metrics to show a core.layer_ms histogram for every layer a serve
+# job runs, and shut the daemon down with SIGTERM, requiring a clean
+# drain (exit 0).
 #
 # Wired into the tier-1 verify line (see ROADMAP.md). No arguments.
 set -eu
@@ -123,6 +125,18 @@ for m in sierra_incremental_stage_applies sierra_incremental_applies; do
     [ -n "$v" ] && [ "$v" -ge 1 ] || {
         echo "servesmoke: /metrics $m = ${v:-absent}, want >= 1 (an edit was not absorbed by the warm baseline)" >&2
         grep sierra_incremental "$tmp/metrics.txt" >&2 || true
+        exit 1
+    }
+done
+
+# The daemon's ledger: every layer a serve job runs (all but compare)
+# has timed at least one pass.
+for layer in harness cgpa shbg pairs refute rank; do
+    m="sierra_core_layer_ms_${layer}_count"
+    v=$(awk -v m="$m" '$1 == m { print $2 }' "$tmp/metrics.txt")
+    [ -n "$v" ] && [ "$v" -ge 1 ] || {
+        echo "servesmoke: /metrics $m = ${v:-absent}, want >= 1 (the daemon lost a layer of its ledger)" >&2
+        grep sierra_core_layer_ms "$tmp/metrics.txt" >&2 || true
         exit 1
     }
 done
